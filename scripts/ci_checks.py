@@ -9,9 +9,8 @@ assert about.  Each block is a subcommand here instead — ruff-linted,
 unit-tested (``tests/scripts/test_ci_checks.py``) and runnable locally
 to reproduce exactly what CI enforces:
 
-* ``bench-artifact BENCH.json`` — the bench-smoke gate: correctness
-  fingerprint recorded identical, all functions verified, and the
-  compiled path at least not pathologically slower.
+* ``bench-artifact BENCH.json`` — the bench-smoke gate: cold, warm and
+  traced fingerprints recorded identical, and all functions verified.
 * ``traced-verify [--stem STEM]`` — the trace-smoke gate: with
   ``RC_TRACE=1`` in the environment a verification must thread a
   non-empty trace through result *and* metrics without any kwargs.
@@ -48,19 +47,14 @@ def check_bench_artifact(args) -> int:
     data = _load(args.artifact)
     checks = data["checks"]
     if checks["fingerprint_identical"] is not True:
-        print("bench-artifact: correctness fingerprint differs across "
-              "solver configurations", file=sys.stderr)
+        print("bench-artifact: correctness fingerprint differs between "
+              "cold, warm and traced passes", file=sys.stderr)
         return 1
     if checks["all_verified"] is not True:
         print("bench-artifact: not every function verified",
               file=sys.stderr)
         return 1
-    ratio = data["speedup"]["compiled_check_wall"]
-    if not ratio > args.min_speedup:
-        print(f"bench-artifact: compiled path regressed: {ratio}x "
-              f"(floor {args.min_speedup}x)", file=sys.stderr)
-        return 1
-    print(f"fingerprint ok; compiled speedup {ratio}x (quick)")
+    print(f"fingerprint ok; {checks['functions']} function(s) verified")
     return 0
 
 
@@ -190,10 +184,8 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bench-artifact",
-                       help="bench-smoke fingerprint + sanity floor")
+                       help="bench-smoke fingerprint check")
     p.add_argument("artifact", help="BENCH_solver.json path")
-    p.add_argument("--min-speedup", type=float, default=0.8,
-                   help="loose floor for shared runners (default 0.8)")
     p.set_defaults(func=check_bench_artifact)
 
     p = sub.add_parser("traced-verify",

@@ -40,12 +40,13 @@ from ..lithium.search import TELEMETRY_KEYS
 #       ``functions_clean`` / ``functions_dirty`` / ``results_reused``.
 #       All three are 0 for non-incremental runs, so v3 consumers keep
 #       working unchanged.
-#   5 — compiled hot path (repro.pure.compiled): the per-function and
-#       per-unit records gain ``dispatch_table_hits`` (flat-table rule
-#       dispatch hits) and ``terms_compiled`` (closure forms stamped onto
-#       interned nodes).  Like ``solver_cache_hits``, both are telemetry —
-#       excluded from ``counters`` so outcomes stay byte-identical across
-#       RC_COMPILE settings; both are 0 with the compiler off.
+#   5 — compiled hot path: the per-function and per-unit records gain
+#       ``dispatch_table_hits`` (flat-table rule dispatch hits) and
+#       ``terms_compiled`` (closure forms stamped onto interned nodes,
+#       counted by ``repro.pure.memo.note_compiled``).  Like
+#       ``solver_cache_hits``, both are telemetry — excluded from
+#       ``counters`` so outcomes stay byte-identical whether the pure
+#       caches start cold or warm.
 #   6 — observability (repro.obs): the per-unit record gains
 #       ``elab_memo_hits`` / ``elab_memo_misses`` (per-worker elaborated-
 #       program cache effectiveness on the parallel paths; both 0 for

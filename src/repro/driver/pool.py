@@ -67,11 +67,11 @@ def reset_fresh_counters() -> None:
     # memo caches (simplify/linarith/lists/sets) deliberately survive:
     # they map term structure to term structure, equality is structural,
     # and the checked conditions repeat heavily across the functions of a
-    # unit — cross-function hits are where most of the cached-mode
-    # speedup comes from.  Verification results are unaffected either
-    # way; only hit-rate telemetry varies with schedule.  (Compiled-mode
-    # node slots die with the tables; the dict-level compiled caches
-    # re-stamp them on first reuse, so this costs one lookup per node.)
+    # unit — cross-function hits are where most of the memo speedup
+    # comes from.  Verification results are unaffected either way; only
+    # hit-rate telemetry varies with schedule.  (The compiled forms in
+    # node slots die with the tables; the dict-level caches re-stamp
+    # them on first reuse, so this costs one lookup per node.)
     _terms.clear_term_caches()
 
 

@@ -231,7 +231,7 @@ def _ledger_record(outcomes: dict, *, jobs: int, wall_s: float,
     imports stay lazy so untelemetered runs never load the observatory.
     The driver-level run shape (result cache, incremental planning) goes
     into the record's config block: it changes the wall time as much as
-    any global switch, so it must split the sentinel's comparability
+    any environment flag, so it must split the sentinel's comparability
     pools."""
     from .obs.ledger import ledger_env_path, record_run
     if ledger_env_path() is None:

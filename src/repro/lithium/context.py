@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..pure.memo import MEMO
 from ..pure.terms import Subst, Term, Var
 from ..trace import tracer as _trace
 from .goals import Atom
@@ -50,8 +49,6 @@ class Gamma:
                 tr.instant("context", "fact_add", fact=repr(phi))
 
     def resolved_facts(self, subst: Subst) -> list[Term]:
-        if not MEMO.enabled:
-            return [subst.resolve(f) for f in self.facts]
         state = self._rf_state
         if state is not None and state[0] is subst \
                 and state[1] == subst.generation:

@@ -19,7 +19,6 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..pure.compiled import COMPILE
 from .goals import BasicGoal, Goal
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,7 +63,7 @@ class RuleRegistry:
 
     def __init__(self) -> None:
         self._rules: dict[tuple, list[Rule]] = {}
-        # Flat dispatch table (RC_COMPILE): concrete dispatch key ->
+        # Flat dispatch table: concrete dispatch key ->
         # selected rule, lazily filled through the slow path so the
         # precedence order is _candidates' by construction.  Registering
         # a rule bumps the generation, which invalidates the table.
@@ -120,22 +119,20 @@ class RuleRegistry:
         """Select the unique applicable rule for ``F`` — case (5) of proof
         search.  No backtracking: exactly one rule is chosen.
 
-        With ``RC_COMPILE`` on, resolved keys are remembered in a flat
-        per-generation table so the steady-state lookup is one dict hit;
-        misses (including every erroring key) take the interpreted path,
+        Resolved keys are remembered in a flat per-generation table so
+        the steady-state lookup is one dict hit; misses (including every
+        erroring key) take the wildcard cascade in :meth:`_lookup_slow`,
         which keeps rule choice and error text identical by construction.
         """
         key = f.dispatch_key()
-        if COMPILE.enabled:
-            table = self._dispatch_table()
-            rule = table.get(key)
-            if rule is not None:
-                self.dispatch_hits += 1
-                return rule
-            rule = self._lookup_slow(key, f)
-            table[key] = rule
+        table = self._dispatch_table()
+        rule = table.get(key)
+        if rule is not None:
+            self.dispatch_hits += 1
             return rule
-        return self._lookup_slow(key, f)
+        rule = self._lookup_slow(key, f)
+        table[key] = rule
+        return rule
 
     def _lookup_slow(self, key: tuple, f: BasicGoal) -> Rule:
         bucket: Optional[list[Rule]] = None

@@ -110,7 +110,7 @@ EvarRule = Callable[[Term, "SearchState"], Optional[Term]]
 
 #: The cache/engine telemetry fields of :class:`Stats` — the single
 #: source of truth for what ``counters()`` excludes.  Telemetry values
-#: vary with the cache/compile configuration and the schedule, while
+#: vary with pure-cache warmth and the schedule, while
 #: ``counters()`` must stay byte-identical across all of them (it feeds
 #: the fuzz-corpus fingerprints and the driver's on-disk result cache).
 #: The driver metrics, the observability ledger and the tests all import
@@ -151,7 +151,7 @@ class Stats:
         no wall-clock measurement (:data:`WALL_CLOCK_KEYS`) and no engine
         telemetry (:data:`TELEMETRY_KEYS`).  Two verifications of the same
         function must produce equal ``counters()`` regardless of machine
-        load, process, scheduling, or cache/compile configuration — the
+        load, process, scheduling, or pure-cache warmth — the
         determinism tests assert exactly this."""
         out = {}
         for f in _dc_fields(self):
@@ -584,16 +584,18 @@ class SearchState:
         for k in diff.coeffs:
             if k is not ev and any(s == ev for s in k.subterms()):
                 return False
-        # ev = -(rest + const) / coeff
+        # ev = -(rest + const) / coeff, and 1 / coeff = coeff for ±1.
+        # Exact arithmetic throughout: C constants exceed float precision.
         parts = []
         for k, v in diff.coeffs.items():
             if k is ev:
                 continue
-            c = int(v / (-coeff))
-            if v / (-coeff) != c:
+            c = -v * coeff
+            if c != int(c):
                 return False
+            c = int(c)
             parts.append(mul(intlit(c), k) if c != 1 else k)
-        const = diff.const / (-coeff)
+        const = -diff.const * coeff
         if const != int(const):
             return False
         if int(const) != 0 or not parts:

@@ -106,28 +106,31 @@ class RuleCostMap:
         only materialises the two accounted key families."""
         if trace is None:
             return
+        entries = self.entries
+
+        def pop(stack: list) -> None:
+            ev, child_dur = stack.pop()
+            dur = ev.dur or 0.0
+            if stack:
+                stack[-1][1] += dur
+            key = _span_key(ev)
+            if key is not None:
+                entry = entries.get(key)
+                if entry is None:
+                    entry = entries[key] = CostEntry()
+                entry.add_span(dur, max(0.0, dur - child_dur))
+
         for buf in trace.buffers:
             # [event, direct-child duration]
             stack: list[list] = []
-
-            def pop() -> None:
-                ev, child_dur = stack.pop()
-                dur = ev.dur or 0.0
-                if stack:
-                    stack[-1][1] += dur
-                key = _span_key(ev)
-                if key is not None:
-                    entry = self.entries.setdefault(key, CostEntry())
-                    entry.add_span(dur, max(0.0, dur - child_dur))
-
             for ev in buf.events:
                 if ev.ph != TraceEvent.SPAN:
                     continue
                 while stack and stack[-1][0].depth >= ev.depth:
-                    pop()
+                    pop(stack)
                 stack.append([ev, 0.0])
             while stack:
-                pop()
+                pop(stack)
 
     def add_counts(self, keys) -> None:
         """Fold in count-only coverage keys (no wall columns) — the fuzz

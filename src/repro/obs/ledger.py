@@ -7,9 +7,8 @@ configuration, and what it cost —
 
 * identity: record kind (``verify``/``bench``/``fuzz``/``serve``),
   wall-clock timestamp, git sha (best effort), platform triple;
-* configuration: the ``RC_*`` environment flags, the resolved
-  *in-process* switch states (compile / pure memo — an env flag can be
-  overridden programmatically mid-process), job count, and the unit
+* configuration: the tracked ``RC_*`` environment flags, the caller's
+  run shape (result cache, incremental mode), job count, and the unit
   suite, so the regression sentinel never compares apples to oranges;
 * cost: total wall seconds, per-function wall times keyed
   ``<unit>:<function>``, the schema-v6 cache-effectiveness block, and
@@ -49,7 +48,7 @@ KNOWN_KINDS = ("verify", "bench", "fuzz", "serve")
 
 #: the environment flags that change proof-search performance; recorded
 #: per run and required to match for two records to be comparable
-TRACKED_ENV_FLAGS = ("RC_TRACE", "RC_COMPILE", "RC_PURE_CACHE")
+TRACKED_ENV_FLAGS = ("RC_TRACE",)
 
 _OFF_VALUES = ("", "0", "false", "off", "no")
 
@@ -66,10 +65,37 @@ def ledger_env_path() -> Optional[Path]:
     return Path(raw)
 
 
+def _loose_head_sha(start: Path) -> str:
+    """HEAD's sha read straight from a plain ``.git`` directory when HEAD
+    is detached or names a loose branch ref; ``""`` for anything else
+    (no repository, worktree links, packed refs), which git resolves."""
+    for d in (start, *start.parents):
+        git = d / ".git"
+        if git.exists():
+            break
+    else:
+        return ""
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if head.startswith("ref: "):
+            head = (git / head[5:]).read_text().strip()
+    except OSError:
+        return ""
+    if len(head) in (40, 64) and all(c in "0123456789abcdef" for c in head):
+        return head
+    return ""
+
+
 def git_sha(repo: Optional[Path] = None) -> str:
     """The current commit sha, or ``""`` when git is unavailable, the
     directory is not a repository, or the call fails for any reason —
-    the ledger must work in export tarballs too."""
+    the ledger must work in export tarballs too.  The common layout is
+    read from the files directly: one record is written per daemon
+    request, and a ``git`` process costs milliseconds."""
+    sha = _loose_head_sha(Path(repo).resolve() if repo is not None
+                          else Path.cwd())
+    if sha:
+        return sha
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -86,18 +112,6 @@ def _platform_block() -> dict:
         "machine": platform.machine(),
         "system": platform.system(),
     }
-
-
-def _config_block() -> dict:
-    """The resolved in-process switch states.  These can diverge from the
-    environment flags (``set_compile_enabled`` and friends flip them
-    programmatically — the benches do exactly that), and the sentinel
-    must not compare a compiled pass against an interpreted one just
-    because the env looked identical."""
-    from ..pure.compiled import COMPILE
-    from ..pure.memo import MEMO
-    return {"compile": bool(COMPILE.enabled),
-            "pure_cache": bool(MEMO.enabled)}
 
 
 def build_record(kind: str, *,
@@ -117,13 +131,11 @@ def build_record(kind: str, *,
     under the ``extra`` key — bench/fuzz scripts stash their
     script-specific payloads there.  ``config_extra`` merges into the
     ``config`` block and therefore into the sentinel's comparability
-    pool — callers use it for run shapes the global switches cannot see
+    pool — callers use it for run shapes the environment cannot show
     (result cache on/off, incremental mode)."""
     from ..driver.metrics import (METRICS_SCHEMA_VERSION, DriverMetrics,
                                   merge_metrics)
-    config = _config_block()
-    if config_extra:
-        config.update(config_extra)
+    config = dict(config_extra or {})
     record = {
         "ledger_version": LEDGER_SCHEMA_VERSION,
         "kind": str(kind),

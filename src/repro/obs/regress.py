@@ -17,9 +17,9 @@ nothing.  The sentinel compares a candidate ledger record against the
   "unused" is not "0% effective".
 
 History is *comparable* records only — same kind, platform, python
-minor, jobs, tracked ``RC_*`` flags, in-process switch config, and unit
-suite (:func:`pool_key`) — so an interpreted run is never judged against
-compiled history.  Fewer than ``min_history`` comparable records means
+minor, jobs, tracked ``RC_*`` flags, run config, and unit suite
+(:func:`pool_key`) — so a traced run is never judged against untraced
+history.  Fewer than ``min_history`` comparable records means
 **skip, not pass-or-fail**: the sentinel refuses to guess from thin
 evidence.
 """

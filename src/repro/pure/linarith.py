@@ -2,7 +2,7 @@
 
 The paper's default pure-side-condition solver "currently only targets linear
 arithmetic and Coq lists" (§7).  This module is the linear-arithmetic half: a
-Fourier--Motzkin elimination procedure over the rationals with integer
+Fourier--Motzkin elimination procedure on integer rows with integer
 tightening (``a < b`` over ints becomes ``a + 1 <= b``), preceded by Gaussian
 elimination of equalities.
 
@@ -16,19 +16,17 @@ lazily (e.g. ``0 <= len l``, ``min(a,b) <= a``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from .compiled import COMPILE, note_compiled
-from .memo import MEMO, register_cache, trim_cache
+from .memo import note_compiled, register_cache, trim_cache
 from .terms import App, Lit, Sort, Term, Var, sub
 
 _set = object.__setattr__
 
 # A linear expression is a mapping from opaque INT atoms to coefficients plus
 # a constant; it denotes  sum(coeff * atom) + const.
-LinMap = dict[Term, Fraction]
+LinMap = dict[Term, int]
 
 # Memoization over interned terms.  Linearisation and constraint extraction
 # are pure up to their ``atoms`` out-parameter, so each cache entry stores
@@ -40,7 +38,7 @@ _CONSTRAINT_CACHE: dict = register_cache({})
 _IMPLIES_CACHE: dict = register_cache({})
 _AXIOM_CACHE: dict = register_cache({})
 _FM_CACHE: dict = register_cache({})
-# RC_COMPILE: hypothesis-context snapshot — hyps tuple -> (constraints,
+# Hypothesis-context snapshot — hyps tuple -> (constraints,
 # integer rows, per-hyp atom sets).  Consecutive entailment queries under
 # one Γ (and every conjunct of an `and` goal) share their hypotheses, so
 # the matrix is assembled once per context and reused for every goal
@@ -52,26 +50,23 @@ _MISS = object()
 @dataclass
 class LinExpr:
     coeffs: LinMap
-    const: Fraction
+    const: int
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
             if out[k] == 0:
                 del out[k]
         return LinExpr(out, self.const + other.const)
 
-    def scale(self, f: Fraction) -> "LinExpr":
+    def scale(self, f: int) -> "LinExpr":
         if f == 0:
-            return LinExpr({}, Fraction(0))
+            return LinExpr({}, 0)
         return LinExpr({k: v * f for k, v in self.coeffs.items()}, self.const * f)
 
     def __sub__(self, other: "LinExpr") -> "LinExpr":
-        return self + other.scale(Fraction(-1))
-
-    def is_const(self) -> bool:
-        return not self.coeffs
+        return self + other.scale(-1)
 
 
 # Constraint: LinExpr <= 0 (kind "le") or LinExpr == 0 (kind "eq").
@@ -81,40 +76,23 @@ class Constraint:
     kind: str  # "le" | "eq"
 
 
-class _NonLinear(Exception):
-    """Internal: raised when a term cannot be linearised further."""
-
-
 def linearise(t: Term, atoms: set[Term]) -> LinExpr:
     """Turn an INT term into a linear expression, collecting opaque atoms."""
-    if COMPILE.enabled and isinstance(t, App):
-        # Compiled form attached to the interned node; the dict cache is
-        # still consulted (and fed) so structurally equal nodes from a
-        # later function check reuse the row.
-        hit = getattr(t, "_lrow", None)
+    hit = getattr(t, "_lrow", None) if isinstance(t, App) else None
+    if hit is None:
+        hit = _LINEARISE_CACHE.get(t)
         if hit is None:
-            if MEMO.enabled:
-                hit = _LINEARISE_CACHE.get(t)
-            if hit is None:
-                local: set[Term] = set()
-                e = _linearise(t, local)
-                hit = (e, frozenset(local))
-                if MEMO.enabled:
-                    trim_cache(_LINEARISE_CACHE)
-                    _LINEARISE_CACHE[t] = hit
+            local: set[Term] = set()
+            e = _linearise(t, local)
+            hit = (e, frozenset(local))
+            trim_cache(_LINEARISE_CACHE)
+            _LINEARISE_CACHE[t] = hit
+        if isinstance(t, App):
+            # Compiled form attached to the interned node; the dict cache
+            # still serves structurally equal nodes from a later function
+            # check, after the intern table was cleared.
             _set(t, "_lrow", hit)
             note_compiled()
-        atoms |= hit[1]
-        return LinExpr(dict(hit[0].coeffs), hit[0].const)
-    if not MEMO.enabled:
-        return _linearise(t, atoms)
-    hit = _LINEARISE_CACHE.get(t)
-    if hit is None:
-        local: set[Term] = set()
-        e = _linearise(t, local)
-        trim_cache(_LINEARISE_CACHE)
-        hit = (e, frozenset(local))
-        _LINEARISE_CACHE[t] = hit
     atoms |= hit[1]
     # Fresh coeff dict per call: downstream arithmetic never mutates a
     # LinExpr in place, but sharing one dict across calls would make that
@@ -124,19 +102,19 @@ def linearise(t: Term, atoms: set[Term]) -> LinExpr:
 
 def _linearise(t: Term, atoms: set[Term]) -> LinExpr:
     if isinstance(t, Lit):
-        return LinExpr({}, Fraction(int(t.value)))
+        return LinExpr({}, int(t.value))
     if isinstance(t, App):
         if t.op == "add":
-            out = LinExpr({}, Fraction(0))
+            out = LinExpr({}, 0)
             for a in t.args:
                 out = out + linearise(a, atoms)
             return out
         if t.op == "sub":
             return linearise(t.args[0], atoms) - linearise(t.args[1], atoms)
         if t.op == "neg":
-            return linearise(t.args[0], atoms).scale(Fraction(-1))
+            return linearise(t.args[0], atoms).scale(-1)
         if t.op == "mul":
-            const = Fraction(1)
+            const = 1
             non_const: list[Term] = []
             for a in t.args:
                 if isinstance(a, Lit):
@@ -149,13 +127,13 @@ def _linearise(t: Term, atoms: set[Term]) -> LinExpr:
                 return linearise(non_const[0], atoms).scale(const)
             # Product of symbolic terms: opaque.
             atoms.add(t)
-            return LinExpr({t: Fraction(1)}, Fraction(0))
+            return LinExpr({t: 1}, 0)
         if t.op == "ite":
             atoms.add(t)
-            return LinExpr({t: Fraction(1)}, Fraction(0))
+            return LinExpr({t: 1}, 0)
     # Var, EVar, or opaque App (min/max/div/mod/len/msize/fn:...)
     atoms.add(t)
-    return LinExpr({t: Fraction(1)}, Fraction(0))
+    return LinExpr({t: 1}, 0)
 
 
 def _atom_axioms(atom: Term, atoms: set[Term]) -> list[Constraint]:
@@ -166,11 +144,11 @@ def _atom_axioms(atom: Term, atoms: set[Term]) -> list[Constraint]:
     nonneg_ops = {"len", "msize"}
     if atom.op in nonneg_ops:
         # 0 <= atom   i.e.  -atom <= 0
-        out.append(Constraint(LinExpr({atom: Fraction(-1)}, Fraction(0)), "le"))
+        out.append(Constraint(LinExpr({atom: -1}, 0), "le"))
     if atom.op in ("min", "max"):
         a = linearise(atom.args[0], atoms)
         b = linearise(atom.args[1], atoms)
-        me = LinExpr({atom: Fraction(1)}, Fraction(0))
+        me = LinExpr({atom: 1}, 0)
         if atom.op == "min":
             out.append(Constraint(me - a, "le"))  # min <= a
             out.append(Constraint(me - b, "le"))  # min <= b
@@ -179,9 +157,9 @@ def _atom_axioms(atom: Term, atoms: set[Term]) -> list[Constraint]:
             out.append(Constraint(b - me, "le"))  # b <= max
     if atom.op == "mod" and isinstance(atom.args[1], Lit) and int(atom.args[1].value) > 0:
         m = int(atom.args[1].value)
-        me = LinExpr({atom: Fraction(1)}, Fraction(0))
-        out.append(Constraint(me.scale(Fraction(-1)), "le"))           # 0 <= mod
-        out.append(Constraint(me + LinExpr({}, Fraction(1 - m)), "le"))  # mod <= m-1
+        me = LinExpr({atom: 1}, 0)
+        out.append(Constraint(me.scale(-1), "le"))           # 0 <= mod
+        out.append(Constraint(me + LinExpr({}, 1 - m), "le"))  # mod <= m-1
     return out
 
 
@@ -191,8 +169,6 @@ def _to_constraints(prop: Term, atoms: set[Term]) -> Optional[list[Constraint]]:
     Returns ``None`` if the proposition is not (a conjunction of) linear
     atoms -- such hypotheses are simply not visible to this solver.
     """
-    if not MEMO.enabled:
-        return _to_constraints_impl(prop, atoms)
     hit = _CONSTRAINT_CACHE.get(prop, _MISS)
     if hit is _MISS:
         local: set[Term] = set()
@@ -210,7 +186,7 @@ def _to_constraints_impl(prop: Term, atoms: set[Term]
         if prop.value is True:
             return []
         # False hypothesis: encode as 1 <= 0.
-        return [Constraint(LinExpr({}, Fraction(1)), "le")]
+        return [Constraint(LinExpr({}, 1), "le")]
     if isinstance(prop, App):
         if prop.op == "and":
             out: list[Constraint] = []
@@ -225,7 +201,7 @@ def _to_constraints_impl(prop: Term, atoms: set[Term]
             return [Constraint(e, "le")]
         if prop.op == "lt":
             e = linearise(prop.args[0], atoms) - linearise(prop.args[1], atoms)
-            return [Constraint(e + LinExpr({}, Fraction(1)), "le")]
+            return [Constraint(e + LinExpr({}, 1), "le")]
         if prop.op == "eq" and prop.args[0].sort is Sort.INT:
             e = linearise(prop.args[0], atoms) - linearise(prop.args[1], atoms)
             return [Constraint(e, "eq")]
@@ -276,213 +252,43 @@ def _negate_to_constraint_sets(goal: Term, atoms: set[Term]) -> Optional[list[li
     return None
 
 
-def _gauss_eliminate(constraints: list[Constraint]) -> Optional[list[Constraint]]:
-    """Eliminate equalities by substitution; detect trivial contradictions.
-
-    Returns remaining inequality constraints, or ``None`` if an immediate
-    contradiction (e.g. ``2 = 0``) was found.
-    """
-    eqs = [c for c in constraints if c.kind == "eq"]
-    les = [c.expr for c in constraints if c.kind == "le"]
-    while eqs:
-        c = eqs.pop()
-        e = c.expr
-        if e.is_const():
-            if e.const != 0:
-                return None
-            continue
-        # Pick a pivot variable and solve for it:  pivot = rest / -coeff
-        pivot, coeff = next(iter(e.coeffs.items()))
-        rest = LinExpr({k: v for k, v in e.coeffs.items() if k != pivot}, e.const)
-        sol = rest.scale(Fraction(-1) / coeff)
-
-        def substitute(x: LinExpr) -> LinExpr:
-            if pivot not in x.coeffs:
-                return x
-            c0 = x.coeffs[pivot]
-            trimmed = LinExpr({k: v for k, v in x.coeffs.items() if k != pivot}, x.const)
-            return trimmed + sol.scale(c0)
-
-        eqs = [Constraint(substitute(q.expr), "eq") for q in eqs]
-        les = [substitute(x) for x in les]
-    return [Constraint(e, "le") for e in les]
-
-
 _FM_VAR_LIMIT = 24
 _FM_SIZE_LIMIT = 3000
 
 
-def _normalise_int(e: LinExpr) -> LinExpr:
-    """Integer cut: scale ``e ≤ 0`` to integral coefficients, divide by
-    their gcd, and floor the constant.  All atoms denote integers, so this
-    is sound and recovers integer facts FM alone would miss (e.g. that
-    ``8x + 1 ≤ 0`` entails ``x ≤ -1``)."""
-    if not e.coeffs:
-        return e
-    from math import gcd
-    denom_lcm = 1
-    for v in list(e.coeffs.values()) + [e.const]:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm,
-                                                     v.denominator)
-    scaled = e.scale(Fraction(denom_lcm))
-    g = 0
-    for v in scaled.coeffs.values():
-        g = gcd(g, abs(int(v)))
-    if g <= 1:
-        return scaled
-    coeffs = {k: v / g for k, v in scaled.coeffs.items()}
-    # sum(c_i x_i) ≤ -const  ⇒  sum ≤ floor(-const / g) for integral sums.
-    import math
-    new_const = -Fraction(math.floor(-scaled.const / g))
-    return LinExpr(coeffs, new_const)
-
-
-def _fourier_motzkin(ineqs: list[LinExpr]) -> bool:
-    """Return True iff the system  {e <= 0}  is unsatisfiable over Q.
-
-    Complete over the rationals; with the integer tightening performed during
-    translation this is a sound (if incomplete) integer unsat check.
-
-    The elimination runs on an integer representation: after the initial
-    :func:`_normalise_int` pass every coefficient is integral, and the
-    positive combination ``|c_n|·p + c_p·n`` spans the same half-space as
-    the rational ``p/c_p - n/c_n`` combination, so after gcd reduction the
-    normalised constraints — and hence every pivot choice, size cutoff,
-    and the final verdict — are identical to the rational-arithmetic
-    formulation, while avoiding ~5 Fraction allocations per coefficient.
-    Only the constant term stays a Fraction (Gaussian elimination upstream
-    can make it non-integral)."""
-    if MEMO.enabled:
-        # Keys hash the Fraction constants as (numerator, denominator)
-        # int pairs — Fraction.__hash__ computes a modular inverse and
-        # shows up in profiles at this call volume.
-        key = tuple((tuple(e.coeffs.items()),
-                     e.const.numerator, e.const.denominator) for e in ineqs)
-        hit = _FM_CACHE.get(key)
-        if hit is None:
-            hit = _fourier_motzkin_impl(ineqs)
-            trim_cache(_FM_CACHE)
-            _FM_CACHE[key] = hit
-        return hit
-    return _fourier_motzkin_impl(ineqs)
-
-
-def _fourier_motzkin_impl(ineqs: list[LinExpr]) -> bool:
-    # (coeffs: dict[Term, int], const: Fraction), mirroring LinExpr.
-    work: list[tuple[dict, Fraction]] = []
-    for e in ineqs:
-        e = _normalise_int(e)
-        work.append(({k: int(v) for k, v in e.coeffs.items()}, e.const))
-    from math import floor, gcd
-    for _round in range(_FM_VAR_LIMIT):
-        if any(const > 0 for coeffs, const in work if not coeffs):
-            return True
-        work = [(coeffs, const) for coeffs, const in work if coeffs]
-        if not work:
-            return False
-        # Choose the variable minimising the pos*neg product (Bland-ish).
-        occurrence: dict[Term, tuple[int, int]] = {}
-        for coeffs, _const in work:
-            for k, v in coeffs.items():
-                p, n = occurrence.get(k, (0, 0))
-                occurrence[k] = (p + (v > 0), n + (v < 0))
-        pivot = min(occurrence, key=lambda k: occurrence[k][0] * occurrence[k][1])
-        with_pos = [e for e in work if e[0].get(pivot, 0) > 0]
-        with_neg = [e for e in work if e[0].get(pivot, 0) < 0]
-        new = [e for e in work if pivot not in e[0]]
-        for pc, pconst in with_pos:
-            a = pc[pivot]
-            for nc, nconst in with_neg:
-                b = nc[pivot]
-                # p: a*x + r_p <= 0 (a>0) and n: b*x + r_n <= 0 (b<0)
-                # combine positively to eliminate x:  -b*p + a*n <= 0.
-                out = {k: -b * v for k, v in pc.items()}
-                for k, v in nc.items():
-                    s = out.get(k, 0) + a * v
-                    if s == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-                const = -b * pconst + a * nconst
-                # Normalise (same algebra as _normalise_int): make the
-                # constant integral, divide by the coefficient gcd, floor.
-                if out:
-                    lcm = const.denominator
-                    if lcm != 1:
-                        out = {k: v * lcm for k, v in out.items()}
-                        const = const * lcm
-                    g = 0
-                    for v in out.values():
-                        g = gcd(g, abs(v))
-                    if g > 1:
-                        out = {k: v // g for k, v in out.items()}
-                        const = -Fraction(floor(-const / g))
-                new.append((out, const))
-        if len(new) > _FM_SIZE_LIMIT:
-            return False  # give up (incomplete, but sound: "not proved")
-        work = new
-    return False
-
-
 # ------------------------------------------------------------------
-# RC_COMPILE: the integer elimination kernel.
+# The integer elimination kernel.
 #
-# The interpreted pipeline above manipulates ``LinExpr`` objects with
-# ``Fraction`` coefficients through Gaussian elimination and only drops
-# to integers inside Fourier--Motzkin.  The compiled kernel converts
-# every constraint to an integer row *once* (cached on the Constraint),
-# keeps Gaussian elimination integral by combining rows as
-# ``|p|·x − sign(p)·x_p·e`` (a positive multiple of the rational
-# substitution), and runs FM with integer constants throughout.
+# Linear expressions have integer coefficients, so every constraint is
+# already an integer row.  Gaussian elimination stays integral by
+# combining rows as ``|p|·x − sign(p)·x_p·e`` (a positive multiple of the
+# rational substitution), and Fourier--Motzkin runs with integer
+# constants throughout.
 #
-# Equivalence: every compiled row is a positive multiple ``c·r`` of its
-# rational counterpart ``r`` (conversion scales by the denominator lcm;
-# the Gauss combination multiplies by ``|p|``; gcd reductions divide
-# exactly).  Positive scaling preserves which coefficients are zero, the
-# dict insertion order (and hence every pivot choice), the sign of
-# constant-only rows, and the normalised form: gcd-reducing ``c·r`` and
-# flooring its constant yields the same primitive row as
-# ``_normalise_int(r)``.  So the verdicts — including the size/round
-# give-ups — are identical by construction, which the differential tests
-# and the bench fingerprint assertions check.
+# Every row is a positive multiple ``c·r`` of the row ``r`` that rational
+# elimination would compute (the Gauss combination multiplies by ``|p|``;
+# gcd reductions divide exactly).  Positive scaling preserves which
+# coefficients are zero, the dict insertion order (and hence every pivot
+# choice), the sign of constant-only rows, and the normalised form.  So
+# the verdicts — including the size/round give-ups — equal those of the
+# rational procedure, which tests/pure/linarith_oracle.py keeps as a
+# differential oracle.
 # ------------------------------------------------------------------
 
 # An integer row is (coeffs: dict[Term, int], const: int) denoting
 # sum(coeff·atom) + const (<= 0 or == 0 depending on the carried kind).
+# Rows share their coefficient dicts with the (memoized) constraints;
+# the kernel never mutates a row in place.
 IntRow = tuple[dict, int]
 
 
-def _to_int_row(e: LinExpr) -> IntRow:
-    """Scale a rational expression to the least positive integer multiple."""
-    lcm = 1
-    for v in e.coeffs.values():
-        d = v.denominator
-        if d != 1:
-            lcm = lcm * d // gcd(lcm, d)
-    d = e.const.denominator
-    if d != 1:
-        lcm = lcm * d // gcd(lcm, d)
-    if lcm == 1:
-        return ({k: v.numerator for k, v in e.coeffs.items()},
-                e.const.numerator)
-    return ({k: (v * lcm).numerator for k, v in e.coeffs.items()},
-            (e.const * lcm).numerator)
-
-
-def _int_row3(c: Constraint) -> tuple[str, dict, int]:
-    """The (kind, coeffs, const) integer row of a constraint, computed once
-    per Constraint object (constraints are shared via the memo tables)."""
-    row = getattr(c, "_irow", None)
-    if row is None:
-        coeffs, const = _to_int_row(c.expr)
-        row = (c.kind, coeffs, const)
-        c._irow = row
-        note_compiled()
-    return row
+def _row(c: Constraint) -> tuple[str, dict, int]:
+    """The (kind, coeffs, const) integer row of a constraint."""
+    return c.kind, c.expr.coeffs, c.expr.const
 
 
 def _gauss_int(rows: list[tuple[str, dict, int]]) -> Optional[list[IntRow]]:
-    """Integer Gaussian elimination, mirroring :func:`_gauss_eliminate`.
+    """Integer Gaussian elimination: substitute every equality away.
 
     Returns the remaining inequality rows (each a positive multiple of
     the rational result), or ``None`` on an immediate contradiction."""
@@ -535,8 +341,10 @@ def _gauss_int(rows: list[tuple[str, dict, int]]) -> Optional[list[IntRow]]:
 
 
 def _norm_int_row(row: IntRow) -> IntRow:
-    """Integer-row form of :func:`_normalise_int`: primitive coefficients,
-    floored constant."""
+    """Integer cut: divide ``row ≤ 0`` by its coefficient gcd and floor
+    the constant.  All atoms denote integers, so this is sound and
+    recovers integer facts FM alone would miss (e.g. that ``8x + 1 ≤ 0``
+    entails ``x ≤ -1``)."""
     coeffs, const = row
     if not coeffs:
         return row
@@ -549,16 +357,18 @@ def _norm_int_row(row: IntRow) -> IntRow:
 
 
 def _fm_int(rows: list[IntRow]) -> bool:
-    """Integer Fourier--Motzkin unsat check (= :func:`_fourier_motzkin`)."""
-    if MEMO.enabled:
-        key = tuple((tuple(coeffs.items()), const) for coeffs, const in rows)
-        hit = _FM_CACHE.get(key)
-        if hit is None:
-            hit = _fm_int_impl(rows)
-            trim_cache(_FM_CACHE)
-            _FM_CACHE[key] = hit
-        return hit
-    return _fm_int_impl(rows)
+    """Return True iff the system ``{row <= 0}`` is unsatisfiable.
+
+    Complete over the rationals; with the integer tightening performed
+    during translation this is a sound (if incomplete) integer unsat
+    check."""
+    key = tuple((tuple(coeffs.items()), const) for coeffs, const in rows)
+    hit = _FM_CACHE.get(key)
+    if hit is None:
+        hit = _fm_int_impl(rows)
+        trim_cache(_FM_CACHE)
+        _FM_CACHE[key] = hit
+    return hit
 
 
 def _fm_int_impl(rows: list[IntRow]) -> bool:
@@ -574,6 +384,7 @@ def _fm_int_impl(rows: list[IntRow]) -> bool:
             for k, v in coeffs.items():
                 p, n = occurrence.get(k, (0, 0))
                 occurrence[k] = (p + (v > 0), n + (v < 0))
+        # Choose the variable minimising the pos*neg product (Bland-ish).
         pivot = min(occurrence, key=lambda k: occurrence[k][0] * occurrence[k][1])
         with_pos = [r for r in work if r[0].get(pivot, 0) > 0]
         with_neg = [r for r in work if r[0].get(pivot, 0) < 0]
@@ -582,6 +393,8 @@ def _fm_int_impl(rows: list[IntRow]) -> bool:
             a = pc[pivot]
             for nc, nconst in with_neg:
                 b = nc[pivot]
+                # p: a*x + r_p <= 0 (a>0) and n: b*x + r_n <= 0 (b<0)
+                # combine positively to eliminate x:  -b*p + a*n <= 0.
                 out = {k: -b * v for k, v in pc.items()}
                 for k, v in nc.items():
                     nv = out.get(k, 0) + a * v
@@ -599,7 +412,7 @@ def _fm_int_impl(rows: list[IntRow]) -> bool:
                         const = -((-const) // g)
                 new.append((out, const))
         if len(new) > _FM_SIZE_LIMIT:
-            return False
+            return False  # give up (incomplete, but sound: "not proved")
         work = new
     return False
 
@@ -607,69 +420,53 @@ def _fm_int_impl(rows: list[IntRow]) -> bool:
 def _hyp_rows(hyps: tuple) -> tuple:
     """Snapshot of a hypothesis context: (constraints, integer rows,
     atom set), assembled once per distinct ``hyps`` tuple."""
-    if MEMO.enabled:
-        hit = _HYPROWS_CACHE.get(hyps)
-        if hit is not None:
-            return hit
+    hit = _HYPROWS_CACHE.get(hyps)
+    if hit is not None:
+        return hit
     atoms: set[Term] = set()
     constraints: list[Constraint] = []
     for h in hyps:
         cs = _to_constraints(h, atoms)
         if cs is not None:
             constraints.extend(cs)
-    rows = tuple(_int_row3(c) for c in constraints)
+    rows = tuple(_row(c) for c in constraints)
     hit = (tuple(constraints), rows, frozenset(atoms))
-    if MEMO.enabled:
-        trim_cache(_HYPROWS_CACHE)
-        _HYPROWS_CACHE[hyps] = hit
+    trim_cache(_HYPROWS_CACHE)
+    _HYPROWS_CACHE[hyps] = hit
     return hit
 
 
-def _div_axioms(hyp_constraints: list[Constraint], atoms: set[Term]
+def _div_axioms(atoms: set[Term], entailed: Callable[[LinExpr], bool]
                 ) -> list[Constraint]:
     """Conditional axioms for truncating division by a positive constant:
-    when ``0 ≤ x`` is entailed (checked with a nested FM query), add
-    ``c*d ≤ x ≤ c*d + c - 1`` for ``d = x / c`` (exact for truncation)."""
+    when ``0 ≤ x`` is entailed (``entailed(e)`` decides whether the
+    hypotheses entail ``e ≤ 0``), add ``c*d ≤ x ≤ c*d + c - 1`` for
+    ``d = x / c`` (exact for truncation)."""
     out: list[Constraint] = []
-    if COMPILE.enabled:
-        hyp_rows = [_int_row3(c) for c in hyp_constraints]
-
-    def entailed(e: LinExpr) -> bool:
-        """Does hyps entail e <= 0?  (Refute hyps ∧ e >= 1.)"""
-        neg_expr = e.scale(Fraction(-1)) + LinExpr({}, Fraction(1))
-        if COMPILE.enabled:
-            rows = hyp_rows + [("le", *_to_int_row(neg_expr))]
-            remaining = _gauss_int(rows)
-            return remaining is None or _fm_int(remaining)
-        neg = Constraint(neg_expr, "le")
-        system = _gauss_eliminate(hyp_constraints + [neg])
-        return system is None or _fourier_motzkin(
-            [q.expr for q in system])
-
     for atom in list(atoms):
         if isinstance(atom, App) and atom.op == "div":
             x_t, c_t = atom.args
             x = linearise(x_t, atoms)
-            d = LinExpr({atom: Fraction(1)}, Fraction(0))
+            d = LinExpr({atom: 1}, 0)
             if isinstance(c_t, Lit) and int(c_t.value) > 0:
                 c = int(c_t.value)
-                if not entailed(x.scale(Fraction(-1))):   # need 0 <= x
+                if not entailed(x.scale(-1)):   # need 0 <= x
                     continue
-                out.append(Constraint(d.scale(Fraction(c)) - x, "le"))
-                out.append(Constraint(x - d.scale(Fraction(c))
-                                      + LinExpr({}, Fraction(1 - c)), "le"))
+                out.append(Constraint(d.scale(c) - x, "le"))
+                out.append(Constraint(x - d.scale(c)
+                                      + LinExpr({}, 1 - c), "le"))
             else:
                 # Symbolic divisor: with 0 <= x and 1 <= c we still know
                 # 0 <= x/c <= x.
                 cexpr = linearise(c_t, atoms)
-                if entailed(x.scale(Fraction(-1))) and \
-                        entailed(LinExpr({}, Fraction(1)) - cexpr):
-                    out.append(Constraint(d.scale(Fraction(-1)), "le"))
+                if entailed(x.scale(-1)) and \
+                        entailed(LinExpr({}, 1) - cexpr):
+                    out.append(Constraint(d.scale(-1), "le"))
                     out.append(Constraint(d - x, "le"))
         if isinstance(atom, App) and atom.op in ("min", "max"):
             a = linearise(atom.args[0], atoms)
             b = linearise(atom.args[1], atoms)
-            me = LinExpr({atom: Fraction(1)}, Fraction(0))
+            me = LinExpr({atom: 1}, 0)
             # If the order of the operands is entailed, the min/max is
             # determined exactly.
             if entailed(a - b):       # a <= b
@@ -681,16 +478,23 @@ def _div_axioms(hyp_constraints: list[Constraint], atoms: set[Term]
     return out
 
 
+def _entailed_by(hyp_constraints: list[Constraint]
+                 ) -> Callable[[LinExpr], bool]:
+    """Nested entailment query for the axioms: does the hypothesis system
+    entail ``e <= 0``?  (Refute hyps ∧ e >= 1.)"""
+    hyp_rows = [_row(c) for c in hyp_constraints]
+
+    def entailed(e: LinExpr) -> bool:
+        neg = e.scale(-1) + LinExpr({}, 1)
+        remaining = _gauss_int(hyp_rows + [("le", neg.coeffs, neg.const)])
+        return remaining is None or _fm_int(remaining)
+    return entailed
+
+
 def _axioms_for(hyps: tuple[Term, ...], hyp_constraints: list[Constraint],
                 atoms: set[Term]) -> list[Constraint]:
     """Bounding axioms for every opaque atom (mutates ``atoms``), memoized
     on (hyps, atoms) — ``hyp_constraints`` is a function of ``hyps``."""
-    if not MEMO.enabled:
-        out: list[Constraint] = []
-        for a in list(atoms):
-            out.extend(_atom_axioms(a, atoms))
-        out.extend(_div_axioms(hyp_constraints, atoms))
-        return out
     key = (tuple(hyps), frozenset(atoms))
     hit = _AXIOM_CACHE.get(key)
     if hit is None:
@@ -698,7 +502,7 @@ def _axioms_for(hyps: tuple[Term, ...], hyp_constraints: list[Constraint],
         axioms: list[Constraint] = []
         for a in list(local):
             axioms.extend(_atom_axioms(a, local))
-        axioms.extend(_div_axioms(hyp_constraints, local))
+        axioms.extend(_div_axioms(local, _entailed_by(hyp_constraints)))
         trim_cache(_AXIOM_CACHE)
         hit = (tuple(axioms), frozenset(local - atoms))
         _AXIOM_CACHE[key] = hit
@@ -709,8 +513,6 @@ def _axioms_for(hyps: tuple[Term, ...], hyp_constraints: list[Constraint],
 def implies_linear(hyps: Iterable[Term], goal: Term) -> bool:
     """Decide whether the linear fragment of ``hyps`` entails ``goal``."""
     hyps = tuple(hyps)
-    if not MEMO.enabled:
-        return _implies_linear(hyps, goal)
     key = (hyps, goal)
     hit = _IMPLIES_CACHE.get(key, _MISS)
     if hit is _MISS:
@@ -740,45 +542,23 @@ def _implies_linear(hyps: tuple[Term, ...], goal: Term) -> bool:
                                        goal)
                         and implies_linear(rest + [App("lt", (b, a),
                                                        Sort.BOOL)], goal))
-    if COMPILE.enabled:
-        # Compiled linear core: the hypothesis matrix is assembled once
-        # per context (shared across every goal implication of a prove
-        # call, including all conjuncts of an `and` goal) and the whole
-        # refutation runs on integer rows.
-        constraints, rows, hyp_atoms = _hyp_rows(tuple(hyps))
-        atoms = set(hyp_atoms)
-        neg_sets = _negate_to_constraint_sets(goal, atoms)
-        if neg_sets is None:
-            return False
-        axioms = _axioms_for(hyps, list(constraints), atoms)
-        ax_rows = [_int_row3(c) for c in axioms]
-        hyp_ax = list(rows) + ax_rows
-        for neg in neg_sets:
-            remaining = _gauss_int(hyp_ax + [_int_row3(c) for c in neg])
-            if remaining is None:
-                continue  # equalities already contradictory: unsat
-            if not _fm_int(remaining):
-                return False
-        return True
-    atoms = set()
-    hyp_constraints: list[Constraint] = []
-    for h in hyps:
-        cs = _to_constraints(h, atoms)
-        if cs is not None:
-            hyp_constraints.extend(cs)
+    # The hypothesis matrix is assembled once per context (shared across
+    # every goal implication of a prove call, including all conjuncts of
+    # an `and` goal) and the whole refutation runs on integer rows.  The
+    # lazy axioms for every opaque atom — including the nested entailment
+    # queries of _div_axioms — depend only on (hyps, atoms), so they are
+    # memoized too.
+    constraints, rows, hyp_atoms = _hyp_rows(tuple(hyps))
+    atoms = set(hyp_atoms)
     neg_sets = _negate_to_constraint_sets(goal, atoms)
     if neg_sets is None:
         return False
-    # Lazy axioms for every opaque atom seen anywhere.  The axiom set —
-    # including the nested entailment queries of _div_axioms — depends
-    # only on (hyps, atoms), and consecutive queries under one Γ share
-    # their hypotheses, so this is one of the hottest memoization points.
-    axioms = _axioms_for(hyps, hyp_constraints, atoms)
+    axioms = _axioms_for(hyps, list(constraints), atoms)
+    hyp_ax = list(rows) + [_row(c) for c in axioms]
     for neg in neg_sets:
-        system = hyp_constraints + axioms + neg
-        remaining = _gauss_eliminate(system)
+        remaining = _gauss_int(hyp_ax + [_row(c) for c in neg])
         if remaining is None:
             continue  # equalities already contradictory: this disjunct unsat
-        if not _fourier_motzkin([c.expr for c in remaining]):
+        if not _fm_int(remaining):
             return False
     return True

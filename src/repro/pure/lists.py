@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import linarith
-from .memo import MEMO, register_cache, trim_cache
+from .memo import register_cache, trim_cache
 from .simplify import _list_parts, simplify
 from .terms import App, Lit, Sort, Term, eq
 
@@ -117,8 +117,6 @@ class ListSolver:
 
 def list_solver(hyps: Iterable[Term], goal: Term) -> bool:
     hyps = tuple(hyps)
-    if not MEMO.enabled:
-        return _list_solver(hyps, goal)
     key = (hyps, goal)
     hit = _LIST_CACHE.get(key, _MISS)
     if hit is _MISS:

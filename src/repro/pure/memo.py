@@ -7,13 +7,9 @@ entailment checking — into a candidate for *observationally pure*
 memoization: the cached result must be indistinguishable from recomputing
 it (same value, same ``Stats`` counters, same error text).
 
-This module owns the single global switch for those caches plus the
-registry used to clear them:
+This module owns the registry used to clear those caches plus the
+compiled-form telemetry counter:
 
-* :data:`MEMO` — ``MEMO.enabled`` is consulted by every cache site before
-  reading or writing a cache.  Disabling the switch reproduces the
-  cache-free reference behaviour (used by ``scripts/bench_solver.py`` and
-  the property tests to prove observational purity).
 * :func:`register_cache` / :func:`register_clearer` — every cache
   registers itself so :func:`clear_pure_caches` can drop the lot.  The
   verification driver clears only the term *intern* tables between
@@ -21,20 +17,21 @@ registry used to clear them:
   one function's constructions); the semantic memo caches survive across
   functions — they are purely syntactic, so cross-function hits are free
   speedup — and are bounded by :func:`trim_cache`.
+* :func:`note_compiled` / :func:`compiled_count` — count term nodes whose
+  compiled form (normal form, hypothesis decomposition, or linear row)
+  was computed and attached to the node.  Like ``intern_count`` this
+  feeds a per-function metric (``terms_compiled``) that is excluded from
+  ``Stats.counters()``, so fingerprints stay deterministic.
 
 Caches registered here must hold only *derived* data: clearing them at an
-arbitrary point may cost performance but can never change a result.
-
-The ``RC_PURE_CACHE`` environment variable (``0``/``false``/``off`` to
-disable) sets the initial switch state, so whole test runs or benchmarks
-can be executed cache-free without code changes.
+arbitrary point may cost performance but can never change a result.  The
+purity tests check exactly that, cold (right after
+:func:`clear_pure_caches`) against warm (after unrelated queries).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Callable, Iterator, MutableMapping
+from typing import Callable, MutableMapping
 
 from ..trace import tracer as _trace
 
@@ -42,27 +39,9 @@ from ..trace import tracer as _trace
 #: simply cleared (results are derived data, so this is always safe).
 DEFAULT_CACHE_CAP = 1 << 18
 
-
-class _MemoSwitch:
-    """The global cache switch.  A tiny class (not a bare module global)
-    so call sites can read ``MEMO.enabled`` after ``from .memo import
-    MEMO`` and still observe later toggles."""
-
-    __slots__ = ("enabled",)
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-
-
-def _env_enabled() -> bool:
-    raw = os.environ.get("RC_PURE_CACHE", "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-MEMO = _MemoSwitch(_env_enabled())
-
 _CACHES: list[tuple[MutableMapping, int]] = []
 _CLEARERS: list[Callable[[], None]] = []
+_TERMS_COMPILED = 0
 
 
 def register_cache(cache: MutableMapping, cap: int = DEFAULT_CACHE_CAP
@@ -100,28 +79,12 @@ def trim_cache(cache: MutableMapping, cap: int = DEFAULT_CACHE_CAP) -> None:
             tr.instant("memo", "trim", entries=entries, cap=cap)
 
 
-def cache_enabled() -> bool:
-    return MEMO.enabled
+def note_compiled(n: int = 1) -> None:
+    """Record that a term node's compiled form was just materialised."""
+    global _TERMS_COMPILED
+    _TERMS_COMPILED += n
 
 
-def set_cache_enabled(enabled: bool) -> bool:
-    """Toggle all pure-stack caches; returns the previous state.
-
-    Caches are cleared on every transition so a re-enabled run starts
-    cold and a disabled run holds no memory."""
-    previous = MEMO.enabled
-    MEMO.enabled = bool(enabled)
-    if previous != MEMO.enabled:
-        clear_pure_caches()
-    return previous
-
-
-@contextmanager
-def caches_disabled() -> Iterator[None]:
-    """Context manager running its body with every pure cache off —
-    the reference semantics used by the memoization property tests."""
-    previous = set_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_cache_enabled(previous)
+def compiled_count() -> int:
+    """Total compiled-form materialisations in this process (telemetry)."""
+    return _TERMS_COMPILED

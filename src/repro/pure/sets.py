@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import linarith
-from .compiled import COMPILE
-from .memo import MEMO, register_cache, trim_cache
+from .memo import register_cache, trim_cache
 from .simplify import _mset_parts, simplify
 from .terms import App, Lit, Sort, Term, eq, le, mall_ge, mall_le
 
@@ -38,8 +37,6 @@ _MISS = object()
 
 def _get_solver(hyps: Iterable[Term]) -> "MultisetSolver":
     hyps = tuple(hyps)
-    if not MEMO.enabled:
-        return MultisetSolver(hyps)
     s = _MSET_SOLVER_CACHE.get(hyps)
     if s is None:
         s = MultisetSolver(hyps)
@@ -61,7 +58,7 @@ class MultisetSolver:
         self._memo_key = tuple(hyps)
         self.rewrites: dict[Term, Term] = {}
         self.facts: list[Term] = []
-        # RC_COMPILE: per-instance normal-form cache.  Only valid once
+        # Per-instance normal-form cache.  Only valid once
         # ``rewrites`` is final, i.e. after ``_ingest`` returns.
         self._norm_cache: dict[Term, Term] = {}
         self._frozen = False
@@ -110,8 +107,7 @@ class MultisetSolver:
 
     def normalise(self, t: Term) -> Term:
         """Apply the oriented hypothesis rewrites, then simplify."""
-        cacheable = self._frozen and COMPILE.enabled
-        if cacheable:
+        if self._frozen:
             hit = self._norm_cache.get(t)
             if hit is not None:
                 return hit
@@ -124,7 +120,7 @@ class MultisetSolver:
             t2 = simplify(t2)
             changed = t2 != t
             t = t2
-        if cacheable:
+        if self._frozen:
             self._norm_cache[t0] = t
         return t
 
@@ -167,8 +163,6 @@ class MultisetSolver:
     def prove(self, goal: Term, arith_hyps: Iterable[Term] = ()) -> bool:
         """Try to prove a (multi)set goal."""
         extra = tuple(arith_hyps)
-        if not MEMO.enabled:
-            return self._prove(goal, extra)
         key = (self._memo_key, goal, extra)
         hit = _MSET_PROVE_CACHE.get(key, _MISS)
         if hit is _MISS:
@@ -355,8 +349,6 @@ class MultisetSolver:
 def multiset_solver(hyps: Iterable[Term], goal: Term) -> bool:
     """Entry point matching std++'s ``multiset_solver`` tactic."""
     hyps = tuple(hyps)
-    if not MEMO.enabled:
-        return _multiset_solver(hyps, goal)
     key = (hyps, goal)
     hit = _MSET_CACHE.get(key, _MISS)
     if hit is _MISS:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .compiled import COMPILE, note_compiled
-from .memo import MEMO, register_cache, trim_cache
+from .memo import note_compiled, register_cache, trim_cache
 from .terms import (App, Lit, Sort, Term, add, and_, app, eq, intlit, le,
                     mall_ge, mall_le, msize, not_, sub)
 
@@ -39,54 +38,22 @@ _HYP_CACHE: dict[Term, tuple[Term, ...]] = register_cache({})
 def simplify(t: Term) -> Term:
     """Normalise a term bottom-up.  Idempotent and semantics-preserving.
 
-    With ``RC_COMPILE`` on, each interned node dispatches through a flat
-    per-operator closure table and remembers its normal form in a slot on
+    Each interned node dispatches through a flat per-operator closure
+    table (:data:`_NODE_RULES`) and remembers its normal form in a slot on
     the node itself (``_simp``) — the compiled form of the term.  The
     node slot dies with the intern table (cleared per function check);
     the dict cache persists across functions, so both are consulted.
     """
     if not isinstance(t, App):
         return t
-    if COMPILE.enabled:
-        hit = getattr(t, "_simp", None)
-        if hit is not None:
-            return hit
-        return _simplify_compiled(t)
-    if MEMO.enabled:
-        hit = _SIMPLIFY_CACHE.get(t)
-        if hit is not None:
-            return hit
-    args = tuple(simplify(a) for a in t.args)
-    if t.op.startswith("fn:") or t.op == "list_lit":
-        t2: Term = App(t.op, args, t.result_sort)
-    else:
-        t2 = app(t.op, *args, sort=t.result_sort)
-    if isinstance(t2, App):
-        out = _simplify_node(t2)
-        if out is not t2:
-            out = simplify(out)
-    else:
-        out = t2
-    if MEMO.enabled:
-        trim_cache(_SIMPLIFY_CACHE)
-        _SIMPLIFY_CACHE[t] = out
-    return out
-
-
-def _simplify_compiled(t: Term) -> Term:
-    """Compiled simplify: same recursion, flat closure dispatch, results
-    attached to the interned nodes."""
-    if not isinstance(t, App):
-        return t
     hit = getattr(t, "_simp", None)
     if hit is not None:
         return hit
-    if MEMO.enabled:
-        hit = _SIMPLIFY_CACHE.get(t)
-        if hit is not None:
-            _set(t, "_simp", hit)
-            return hit
-    args = tuple(_simplify_compiled(a) for a in t.args)
+    hit = _SIMPLIFY_CACHE.get(t)
+    if hit is not None:
+        _set(t, "_simp", hit)
+        return hit
+    args = tuple(simplify(a) for a in t.args)
     op = t.op
     if op.startswith("fn:") or op == "list_lit":
         t2: Term = App(op, args, t.result_sort)
@@ -96,14 +63,13 @@ def _simplify_compiled(t: Term) -> Term:
         handler = _NODE_RULES.get(t2.op)
         out = handler(t2) if handler is not None else t2
         if out is not t2:
-            out = _simplify_compiled(out)
+            out = simplify(out)
     else:
         out = t2
     _set(t, "_simp", out)
     note_compiled()
-    if MEMO.enabled:
-        trim_cache(_SIMPLIFY_CACHE)
-        _SIMPLIFY_CACHE[t] = out
+    trim_cache(_SIMPLIFY_CACHE)
+    _SIMPLIFY_CACHE[t] = out
     return out
 
 
@@ -135,136 +101,12 @@ def _list_parts(t: Term) -> list[Term]:
     return [t]
 
 
-def _simplify_node(t: App) -> Term:
-    op, args = t.op, t.args
-    if op == "list_lit":
-        # Canonicalise literal lists to cons chains.
-        out: Term = app("nil")
-        for x in reversed(args):
-            out = app("cons", x, out)
-        return out
-    if op == "msize":
-        inner = args[0]
-        if isinstance(inner, App):
-            if inner.op == "mempty":
-                return intlit(0)
-            if inner.op == "msingle":
-                return intlit(1)
-            if inner.op == "munion":
-                return add(*(msize(a) for a in inner.args))
-    if op == "len":
-        inner = args[0]
-        if isinstance(inner, App):
-            if inner.op == "nil":
-                return intlit(0)
-            if inner.op == "cons":
-                return add(intlit(1), app("len", inner.args[1]))
-            if inner.op == "append":
-                return add(app("len", inner.args[0]), app("len", inner.args[1]))
-            if inner.op == "list_lit":
-                return intlit(len(inner.args))
-    if op == "sub":
-        a, b = args
-        # Cancel an additive component:  (x + b + ...) - b  =  x + ...
-        a_parts = list(a.args) if isinstance(a, App) and a.op == "add" else [a]
-        b_parts = list(b.args) if isinstance(b, App) and b.op == "add" else [b]
-        remaining = list(a_parts)
-        cancelled = True
-        for bp in b_parts:
-            if bp in remaining:
-                remaining.remove(bp)
-            elif isinstance(bp, Lit):
-                lit = next((x for x in remaining if isinstance(x, Lit)), None)
-                if lit is None:
-                    cancelled = False
-                    break
-                remaining.remove(lit)
-                remaining.append(intlit(int(lit.value) - int(bp.value)))
-            else:
-                cancelled = False
-                break
-        if cancelled:
-            if not remaining:
-                return intlit(0)
-            return add(*remaining)
-    if op == "append":
-        a, b = args
-        if isinstance(a, App) and a.op == "nil":
-            return b
-        if isinstance(b, App) and b.op == "nil":
-            return a
-        if isinstance(a, App) and a.op == "cons":
-            return app("cons", a.args[0], app("append", a.args[1], b))
-        if isinstance(a, App) and a.op == "list_lit" and a.args:
-            out = b
-            for x in reversed(a.args):
-                out = app("cons", x, out)
-            return out
-        if isinstance(a, App) and a.op == "append":
-            return app("append", a.args[0], app("append", a.args[1], b))
-    if op == "head" and isinstance(args[0], App) and args[0].op == "cons":
-        return args[0].args[0]
-    if op == "tail" and isinstance(args[0], App) and args[0].op == "cons":
-        return args[0].args[1]
-    if op == "index" and isinstance(args[0], App) and args[0].op == "cons" \
-            and isinstance(args[1], Lit):
-        i = int(args[1].value)
-        if i == 0:
-            return args[0].args[0]
-        return app("index", args[0].args[1], intlit(i - 1))
-    if op == "index" and isinstance(args[0], App) and args[0].op == "store":
-        xs, i, v = args[0].args
-        j = args[1]
-        if i == j:
-            return v
-        if isinstance(i, Lit) and isinstance(j, Lit):
-            return app("index", xs, j)
-    if op == "len" and isinstance(args[0], App) and args[0].op == "store":
-        return app("len", args[0].args[0])
-    if op == "implies" and args[1] == Lit(False):
-        return not_(args[0])
-    if op == "eq":
-        decomposed = _decompose_eq(args[0], args[1])
-        if decomposed is not None:
-            return decomposed
-    if op == "mall_ge":
-        s, n = args
-        if isinstance(s, App):
-            if s.op == "mempty":
-                return Lit(True)
-            if s.op == "msingle":
-                return le(n, s.args[0])
-            if s.op == "munion":
-                return and_(*(mall_ge(a, n) for a in s.args))
-    if op == "mall_le":
-        s, n = args
-        if isinstance(s, App):
-            if s.op == "mempty":
-                return Lit(True)
-            if s.op == "msingle":
-                return le(s.args[0], n)
-            if s.op == "munion":
-                return and_(*(mall_le(a, n) for a in s.args))
-    if op == "mmember":
-        k, s = args
-        if isinstance(s, App):
-            if s.op == "mempty":
-                return Lit(False)
-            if s.op == "msingle":
-                return eq(k, s.args[0])
-            if s.op == "munion":
-                return app("or", *(app("mmember", k, a) for a in s.args))
-    return t
-
-
 # ------------------------------------------------------------------
-# Compiled node rules (RC_COMPILE): one closure per App head, together
-# equivalent to the `_simplify_node` if-chain above.  Each closure takes
-# the canonicalised node and returns the rewritten term, or the node
-# itself when no rewrite applies — the same contract `_simplify_node`
-# satisfies, just dispatched through one dict hit instead of a linear
-# scan over every operator's guard.  The differential test suite checks
-# closure-for-branch equivalence on random terms.
+# Node rules: one closure per App head.  Each closure takes the
+# canonicalised node and returns the rewritten term, or the node itself
+# when no rewrite applies, so dispatch is one dict hit instead of a scan
+# over every operator's guard.  tests/pure/test_properties.py checks the
+# rewrites against brute-force evaluation on random terms.
 # ------------------------------------------------------------------
 
 
@@ -513,25 +355,25 @@ def register_hyp_rule(rule: HypRule) -> None:
 
 
 def simplify_hyp(phi: Term) -> list[Term]:
-    """Normalise a hypothesis into a list of simpler hypotheses."""
-    if COMPILE.enabled and isinstance(phi, App):
+    """Normalise a hypothesis into a list of simpler hypotheses.
+
+    An interned ``App`` keeps its decomposition in a node slot
+    (``_hypx``) tagged with the rule generation it was computed under."""
+    node = isinstance(phi, App)
+    if node:
         hit = getattr(phi, "_hypx", None)
         if hit is not None and hit[0] == _HYP_GEN:
             return list(hit[1])
-    if MEMO.enabled:
-        hit = _HYP_CACHE.get(phi)
-        if hit is not None:
-            if COMPILE.enabled and isinstance(phi, App):
-                _set(phi, "_hypx", (_HYP_GEN, hit))
-            return list(hit)
-    out = _simplify_hyp(phi)
-    if COMPILE.enabled and isinstance(phi, App):
-        _set(phi, "_hypx", (_HYP_GEN, tuple(out)))
-        note_compiled()
-    if MEMO.enabled:
+    hit = _HYP_CACHE.get(phi)
+    if hit is None:
+        hit = tuple(_simplify_hyp(phi))
+        if node:
+            note_compiled()
         trim_cache(_HYP_CACHE)
-        _HYP_CACHE[phi] = tuple(out)
-    return out
+        _HYP_CACHE[phi] = hit
+    if node:
+        _set(phi, "_hypx", (_HYP_GEN, hit))
+    return list(hit)
 
 
 def _simplify_hyp(phi: Term) -> list[Term]:

@@ -25,9 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 from ..trace import tracer as _trace
 from . import linarith
-from .compiled import COMPILE
 from .lists import ListSolver
-from .memo import MEMO, register_cache, trim_cache
+from .memo import register_cache, trim_cache
 from .sets import multiset_solver, set_solver
 from .simplify import simplify, simplify_hyp
 from .terms import App, Lit, Sort, Term, Var, subst_vars
@@ -36,18 +35,16 @@ from .terms import App, Lit, Sort, Term, Var, subst_vars
 def _app_subterms(t: Term) -> tuple[App, ...]:
     """All ``App`` subterms of ``t``, pre-order, duplicates included.
 
-    With compilation on, the tuple is cached on the (interned) node so
-    repeated forward-chaining passes over the same hypotheses skip the
-    generator walk.
+    The tuple is cached on the (interned) node so repeated
+    forward-chaining passes over the same hypotheses skip the generator
+    walk.
     """
     if isinstance(t, App):
-        if COMPILE.enabled:
-            subs = getattr(t, "_subs", None)
-            if subs is None:
-                subs = tuple(s for s in t.subterms() if isinstance(s, App))
-                object.__setattr__(t, "_subs", subs)
-            return subs
-        return tuple(s for s in t.subterms() if isinstance(s, App))
+        subs = getattr(t, "_subs", None)
+        if subs is None:
+            subs = tuple(s for s in t.subterms() if isinstance(s, App))
+            object.__setattr__(t, "_subs", subs)
+        return subs
     return ()
 
 
@@ -146,7 +143,7 @@ class PureSolver:
     tuple.  ``cache_hits`` counts prove-cache hits observed by *this*
     instance; the Lithium search layer surfaces it as the
     ``solver_cache_hits`` metric (deliberately *not* a ``Stats`` counter —
-    those stay byte-identical to the cache-free run).
+    those stay byte-identical whether the caches start cold or warm).
     """
 
     def __init__(self, tactics: Sequence[str] = (), lemmas: Sequence[Lemma] = ()) -> None:
@@ -178,21 +175,19 @@ class PureSolver:
 
     def _prove_memo(self, hyps: list[Term], goal: Term,
                     tr) -> ProveResult:
-        if MEMO.enabled:
-            key = (self._config_key, frozenset(hyps), goal)
-            hit = _PROVE_CACHE.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                if tr is not None:
-                    tr.instant("memo", "hit", cache="prove")
-                return hit
+        key = (self._config_key, frozenset(hyps), goal)
+        hit = _PROVE_CACHE.get(key)
+        if hit is not None:
+            self.cache_hits += 1
             if tr is not None:
-                tr.instant("memo", "miss", cache="prove")
-            result = self._prove(hyps, goal)
-            trim_cache(_PROVE_CACHE)
-            _PROVE_CACHE[key] = result
-            return result
-        return self._prove(hyps, goal)
+                tr.instant("memo", "hit", cache="prove")
+            return hit
+        if tr is not None:
+            tr.instant("memo", "miss", cache="prove")
+        result = self._prove(hyps, goal)
+        trim_cache(_PROVE_CACHE)
+        _PROVE_CACHE[key] = result
+        return result
 
     def _prove(self, hyps: list[Term], goal: Term) -> ProveResult:
         if self._default(hyps, goal):
@@ -209,10 +204,9 @@ class PureSolver:
     # -----------------------------------------------------------------
     def _expand_hyps(self, hyps: Iterable[Term]) -> list[Term]:
         hyps = tuple(hyps)
-        if MEMO.enabled:
-            hit = _EXPAND_CACHE.get(hyps)
-            if hit is not None:
-                return list(hit)
+        hit = _EXPAND_CACHE.get(hyps)
+        if hit is not None:
+            return list(hit)
         out: list[Term] = []
         seen: set[Term] = set()
         for h in hyps:
@@ -223,9 +217,8 @@ class PureSolver:
                 if s not in seen:
                     seen.add(s)
                     out.append(s)
-        if MEMO.enabled:
-            trim_cache(_EXPAND_CACHE)
-            _EXPAND_CACHE[hyps] = tuple(out)
+        trim_cache(_EXPAND_CACHE)
+        _EXPAND_CACHE[hyps] = tuple(out)
         return out
 
     def _default(self, hyps: list[Term], goal: Term) -> bool:
@@ -233,8 +226,6 @@ class PureSolver:
         simplification + linarith + lists.  Memoized per (hyps, goal)
         subproblem — the decomposition revisits the same subgoals across
         lemma-hypothesis discharge and case splits."""
-        if not MEMO.enabled:
-            return self._default_impl(hyps, goal)
         key = (tuple(hyps), goal)
         hit = _DEFAULT_CACHE.get(key)
         if hit is None:
@@ -380,7 +371,7 @@ class PureSolver:
     def _instantiations(self, lemma: Lemma, patterns, pool):
         """Enumerate (boundedly many) full instantiations of the lemma
         parameters by unifying trigger patterns with pool terms."""
-        from .terms import EVar, Subst, fresh_evar
+        from .terms import Subst, fresh_evar
         from .unify import unify
 
         def go(idx: int, subst: Subst, evmap, budget: list[int]):
@@ -401,12 +392,7 @@ class PureSolver:
                 return
             pat = subst_vars(patterns[idx], evmap)
             for cand in pool:
-                if COMPILE.enabled:
-                    trial = subst.copy()
-                else:
-                    trial = Subst()
-                    for eid, t in subst.snapshot().items():
-                        trial.bind_evar(EVar(eid, t.sort), t)
+                trial = subst.copy()
                 if unify(pat, cand, trial):
                     yield from go(idx + 1, trial, evmap, budget)
 

@@ -39,7 +39,7 @@ import enum
 import itertools
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .memo import MEMO, register_clearer
+from .memo import register_clearer
 
 
 class Sort(enum.Enum):
@@ -351,7 +351,7 @@ class App(Term):
     have ``op`` of the form ``"fn:<name>"`` and carry their result sort.
     """
 
-    # The trailing slots hold *compiled forms* (RC_COMPILE): the
+    # The trailing slots hold *compiled forms*: the
     # simplified normal form, the hypothesis decomposition (stamped with
     # the hyp-rule generation) and the linear row of the node.  They are
     # left unset until first use — reads go through ``getattr(t, s, None)``
@@ -783,10 +783,9 @@ class Subst:
                 self._evar[t.eid] = resolved  # path compression
             return resolved
         if isinstance(t, App):
-            if MEMO.enabled:
-                hit = self._resolve_memo.get(t)
-                if hit is not None:
-                    return hit
+            hit = self._resolve_memo.get(t)
+            if hit is not None:
+                return hit
             new_args = tuple(self.resolve(a) for a in t.args)
             if new_args == t.args:
                 out: Term = t
@@ -794,8 +793,7 @@ class Subst:
                 out = App(t.op, new_args, t.result_sort)
             else:
                 out = app(t.op, *new_args, sort=t.result_sort)
-            if MEMO.enabled:
-                self._resolve_memo[t] = out
+            self._resolve_memo[t] = out
             return out
         return t
 

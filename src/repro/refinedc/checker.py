@@ -20,8 +20,8 @@ from ..caesium.syntax import Function, LoopAnnotation, Program
 from ..lithium.goals import (Atom, BasicGoal, GBasic, GExists, Goal, GSep,
                              GTrue, GWand, HAtom, HPure)
 from ..lithium.search import SearchState, Stats, VerificationError
+from ..pure.memo import compiled_count
 from ..pure.solver import PureSolver
-from ..pure.compiled import compiled_count
 from ..pure.terms import Sort, Subst, Term, Var, eq, intern_count, intlit, var
 from .judgments import (CASJ, HookJ, LocType, StmtsJ, SubsumeLocJ, SubsumeValJ,
                         TokenAtom, ValType)

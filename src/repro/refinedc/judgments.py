@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..caesium.layout import Layout
 from ..caesium.syntax import Expr, Stmt, Terminator
 from ..lithium.goals import Atom, BasicGoal, Goal
-from ..pure.compiled import COMPILE
 from ..pure.terms import Subst, Term
 from .types import RType
 
@@ -64,7 +63,7 @@ class LocType(Atom):
     def resolve(self, subst: Subst) -> "LocType":
         loc = subst.resolve(self.loc)
         ty = self.ty.resolve(subst)
-        if COMPILE.enabled and loc is self.loc and ty is self.ty:
+        if loc is self.loc and ty is self.ty:
             return self
         return LocType(loc, ty, self.shared)
 
@@ -92,7 +91,7 @@ class ValType(Atom):
     def resolve(self, subst: Subst) -> "ValType":
         val = subst.resolve(self.val)
         ty = self.ty.resolve(subst)
-        if COMPILE.enabled and val is self.val and ty is self.ty:
+        if val is self.val and ty is self.ty:
             return self
         return ValType(val, ty)
 
@@ -121,7 +120,7 @@ class TokenAtom(Atom):
 
     def resolve(self, subst: Subst) -> "TokenAtom":
         index = subst.resolve(self.index)
-        return self if COMPILE.enabled and index is self.index \
+        return self if index is self.index \
             else TokenAtom(self.name, index, self.dup)
 
     def __repr__(self) -> str:
@@ -196,7 +195,7 @@ class BinOpJ(BasicGoal):
         t1 = self.t1.resolve(subst)
         v2 = subst.resolve(self.v2)
         t2 = self.t2.resolve(subst)
-        if COMPILE.enabled and v1 is self.v1 and t1 is self.t1 and v2 is self.v2 \
+        if v1 is self.v1 and t1 is self.t1 and v2 is self.v2 \
                 and t2 is self.t2:
             return self
         return BinOpJ(self.sigma, self.op, v1, t1, v2, t2, self.cont)
@@ -219,7 +218,7 @@ class UnOpJ(BasicGoal):
     def resolve(self, subst: Subst) -> "UnOpJ":
         v = subst.resolve(self.v)
         t = self.t.resolve(subst)
-        if COMPILE.enabled and v is self.v and t is self.t:
+        if v is self.v and t is self.t:
             return self
         return UnOpJ(self.sigma, self.op, v, t, self.cont)
 
@@ -244,7 +243,7 @@ class IfJ(BasicGoal):
     def resolve(self, subst: Subst) -> "IfJ":
         v = subst.resolve(self.v)
         ty = self.ty.resolve(subst)
-        if COMPILE.enabled and v is self.v and ty is self.ty:
+        if v is self.v and ty is self.ty:
             return self
         return IfJ(self.sigma, v, ty, self.then_label, self.else_label)
 
@@ -283,7 +282,7 @@ class ReadJ(BasicGoal):
 
     def resolve(self, subst: Subst) -> "ReadJ":
         loc = subst.resolve(self.loc)
-        return self if COMPILE.enabled and loc is self.loc \
+        return self if loc is self.loc \
             else ReadJ(self.sigma, loc, self.layout, self.atomic, self.cont)
 
     def describe(self) -> str:
@@ -307,7 +306,7 @@ class ReadAtJ(BasicGoal):
     def resolve(self, subst: Subst) -> "ReadAtJ":
         loc = subst.resolve(self.loc)
         ty = self.ty.resolve(subst)
-        if COMPILE.enabled and loc is self.loc and ty is self.ty:
+        if loc is self.loc and ty is self.ty:
             return self
         return ReadAtJ(self.sigma, loc, ty, self.layout, self.atomic,
                        self.cont)
@@ -335,7 +334,7 @@ class WriteJ(BasicGoal):
         loc = subst.resolve(self.loc)
         v = subst.resolve(self.v)
         vty = self.vty.resolve(subst)
-        if COMPILE.enabled and loc is self.loc and v is self.v and vty is self.vty:
+        if loc is self.loc and v is self.v and vty is self.vty:
             return self
         return WriteJ(self.sigma, loc, v, vty, self.layout, self.atomic,
                       self.cont)
@@ -365,7 +364,7 @@ class WriteAtJ(BasicGoal):
         old_ty = self.old_ty.resolve(subst)
         v = subst.resolve(self.v)
         vty = self.vty.resolve(subst)
-        if COMPILE.enabled and loc is self.loc and old_ty is self.old_ty and v is self.v \
+        if loc is self.loc and old_ty is self.old_ty and v is self.v \
                 and vty is self.vty:
             return self
         return WriteAtJ(self.sigma, loc, old_ty, v, vty, self.layout,
@@ -391,7 +390,7 @@ class ToPlaceJ(BasicGoal):
     def resolve(self, subst: Subst) -> "ToPlaceJ":
         v = subst.resolve(self.v)
         ty = self.ty.resolve(subst)
-        if COMPILE.enabled and v is self.v and ty is self.ty:
+        if v is self.v and ty is self.ty:
             return self
         return ToPlaceJ(self.sigma, v, ty, self.cont)
 
@@ -416,7 +415,7 @@ class SubsumeLocJ(BasicGoal):
         loc = subst.resolve(self.loc)
         have = self.have.resolve(subst)
         want = self.want.resolve(subst)
-        if COMPILE.enabled and loc is self.loc and have is self.have and want is self.want:
+        if loc is self.loc and have is self.have and want is self.want:
             return self
         return SubsumeLocJ(self.sigma, loc, have, want, self.cont)
 
@@ -442,7 +441,7 @@ class SubsumeValJ(BasicGoal):
         v = subst.resolve(self.v)
         have = self.have.resolve(subst)
         want = self.want.resolve(subst)
-        if COMPILE.enabled and v is self.v and have is self.have and want is self.want:
+        if v is self.v and have is self.have and want is self.want:
             return self
         return SubsumeValJ(self.sigma, v, have, want, self.cont)
 
@@ -470,7 +469,7 @@ class ProvePlaceJ(BasicGoal):
     def resolve(self, subst: Subst) -> "ProvePlaceJ":
         loc = subst.resolve(self.loc)
         want = self.want.resolve(subst)
-        if COMPILE.enabled and loc is self.loc and want is self.want:
+        if loc is self.loc and want is self.want:
             return self
         return ProvePlaceJ(self.sigma, loc, want, self.cont)
 
@@ -535,7 +534,7 @@ class CASJ(BasicGoal):
         exp_ty = self.exp_ty.resolve(subst)
         des_v = subst.resolve(self.des_v)
         des_ty = self.des_ty.resolve(subst)
-        if COMPILE.enabled and atom_loc is self.atom_loc and atom_ty is self.atom_ty \
+        if atom_loc is self.atom_loc and atom_ty is self.atom_ty \
                 and exp_loc is self.exp_loc and exp_ty is self.exp_ty \
                 and des_v is self.des_v and des_ty is self.des_ty:
             return self

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from ..caesium.layout import INT_TYPES_BY_NAME, IntType, Layout, StructLayout
-from ..pure.compiled import COMPILE
 from ..pure.parser import SpecParseError, parse_sort, parse_term
 from ..pure.solver import Lemma
 from ..pure.terms import (Sort, Term, Var, and_, ge, intlit, le, subst_vars,
@@ -100,7 +99,7 @@ class SpecContext:
     # resolves as a ``(kind, name)`` pair — the "verification inputs
     # actually consumed" by the annotation being elaborated.
     recording: Optional[set] = None
-    # RC_COMPILE: (text, env) -> parsed refinement term, per context
+    # (text, binder sorts) -> parsed refinement template, per context
     # (refinements re-parse on every named-type unfold at check time).
     refinement_cache: dict = field(default_factory=dict)
 
@@ -203,43 +202,37 @@ _TMPL_MISS = object()
 
 def _parse_refinement(text: str, env: Mapping[str, Term],
                       ctx: SpecContext) -> Term:
-    if COMPILE.enabled:
-        # Refinement texts are re-parsed at check time whenever a named
-        # type is unfolded (struct_body closures call back into
-        # parse_type per field).  The binder *terms* differ per unfold,
-        # so memoizing on the exact environment rarely hits; instead the
-        # text is parsed ONCE per (text, binder-sort signature) against
-        # placeholder variables, and each unfold merely substitutes the
-        # actual binders into the compiled template.  ``subst_vars``
-        # rebuilds changed nodes through ``app()``, so constant folding
-        # and canonicalisation match a direct parse exactly.  The
-        # placeholder names start with NUL, which the surface syntax
-        # cannot produce, so they can never collide with variables
-        # embedded in ``ctx.constants``.
-        key = (text, tuple((n, t.sort) for n, t in env.items()))
-        cache = ctx.refinement_cache
-        tmpl = cache.get(key, _TMPL_MISS)
-        if tmpl is _TMPL_MISS:
-            try:
-                phold = {n: Var("\x00tmpl:" + n, t.sort)
-                         for n, t in env.items()}
-                tmpl = (parse_term(text, phold, ctx.constants,
-                                   ctx.fn_sorts), phold)
-            except Exception:
-                # Re-parse failing texts directly so the error message
-                # never mentions a placeholder.
-                tmpl = None
-            cache[key] = tmpl
-        if tmpl is not None:
-            term, phold = tmpl
-            mapping = {phold[n]: t for n, t in env.items()
-                       if phold[n] is not t}
-            return subst_vars(term, mapping) if mapping else term
-    return _parse_refinement_impl(text, env, ctx)
-
-
-def _parse_refinement_impl(text: str, env: Mapping[str, Term],
-                           ctx: SpecContext) -> Term:
+    # Refinement texts are re-parsed at check time whenever a named
+    # type is unfolded (struct_body closures call back into
+    # parse_type per field).  The binder *terms* differ per unfold,
+    # so memoizing on the exact environment rarely hits; instead the
+    # text is parsed ONCE per (text, binder-sort signature) against
+    # placeholder variables, and each unfold merely substitutes the
+    # actual binders into the compiled template.  ``subst_vars``
+    # rebuilds changed nodes through ``app()``, so constant folding
+    # and canonicalisation match a direct parse exactly.  The
+    # placeholder names start with NUL, which the surface syntax
+    # cannot produce, so they can never collide with variables
+    # embedded in ``ctx.constants``.
+    key = (text, tuple((n, t.sort) for n, t in env.items()))
+    cache = ctx.refinement_cache
+    tmpl = cache.get(key, _TMPL_MISS)
+    if tmpl is _TMPL_MISS:
+        try:
+            phold = {n: Var("\x00tmpl:" + n, t.sort)
+                     for n, t in env.items()}
+            tmpl = (parse_term(text, phold, ctx.constants,
+                               ctx.fn_sorts), phold)
+        except Exception:
+            # Re-parse failing texts directly so the error message
+            # never mentions a placeholder.
+            tmpl = None
+        cache[key] = tmpl
+    if tmpl is not None:
+        term, phold = tmpl
+        mapping = {phold[n]: t for n, t in env.items()
+                   if phold[n] is not t}
+        return subst_vars(term, mapping) if mapping else term
     try:
         return parse_term(text, env, ctx.constants, ctx.fn_sorts)
     except SpecParseError as exc:

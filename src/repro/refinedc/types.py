@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..caesium.layout import PTR_SIZE, IntType, Layout, StructLayout
-from ..pure.compiled import COMPILE
 from ..pure.terms import Sort, Subst, Term, intlit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,7 +79,7 @@ class IntT(RType):
         if self.refinement is None:
             return self
         r = subst.resolve(self.refinement)
-        return self if COMPILE.enabled and r is self.refinement else IntT(self.itype, r)
+        return self if r is self.refinement else IntT(self.itype, r)
 
     def layout_size(self) -> Term:
         return intlit(self.itype.size)
@@ -106,7 +105,7 @@ class BoolT(RType):
         if self.phi is None:
             return self
         r = subst.resolve(self.phi)
-        return self if COMPILE.enabled and r is self.phi else BoolT(self.itype, r)
+        return self if r is self.phi else BoolT(self.itype, r)
 
     def layout_size(self) -> Term:
         return intlit(self.itype.size)
@@ -135,7 +134,7 @@ class OwnPtr(RType):
     def resolve(self, subst: Subst) -> "OwnPtr":
         inner = self.inner.resolve(subst)
         loc = subst.resolve(self.loc) if self.loc is not None else None
-        if COMPILE.enabled and inner is self.inner and loc is self.loc:
+        if inner is self.inner and loc is self.loc:
             return self
         return OwnPtr(inner, loc)
 
@@ -159,7 +158,7 @@ class UninitT(RType):
 
     def resolve(self, subst: Subst) -> "UninitT":
         r = subst.resolve(self.size)
-        return self if COMPILE.enabled and r is self.size else UninitT(r)
+        return self if r is self.size else UninitT(r)
 
     def layout_size(self) -> Term:
         return self.size
@@ -199,7 +198,7 @@ class OptionalT(RType):
         phi = subst.resolve(self.phi)
         then_t = self.then_type.resolve(subst)
         else_t = self.else_type.resolve(subst)
-        if COMPILE.enabled and phi is self.phi and then_t is self.then_type \
+        if phi is self.phi and then_t is self.then_type \
                 and else_t is self.else_type:
             return self
         return OptionalT(phi, then_t, else_t)
@@ -227,7 +226,7 @@ class WandT(RType):
     def resolve(self, subst: Subst) -> "WandT":
         hole = tuple(a.resolve(subst) for a in self.hole)
         inner = self.inner.resolve(subst)
-        if COMPILE.enabled and inner is self.inner \
+        if inner is self.inner \
                 and all(a is b for a, b in zip(hole, self.hole)):
             return self
         return WandT(hole, inner)
@@ -249,7 +248,7 @@ class StructT(RType):
 
     def resolve(self, subst: Subst) -> "StructT":
         fields = tuple((n, t.resolve(subst)) for n, t in self.fields)
-        if COMPILE.enabled and all(t is u for (_, t), (_, u) in zip(fields, self.fields)):
+        if all(t is u for (_, t), (_, u) in zip(fields, self.fields)):
             return self
         return StructT(self.layout, fields)
 
@@ -284,15 +283,13 @@ class ExistsT(RType):
         # resolve against *this* store (bindings only ever accumulate,
         # and unfolding reads the store's state at unfold time), wrapping
         # again against the same store is the identity.  Collapsing the
-        # stack is a compiled-mode optimisation only; the interpreted
-        # reference keeps the plain wrapper chain.
-        if COMPILE.enabled and getattr(self, "_rsubst", None) is subst:
+        # stack keeps repeated resolves from nesting wrappers.
+        if getattr(self, "_rsubst", None) is subst:
             return self
         body = self.body
         out = ExistsT(self.sort, self.hint,
                       lambda x: body(x).resolve(subst))
-        if COMPILE.enabled:
-            object.__setattr__(out, "_rsubst", subst)
+        object.__setattr__(out, "_rsubst", subst)
         return out
 
     def __repr__(self) -> str:
@@ -313,7 +310,7 @@ class ConstrainedT(RType):
     def resolve(self, subst: Subst) -> "ConstrainedT":
         inner = self.inner.resolve(subst)
         phi = subst.resolve(self.phi)
-        if COMPILE.enabled and inner is self.inner and phi is self.phi:
+        if inner is self.inner and phi is self.phi:
             return self
         return ConstrainedT(inner, phi)
 
@@ -339,7 +336,7 @@ class PaddedT(RType):
     def resolve(self, subst: Subst) -> "PaddedT":
         inner = self.inner.resolve(subst)
         size = subst.resolve(self.size)
-        if COMPILE.enabled and inner is self.inner and size is self.size:
+        if inner is self.inner and size is self.size:
             return self
         return PaddedT(inner, size)
 
@@ -366,7 +363,7 @@ class ArrayT(RType):
     def resolve(self, subst: Subst) -> "ArrayT":
         xs = subst.resolve(self.xs)
         length = subst.resolve(self.length)
-        if COMPILE.enabled and xs is self.xs and length is self.length:
+        if xs is self.xs and length is self.length:
             return self
         return ArrayT(self.itype, xs, length)
 
@@ -395,7 +392,7 @@ class ValueT(RType):
 
     def resolve(self, subst: Subst) -> "ValueT":
         v = subst.resolve(self.v)
-        return self if COMPILE.enabled and v is self.v else ValueT(v, self.layout)
+        return self if v is self.v else ValueT(v, self.layout)
 
     def layout_size(self) -> Optional[Term]:
         if self.layout is None:
@@ -440,7 +437,7 @@ class AtomicBoolT(RType):
     def resolve(self, subst: Subst) -> "AtomicBoolT":
         h_true = tuple(a.resolve(subst) for a in self.h_true)
         h_false = tuple(a.resolve(subst) for a in self.h_false)
-        if COMPILE.enabled and all(a is b for a, b in zip(h_true, self.h_true)) \
+        if all(a is b for a, b in zip(h_true, self.h_true)) \
                 and all(a is b for a, b in zip(h_false, self.h_false)):
             return self
         return AtomicBoolT(self.itype, h_true, h_false)
@@ -467,7 +464,7 @@ class NamedT(RType):
 
     def resolve(self, subst: Subst) -> "NamedT":
         args = tuple(subst.resolve(a) for a in self.args)
-        if COMPILE.enabled and all(a is b for a, b in zip(args, self.args)):
+        if all(a is b for a, b in zip(args, self.args)):
             return self
         return NamedT(self.name, args)
 

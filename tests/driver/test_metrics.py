@@ -80,34 +80,25 @@ def test_json_v4_incremental_counters(tmp_path):
 
 def test_json_v5_compiled_telemetry():
     """Schema v5: dispatch-table and term-compilation telemetry is
-    populated with the compiler on, zero with it off, and never changes
-    the deterministic counters (round-trips through JSON either way)."""
-    from repro.pure.compiled import COMPILE, set_compile_enabled
+    populated on a cold pass, and cache warmth never changes the
+    deterministic counters (round-trips through JSON either way)."""
     from repro.pure.memo import clear_pure_caches
 
-    prev = COMPILE.enabled
-    try:
-        set_compile_enabled(True)
-        # Cold pass: the process-wide memo dicts survive across functions
-        # (by design), and a warm dict satisfies lookups before any
-        # closure needs compiling — terms_compiled would then be 0.
-        clear_pure_caches()
-        hot = json.loads(verify_file(study_path("mpool")).metrics.to_json())
-        set_compile_enabled(False)
-        cold = json.loads(
-            verify_file(study_path("mpool")).metrics.to_json())
-    finally:
-        set_compile_enabled(prev)
+    # Cold pass: the process-wide memo dicts survive across functions
+    # (by design), and a warm dict satisfies lookups before any closure
+    # needs compiling — terms_compiled would then be 0.
+    clear_pure_caches()
+    cold = json.loads(verify_file(study_path("mpool")).metrics.to_json())
+    warm = json.loads(verify_file(study_path("mpool")).metrics.to_json())
 
-    assert hot["dispatch_table_hits"] > 0
-    assert hot["terms_compiled"] > 0
-    assert cold["dispatch_table_hits"] == 0
-    assert cold["terms_compiled"] == 0
-    for h, c in zip(hot["functions"], cold["functions"]):
-        assert h["counters"] == c["counters"]
-        assert h["ok"] == c["ok"]
-    assert hot == json.loads(json.dumps(hot))     # JSON round-trip
-    assert cold == json.loads(json.dumps(cold))
+    assert cold["dispatch_table_hits"] > 0
+    assert cold["terms_compiled"] > 0
+    assert warm["terms_compiled"] <= cold["terms_compiled"]
+    for w, c in zip(warm["functions"], cold["functions"]):
+        assert w["counters"] == c["counters"]
+        assert w["ok"] == c["ok"]
+    assert cold == json.loads(json.dumps(cold))   # JSON round-trip
+    assert warm == json.loads(json.dumps(warm))
 
 
 def test_merge_metrics_sums_compiled_telemetry():

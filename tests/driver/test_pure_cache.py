@@ -1,50 +1,54 @@
 """End-to-end observational purity of the pure-stack caches.
 
 The driver must produce byte-identical results — per-function outcome,
-``Stats.counters()`` and exact error text — with the memoization caches
-enabled and disabled; the caches may only surface in the (non-counter)
-telemetry fields ``solver_cache_hits`` / ``terms_interned``."""
+``Stats.counters()`` and exact error text — whether the memoization
+caches (and the compiled forms stamped on interned nodes) start cold,
+right after ``clear_pure_caches()``, or warm from unrelated studies;
+the caches may only surface in the (non-counter) telemetry fields
+``solver_cache_hits`` / ``terms_interned`` / ``dispatch_table_hits`` /
+``terms_compiled``."""
 
 import pytest
 
 from repro.frontend import verify_file, verify_source
-from repro.pure.memo import (cache_enabled, caches_disabled, clear_pure_caches,
-                             set_cache_enabled)
+from repro.pure.memo import clear_pure_caches
 
 from .conftest import fingerprint, study_path
 
 STUDIES = ["alloc", "mpool", "binary_search", "hashmap"]
 
 
-@pytest.fixture(autouse=True)
-def _caches_on():
-    previous = set_cache_enabled(True)
-    clear_pure_caches()
-    yield
-    set_cache_enabled(previous)
+def _warm_up(skip: str) -> None:
+    """Fill the caches with every other study of the sample."""
+    for other in STUDIES:
+        if other != skip:
+            verify_file(study_path(other))
 
 
 @pytest.mark.parametrize("study", STUDIES)
 def test_cached_equals_uncached(study):
     path = study_path(study)
-    cached = verify_file(path)
-    with caches_disabled():
-        reference = verify_file(path)
-    assert cached.ok == reference.ok
-    assert fingerprint(cached) == fingerprint(reference)
+    clear_pure_caches()
+    cold = verify_file(path)
+    _warm_up(study)
+    warm = verify_file(path)
+    assert warm.ok == cold.ok
+    assert fingerprint(warm) == fingerprint(cold)
 
 
 def test_cached_equals_uncached_on_failure():
     src = study_path("alloc").read_text().replace(
         "{n <= a} @ optional", "{n < a} @ optional")
-    cached = verify_source(src)
-    with caches_disabled():
-        reference = verify_source(src)
-    assert not cached.ok and not reference.ok
-    assert fingerprint(cached) == fingerprint(reference)
+    clear_pure_caches()
+    cold = verify_source(src)
+    _warm_up("")
+    warm = verify_source(src)
+    assert not cold.ok and not warm.ok
+    assert fingerprint(warm) == fingerprint(cold)
 
 
 def test_cache_telemetry_is_populated():
+    clear_pure_caches()
     out = verify_file(study_path("mpool"))
     m = out.metrics
     assert m.terms_interned > 0
@@ -54,19 +58,12 @@ def test_cache_telemetry_is_populated():
                                       for f in m.functions)
 
 
-def test_disabled_caches_report_zero_hits():
-    with caches_disabled():
-        out = verify_file(study_path("mpool"))
-    assert out.metrics.solver_cache_hits == 0
-    # Interning is constructional, not gated — it always counts.
-    assert out.metrics.terms_interned > 0
-
-
-def test_toggle_restores_previous_state():
-    assert cache_enabled() is True
-    with caches_disabled():
-        assert cache_enabled() is False
-        with caches_disabled():
-            assert cache_enabled() is False
-        assert cache_enabled() is False
-    assert cache_enabled() is True
+def test_compile_telemetry_is_populated():
+    clear_pure_caches()
+    out = verify_file(study_path("mpool"))
+    m = out.metrics
+    assert m.dispatch_table_hits > 0
+    assert m.terms_compiled > 0
+    assert m.dispatch_table_hits == sum(f.dispatch_table_hits
+                                        for f in m.functions)
+    assert m.terms_compiled == sum(f.terms_compiled for f in m.functions)

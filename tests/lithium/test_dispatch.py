@@ -1,10 +1,10 @@
-"""Flat dispatch-table tests (RC_COMPILE).
+"""Flat dispatch-table tests.
 
-With the compiler on, ``RuleRegistry.lookup`` remembers resolved
-dispatch keys in a per-generation flat table so the steady-state lookup
-is a single dict hit.  These tests pin the properties the tentpole
-relies on: the table always agrees with the interpreted wildcard
-cascade (it is filled *through* the slow path, so this holds by
+``RuleRegistry.lookup`` remembers resolved dispatch keys in a
+per-generation flat table so the steady-state lookup is a single dict
+hit.  These tests pin the properties dispatch relies on: the table
+always agrees with the wildcard cascade of ``_lookup_slow``, the
+oracle (the table is filled *through* the slow path, so this holds by
 construction — but a refactor could break it), registering a rule
 invalidates it, and the hit counter is telemetry only.
 """
@@ -15,15 +15,6 @@ import pytest
 
 from repro.lithium.goals import BasicGoal, GTrue
 from repro.lithium.rules import Rule, RuleError, RuleRegistry
-from repro.pure.compiled import compile_disabled, set_compile_enabled
-
-
-@pytest.fixture(autouse=True)
-def _compiled():
-    """These tests exercise the compiled path regardless of RC_COMPILE."""
-    prev = set_compile_enabled(True)
-    yield
-    set_compile_enabled(prev)
 
 
 @dataclass(frozen=True)
@@ -39,8 +30,9 @@ def r(name, key, priority=0):
 
 
 def test_table_agrees_with_interpreted_lookup():
-    """Every key resolvable by the slow path resolves to the same rule
-    through the table, on both the filling and the hitting lookup."""
+    """Every key resolvable by the slow path (the wildcard cascade)
+    resolves to the same rule through the table, on both the filling
+    and the hitting lookup."""
     reg = RuleRegistry()
     reg.register(r("exact", ("j", "a", "b")))
     reg.register(r("late", ("j", "a", "*")))
@@ -53,8 +45,8 @@ def test_table_agrees_with_interpreted_lookup():
     keys = [("j", "a", "b"), ("j", "a", "z"), ("j", "z", "b"),
             ("j", "z", "z"), ("j",), ("j", "q", "r", "s"), ("k",),
             ("k", "x")]
-    with compile_disabled():
-        want = [reg.lookup(J(k)).name for k in keys]
+    want = [reg._lookup_slow(k, J(k)).name for k in keys]
+    assert reg.dispatch_hits == 0 and not reg._dispatch
     fill = [reg.lookup(J(k)).name for k in keys]   # fills the table
     hit = [reg.lookup(J(k)).name for k in keys]    # pure table hits
     assert fill == want
@@ -95,24 +87,14 @@ def test_erroring_keys_stay_on_slow_path():
     assert reg.dispatch_hits == 0
 
 
-def test_table_off_means_no_hits():
-    reg = RuleRegistry()
-    reg.register(r("only", ("j",)))
-    with compile_disabled():
-        for _ in range(3):
-            assert reg.lookup(J(("j", "x"))).name == "only"
-    assert reg.dispatch_hits == 0
-
-
-def test_library_dispatch_is_mode_independent():
+def test_library_dispatch_agrees_with_slow_path():
     """Sanity over the shipped library: a handful of real dispatch keys
-    resolve to the same rule with the table on and off."""
+    resolve through the table to the rule the wildcard cascade picks."""
     from repro.refinedc.rules import REGISTRY
 
     sample = [rule.key for rule in REGISTRY.all_rules()
               if "*" not in rule.key][:20]
     assert sample
-    with compile_disabled():
-        want = [REGISTRY._lookup_slow(k, J(k)).name for k in sample]
+    want = [REGISTRY._lookup_slow(k, J(k)).name for k in sample]
     got = [REGISTRY.lookup(J(k)).name for k in sample]
     assert got == want

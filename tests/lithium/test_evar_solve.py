@@ -41,6 +41,18 @@ def test_solves_negated_evar():
     assert st.subst.resolve(ev) == T.add(m, T.intlit(-3))
 
 
+def test_solution_is_exact_beyond_float_precision():
+    """``size_t``-range constants must survive the solve exactly."""
+    st = make_state()
+    ev = fresh_evar(Sort.INT, "n")
+    big = 2 ** 64 - 1
+    # -?n + 3·m = 2^64 - 1  =>  ?n := 3·m - (2^64 - 1)
+    phi = T.eq(T.add(T.neg(ev), T.mul(T.intlit(3), m)), T.intlit(big))
+    assert st._solve_linear_evar(phi)
+    assert st.subst.resolve(ev) == T.add(T.mul(T.intlit(3), m),
+                                         T.intlit(-big))
+
+
 def test_rejects_non_unit_coefficient():
     st = make_state()
     ev = fresh_evar(Sort.INT, "n")

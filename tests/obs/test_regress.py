@@ -108,7 +108,7 @@ def test_pool_key_splits_on_run_shape():
     for mutate in (
         lambda r: r.update(jobs=8),
         lambda r: r.update(kind="bench"),
-        lambda r: r["env"].update(RC_COMPILE="1"),
+        lambda r: r["env"].update(RC_TRACE="1"),
         lambda r: r["config"].update(result_cache=True),
         lambda r: r.update(suite=["other"]),
         lambda r: r["platform"].update(machine="arm64"),

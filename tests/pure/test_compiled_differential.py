@@ -1,17 +1,14 @@
-"""Differential tests: compiled hot paths == interpreted reference.
+"""Differential tests: the compiled hot paths against independent oracles.
 
-``RC_COMPILE`` (repro.pure.compiled) swaps the hot loops of the pure
-stack — ``simplify``'s rewrite walk, ``simplify_hyp``'s hypothesis
-decomposition, and the linear-arithmetic entailment check — for
-compiled forms (per-operator closures stamped onto interned nodes,
-integer-matrix Fourier–Motzkin).  The compiled paths promise to be
-*observationally identical* to the interpreted ones; these tests check
-that promise directly by running both modes on the same random inputs
-and comparing results exactly.
+The linear-arithmetic entailment check runs Gaussian and
+Fourier–Motzkin elimination on integer rows.  ``linarith_oracle`` keeps
+the rational-arithmetic formulation of the same procedure as a tests-only
+reference; the verdicts must agree on random inputs — including every
+"don't know".  Each comparison starts from cold pure caches, so no memo
+entry from an earlier example can mask a divergence.
 
-Each comparison flips the switch via :func:`set_compile_enabled`, which
-flushes the pure caches on every transition, so a warm memo entry from
-one mode can never mask a divergence in the other.
+``simplify``'s node-stamped closures are checked against brute-force
+evaluation in ``test_properties``.
 """
 
 import pytest
@@ -20,102 +17,58 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.pure import simplify, simplify_hyp  # noqa: E402
+from repro.pure import simplify  # noqa: E402
 from repro.pure import terms as T  # noqa: E402
-from repro.pure.compiled import (COMPILE,  # noqa: E402
-                                 set_compile_enabled)
 from repro.pure.linarith import implies_linear  # noqa: E402
+from repro.pure.memo import clear_pure_caches  # noqa: E402
 
-VARS = ("a", "b", "c")
+from .linarith_oracle import oracle_implies_linear  # noqa: E402
+from .test_properties import VARS, bool_terms, int_terms  # noqa: E402
 
-# ---------------------------------------------------------------------
-# term strategies (same shape as test_properties.py: small integer
-# arithmetic under comparisons under a boolean skeleton)
+# ``k·v + c ⋈ 0`` with k > 1: systems whose integer cut (gcd division
+# and flooring of the constant) decides the verdict.
+_scaled_atoms = st.tuples(
+    st.integers(2, 4), st.sampled_from(VARS), st.integers(-6, 6),
+    st.sampled_from((T.le, T.lt, T.eq))).map(
+    lambda t: t[3](T.add(T.mul(T.intlit(t[0]), T.var(t[1])),
+                         T.intlit(t[2])), T.intlit(0)))
+_linear = st.one_of(bool_terms, _scaled_atoms)
+_div_terms = st.tuples(int_terms, st.integers(-2, 4).map(T.intlit)).map(
+    lambda ab: T.app("div", *ab))
+_minmax_terms = st.tuples(st.sampled_from(("min", "max")), int_terms,
+                          int_terms).map(lambda t: T.app(*t))
+_opaque_atoms = st.tuples(st.one_of(_div_terms, _minmax_terms), int_terms,
+                          st.sampled_from((T.le, T.lt, T.eq))).map(
+    lambda t: t[2](t[0], t[1]))
 
-_leaf = st.one_of(
-    st.integers(-4, 4).map(T.intlit),
-    st.sampled_from(VARS).map(T.var),
-)
-
-
-def _int_nodes(child):
-    return st.one_of(
-        st.tuples(child, child).map(lambda ab: T.add(*ab)),
-        st.tuples(child, child).map(lambda ab: T.sub(*ab)),
-        st.tuples(st.integers(-3, 3).map(T.intlit), child)
-          .map(lambda ab: T.mul(*ab)),
-        child.map(T.neg),
-    )
-
-
-int_terms = st.recursive(_leaf, _int_nodes, max_leaves=6)
-
-
-def _cmp(pair_to_term):
-    return st.tuples(int_terms, int_terms).map(lambda ab: pair_to_term(*ab))
-
-
-_atoms = st.one_of(_cmp(T.le), _cmp(T.lt), _cmp(T.eq))
-
-
-def _bool_nodes(child):
-    return st.one_of(
-        st.tuples(child, child).map(lambda ab: T.and_(*ab)),
-        st.tuples(child, child).map(lambda ab: T.or_(*ab)),
-        child.map(T.not_),
-    )
-
-
-bool_terms = st.recursive(_atoms, _bool_nodes, max_leaves=4)
-
-
-def _both_modes(fn):
-    """Evaluate ``fn`` on the interpreted and the compiled path."""
-    prev = COMPILE.enabled
-    try:
-        set_compile_enabled(False)
-        interp = fn()
-        set_compile_enabled(True)
-        hot = fn()
-    finally:
-        set_compile_enabled(prev)
-    return interp, hot
-
-
-# ---------------------------------------------------------------------
-# the three compiled entry points
 
 @settings(max_examples=80, deadline=None)
-@given(t=st.one_of(int_terms, bool_terms))
-def test_simplify_matches_interpreter(t):
-    interp, hot = _both_modes(lambda: simplify(t))
-    assert interp == hot, f"simplify({t}): {interp} != {hot}"
-
-
-@settings(max_examples=60, deadline=None)
-@given(phi=bool_terms)
-def test_simplify_hyp_matches_interpreter(phi):
-    interp, hot = _both_modes(lambda: simplify_hyp(phi))
-    assert interp == hot, f"simplify_hyp({phi}): {interp} != {hot}"
-
-
-@settings(max_examples=60, deadline=None)
-@given(hyps=st.lists(bool_terms, max_size=3), goal=bool_terms)
-def test_implies_linear_matches_interpreter(hyps, goal):
+@given(hyps=st.lists(_linear, max_size=3), goal=_linear)
+def test_implies_linear_matches_oracle(hyps, goal):
     """Entailment verdicts must agree — including every "don't know"."""
-    interp, hot = _both_modes(lambda: implies_linear(hyps, goal))
-    assert interp == hot, \
-        f"implies_linear({hyps} |= {goal}): {interp} != {hot}"
+    clear_pure_caches()
+    want = oracle_implies_linear(hyps, goal)
+    got = implies_linear(hyps, goal)
+    assert got == want, f"implies_linear({hyps} |= {goal}): {got} != {want}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyps=st.lists(st.one_of(bool_terms, _opaque_atoms), max_size=3),
+       goal=st.one_of(bool_terms, _opaque_atoms))
+def test_axioms_match_oracle(hyps, goal):
+    """The same over opaque ``div``/``min``/``max`` atoms, whose bounding
+    axioms run nested entailment queries on each side."""
+    clear_pure_caches()
+    want = oracle_implies_linear(hyps, goal)
+    got = implies_linear(hyps, goal)
+    assert got == want, f"implies_linear({hyps} |= {goal}): {got} != {want}"
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=st.one_of(int_terms, bool_terms))
 def test_compiled_simplify_is_idempotent(t):
-    """The node-stamped normal form is a fixpoint, like the reference."""
-    prev = COMPILE.enabled
-    try:
-        set_compile_enabled(True)
-        s = simplify(t)
-        assert simplify(s) == s
-    finally:
-        set_compile_enabled(prev)
+    """The node-stamped normal form, computed from cold caches, is a
+    fixpoint."""
+    clear_pure_caches()
+    s = simplify(t)
+    assert simplify(s) == s

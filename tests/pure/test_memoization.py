@@ -1,11 +1,13 @@
 """Observational purity of the memoized pure-solver pipeline.
 
-The hash-consed term engine and the MEMO-gated caches (simplify /
-linarith / lists / sets / prove) must be invisible: every cached answer
-must equal the answer a cache-free run computes.  These properties drive
-randomly generated terms (the strategies from ``test_properties``)
-through both modes and require agreement — plus structural ``==``/hash
-preservation through interning and ``Subst.resolve`` round-trips.
+The hash-consed term engine and the memo caches (simplify / linarith /
+lists / sets / prove) must be invisible: an answer computed from cold
+caches — right after ``clear_pure_caches()``, the cache-free starting
+point — must equal the same query answered after unrelated warm-up
+queries have filled the caches.  These properties drive randomly
+generated terms (the strategies from ``test_properties``) through both
+orders and require agreement — plus structural ``==``/hash preservation
+through interning and ``Subst.resolve`` round-trips.
 """
 
 import pickle
@@ -19,8 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.pure import simplify, simplify_hyp  # noqa: E402
 from repro.pure import terms as T  # noqa: E402
 from repro.pure.linarith import implies_linear  # noqa: E402
-from repro.pure.memo import (cache_enabled, caches_disabled,  # noqa: E402
-                             clear_pure_caches, set_cache_enabled)
+from repro.pure.memo import clear_pure_caches  # noqa: E402
 from repro.pure.solver import PureSolver  # noqa: E402
 from repro.pure.terms import Subst, fresh_evar  # noqa: E402
 
@@ -28,61 +29,75 @@ from .test_properties import bool_terms, int_terms  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
-def _caches_on():
-    """Each test starts cache-enabled with cold caches and restores the
-    ambient state afterwards."""
-    previous = set_cache_enabled(True)
+def _cold_caches():
+    """Each test starts from cold caches."""
     clear_pure_caches()
-    yield
-    set_cache_enabled(previous)
+
+
+def _cold_and_warm(query, warmup):
+    """``query()`` after ``warmup()`` filled the caches, answered twice
+    (the repeat is a memo hit), then again from cold caches.  Asserts
+    the warm answers agree and returns (cold, warm)."""
+    clear_pure_caches()
+    warmup()
+    warm = query()
+    assert query() == warm
+    clear_pure_caches()
+    return query(), warm
+
+
+def _warm_simplify(terms):
+    return lambda: [simplify_hyp(simplify(u)) for u in terms]
 
 
 # ---------------------------------------------------------------------
-# memoized == cache-free
+# cold (cache-free start) == warm
 
 @settings(max_examples=80, deadline=None)
-@given(t=st.one_of(int_terms, bool_terms))
-def test_simplify_agrees_with_cache_free(t):
-    cached = simplify(t)
-    with caches_disabled():
-        reference = simplify(t)
-    assert cached == reference
-    assert hash(cached) == hash(reference)
+@given(t=st.one_of(int_terms, bool_terms), other=st.lists(bool_terms,
+                                                         max_size=3))
+def test_simplify_agrees_with_cache_free(t, other):
+    cold, warm = _cold_and_warm(lambda: simplify(t), _warm_simplify(other))
+    assert warm == cold
+    assert hash(warm) == hash(cold)
 
 
 @settings(max_examples=60, deadline=None)
-@given(t=bool_terms)
-def test_simplify_hyp_agrees_with_cache_free(t):
-    cached = simplify_hyp(t)
-    with caches_disabled():
-        reference = simplify_hyp(t)
-    assert cached == reference
+@given(t=bool_terms, other=st.lists(bool_terms, max_size=3))
+def test_simplify_hyp_agrees_with_cache_free(t, other):
+    cold, warm = _cold_and_warm(lambda: simplify_hyp(t),
+                                _warm_simplify(other))
+    assert warm == cold
 
 
 @settings(max_examples=60, deadline=None)
-@given(hyps=st.lists(bool_terms, max_size=3), goal=bool_terms)
-def test_implies_linear_agrees_with_cache_free(hyps, goal):
-    cached = implies_linear(hyps, goal)
-    with caches_disabled():
-        reference = implies_linear(hyps, goal)
-    assert cached is reference
+@given(hyps=st.lists(bool_terms, max_size=3), goal=bool_terms,
+       other=st.lists(bool_terms, min_size=1, max_size=3))
+def test_implies_linear_agrees_with_cache_free(hyps, goal, other):
+    cold, warm = _cold_and_warm(
+        lambda: implies_linear(hyps, goal),
+        lambda: [implies_linear(other[1:] + hyps, g) for g in other])
+    assert warm is cold
 
 
 @settings(max_examples=40, deadline=None)
-@given(hyps=st.lists(bool_terms, max_size=2), goal=bool_terms)
-def test_prove_agrees_with_cache_free(hyps, goal):
-    cached = PureSolver().prove(hyps, goal)
-    with caches_disabled():
-        reference = PureSolver().prove(hyps, goal)
-    assert cached.outcome == reference.outcome
-    assert cached.solver == reference.solver
+@given(hyps=st.lists(bool_terms, max_size=2), goal=bool_terms,
+       other=st.lists(bool_terms, min_size=1, max_size=3))
+def test_prove_agrees_with_cache_free(hyps, goal, other):
+    def query():
+        r = PureSolver().prove(hyps, goal)
+        return r.outcome, r.solver
+    cold, warm = _cold_and_warm(
+        query, lambda: [PureSolver().prove(hyps + other[1:], g)
+                        for g in other])
+    assert warm == cold
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=bool_terms)
 def test_repeat_simplify_is_memoized(t):
-    """With the switch on, the second simplify of a compound term is a
-    cache hit — it returns the pointer-identical object."""
+    """The second simplify of a compound term is a cache hit — it
+    returns the pointer-identical object."""
     first = simplify(t)
     second = simplify(t)
     assert first == second
@@ -122,6 +137,3 @@ def test_pickle_round_trip_reinterns(t):
     assert hash(copy) == hash(t)
     assert copy is t
 
-
-def test_fixture_restores_ambient_state():
-    assert cache_enabled() is True

@@ -14,10 +14,9 @@ def write(path, payload):
 # bench-artifact
 # ---------------------------------------------------------------------
 
-def bench_payload(fingerprint=True, verified=True, ratio=1.4):
+def bench_payload(fingerprint=True, verified=True):
     return {"checks": {"fingerprint_identical": fingerprint,
-                       "all_verified": verified},
-            "speedup": {"compiled_check_wall": ratio}}
+                       "all_verified": verified, "functions": 29}}
 
 
 class TestBenchArtifact:
@@ -29,16 +28,11 @@ class TestBenchArtifact:
     @pytest.mark.parametrize("payload", [
         bench_payload(fingerprint=False),
         bench_payload(verified=False),
-        bench_payload(ratio=0.5),
+        bench_payload(fingerprint=None),   # flag never recorded
     ])
     def test_bad_artifact_fails(self, ci_checks, tmp_path, payload):
         p = write(tmp_path / "b.json", payload)
         assert ci_checks.main(["bench-artifact", p]) == 1
-
-    def test_speedup_floor_is_tunable(self, ci_checks, tmp_path):
-        p = write(tmp_path / "b.json", bench_payload(ratio=1.1))
-        assert ci_checks.main(
-            ["bench-artifact", p, "--min-speedup", "1.3"]) == 1
 
 
 # ---------------------------------------------------------------------
