@@ -22,6 +22,12 @@ to reproduce exactly what CI enforces:
 * ``serve-compare BATCH COLD WARM`` — the serve-smoke gate: the
   daemon's cold outcomes byte-identical to the batch reference, and
   the warm request re-checked zero functions.
+* ``state-stamp CACHE_DIR --json OUT`` — record the ``st_mtime_ns`` of
+  the planner state file ``CACHE_DIR/depgraph.json``.
+* ``warm-noop STAMP WARM`` — the warm request did no redundant work:
+  the planner state file still carries the stamped ``st_mtime_ns`` (it
+  was not rewritten) and the ``done`` summary reports ``parsed == 0``
+  (no unit went through the front end again).
 
 Exit code 0 when the assertion holds, 1 when it fails.
 """
@@ -165,6 +171,44 @@ def serve_compare(args) -> int:
     return 0
 
 
+def state_stamp(args) -> int:
+    from repro.driver.incremental import STATE_FILE
+    path = Path(args.cache_dir) / STATE_FILE
+    try:
+        mtime_ns = path.stat().st_mtime_ns
+    except OSError as exc:
+        print(f"state-stamp: {exc}", file=sys.stderr)
+        return 1
+    Path(args.json_path).write_text(json.dumps(
+        {"path": str(path), "mtime_ns": mtime_ns}, indent=2) + "\n")
+    print(f"wrote {args.json_path} ({path}: mtime_ns {mtime_ns})")
+    return 0
+
+
+def warm_noop(args) -> int:
+    stamp = _load(args.stamp)
+    summary = _load(args.warm)["summary"]
+    failures = []
+    try:
+        mtime_ns = Path(stamp["path"]).stat().st_mtime_ns
+    except OSError as exc:
+        mtime_ns = None
+        failures.append(f"planner state unreadable after the warm "
+                        f"request: {exc}")
+    if mtime_ns is not None and mtime_ns != stamp["mtime_ns"]:
+        failures.append(f"warm request rewrote {stamp['path']} "
+                        f"(mtime_ns {stamp['mtime_ns']} -> {mtime_ns})")
+    if summary.get("parsed") != 0:
+        failures.append(f"warm request parsed {summary.get('parsed')} "
+                        "unit(s); expected 0")
+    if failures:
+        for f in failures:
+            print(f"warm-noop: {f}", file=sys.stderr)
+        return 1
+    print(f"warm-noop ok: {stamp['path']} untouched, 0 unit(s) parsed")
+    return 0
+
+
 def _diff_files(a: dict, b: dict, la: str, lb: str) -> None:
     for stem in sorted(set(a) | set(b)):
         if stem not in a or stem not in b:
@@ -217,6 +261,19 @@ def main(argv=None) -> int:
     p.add_argument("cold", help="rcd verify --json of the cold request")
     p.add_argument("warm", help="rcd verify --json of the warm request")
     p.set_defaults(func=serve_compare)
+
+    p = sub.add_parser("state-stamp",
+                       help="record the planner state file's mtime")
+    p.add_argument("cache_dir", help="the daemon namespace's cache dir")
+    p.add_argument("--json", dest="json_path", required=True)
+    p.set_defaults(func=state_stamp)
+
+    p = sub.add_parser("warm-noop",
+                       help="warm request rewrote no state and parsed "
+                            "no unit")
+    p.add_argument("stamp", help="state-stamp JSON")
+    p.add_argument("warm", help="rcd verify --json of the warm request")
+    p.set_defaults(func=warm_noop)
 
     args = ap.parse_args(argv)
     return args.func(args)

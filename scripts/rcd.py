@@ -173,7 +173,8 @@ def do_status(args) -> int:
         print("session: in-process (jobs=1, no warm pool)")
     for root, ns in status.get("namespaces", {}).items():
         print(f"namespace {root}: {ns['served']} unit run(s), "
-              f"{ns['functions_checked']} function check(s)")
+              f"{ns['functions_checked']} function check(s), "
+              f"{ns.get('memo_entries', 0)} memo entr(ies)")
     if status.get("ledger"):
         print(f"ledger: {status['ledger']} "
               f"(rcstat --kind serve for trajectories)")
@@ -233,7 +234,8 @@ def do_verify(args) -> int:
               f"{summary['clean']} clean, {summary['rechecked']} "
               f"re-checked, {summary['failed']} failure(s) "
               f"[wall {summary['wall_s']:.3f}s, queue wait "
-              f"{summary['queue_wait_s']:.3f}s"
+              f"{summary['queue_wait_s']:.3f}s, "
+              f"{summary.get('parsed', 0)} unit(s) parsed"
               f"{', warm' if summary.get('warm') else ''}]")
     if args.json_path:
         payload = {"files": files, "summary": summary}

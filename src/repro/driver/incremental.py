@@ -18,6 +18,18 @@ from the fresh sources and compares:
   the run — their fresh outcomes must (and are asserted by the tests
   to) equal the cached ones.
 
+The state file is a derived accelerator, written only when it changes:
+a run whose fresh per-unit state (source sha, graph, function keys and
+outcomes) equals what it loaded leaves ``depgraph.json`` untouched, so
+a no-op re-run costs no write at all.
+
+A long-lived caller (the serve daemon) also passes a ``state_cache``
+memo that holds, next to the parsed planner state, one entry per unit
+stem: ``(sha256(source), TypedProgram, DepGraph)``.  The front end
+(:func:`repro.frontend.verify_files`) skips parse and elaborate for a
+unit whose source sha still matches, and :func:`plan_unit` skips
+rebuilding its graph; any other sha replaces the entry.
+
 Degradation is always towards a *full* re-verification, never towards a
 wrong or missing outcome: a corrupted / truncated / version-mismatched
 / foreign-engine ``depgraph.json`` loads as empty state, which marks
@@ -34,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..refinedc.checker import verification_targets
+from ..refinedc.checker import TypedProgram, verification_targets
 from ..trace.tracer import Tracer
 from .cache import atomic_write_json
 from .depgraph import (DepGraph, build_depgraph, changed_nodes,
@@ -131,11 +143,15 @@ def _topo_order(dirty: Sequence[str], graph: DepGraph,
     return tuple(order)
 
 
-def plan_unit(unit: Unit, state: IncrementalState, store,
-              engine: str) -> tuple[UnitPlan, DepGraph, dict[str, str]]:
+def plan_unit(unit: Unit, state: IncrementalState, store, engine: str,
+              graph: Optional[DepGraph] = None
+              ) -> tuple[UnitPlan, DepGraph, dict[str, str]]:
     """Classify one unit's functions as clean/dirty and build the pool
-    schedule.  Returns ``(plan, fresh graph, fresh transitive keys)``."""
-    graph = build_depgraph(unit.tp, unit.lemmas)
+    schedule.  ``graph`` is the unit's already-built dependency graph,
+    when the caller memoized one for this very program.  Returns
+    ``(plan, fresh graph, fresh transitive keys)``."""
+    if graph is None:
+        graph = build_depgraph(unit.tp, unit.lemmas)
     old = state.units.get(unit.key)
     old_nodes = old.graph.nodes if old is not None else {}
     changed = changed_nodes(old_nodes, graph)
@@ -252,6 +268,22 @@ def load_state_cached(cache_dir: Path, engine: str,
     return state
 
 
+def _unit_slot(stem: str) -> tuple[str, str]:
+    """The ``state_cache`` key of one unit's program memo entry (planner
+    state entries are keyed by cache-dir path strings)."""
+    return ("unit", stem)
+
+
+def memoized_program(state_cache: dict, stem: str,
+                     sha: Optional[str] = None) -> Optional[TypedProgram]:
+    """The elaborated program memoized for unit ``stem`` — when ``sha``
+    is given, only if the unit's source still hashes to it."""
+    entry = state_cache.get(_unit_slot(stem))
+    if entry is None or (sha is not None and entry[0] != sha):
+        return None
+    return entry[1]
+
+
 # ---------------------------------------------------------------------
 # The incremental entry point.
 # ---------------------------------------------------------------------
@@ -266,11 +298,15 @@ def run_units_incremental(units: Sequence[Unit],
     Same signature and result shape as :func:`repro.driver.run_units`;
     the persistent result cache is implied (``cache=True`` when no cache
     directory was named).  After the run the fresh graph, per-function
-    transitive keys and outcomes are persisted for the next invocation.
+    transitive keys and outcomes are persisted for the next invocation
+    — only when some unit's state differs from what was loaded, or the
+    state file is absent; an unchanged state is never rewritten.
 
     ``session`` reuses a caller-owned warm :class:`PoolSession` for the
-    dirty subset; ``state_cache`` lets a long-lived caller (the serve
-    daemon) skip re-parsing an unchanged ``depgraph.json`` per request.
+    dirty subset.  ``state_cache`` lets a long-lived caller (the serve
+    daemon) skip re-reading an unchanged ``depgraph.json`` per request,
+    and memoizes each unit's ``(source sha, program, graph)`` so an
+    unchanged unit's graph is not rebuilt.
     """
     config = config or DriverConfig()
     if not config.cache and config.cache_dir is None:
@@ -284,7 +320,13 @@ def run_units_incremental(units: Sequence[Unit],
     graphs: dict[str, DepGraph] = {}
     keys: dict[str, dict[str, str]] = {}
     for unit in units:
-        plan, graph, unit_keys = plan_unit(unit, state, store, engine)
+        slot = _unit_slot(unit.key)
+        memo = state_cache.get(slot) if state_cache is not None else None
+        known = memo[2] if memo is not None and memo[1] is unit.tp else None
+        plan, graph, unit_keys = plan_unit(unit, state, store, engine,
+                                           known)
+        if state_cache is not None:
+            state_cache[slot] = (source_sha(unit.source), unit.tp, graph)
         plans[unit.key] = plan
         graphs[unit.key] = graph
         keys[unit.key] = unit_keys
@@ -293,18 +335,21 @@ def run_units_incremental(units: Sequence[Unit],
 
     out = run_units(units, config, plans, session=session)
 
+    changed = _state_stat(cache_dir) is None
     for unit in units:
         result, _metrics = out[unit.key]
         functions = {
             fn: {"key": unit_keys_fn, "ok": result.functions[fn].ok}
             for fn, unit_keys_fn in keys[unit.key].items()
             if fn in result.functions}
-        state.units[unit.key] = UnitState(
-            source_sha=source_sha(unit.source),
-            graph=graphs[unit.key],
-            functions=functions)
-    state.save(cache_dir)
-    if state_cache is not None:
-        state_cache[str(Path(cache_dir).resolve())] = \
-            (_state_stat(cache_dir), state)
+        fresh = UnitState(source_sha=source_sha(unit.source),
+                          graph=graphs[unit.key], functions=functions)
+        if state.units.get(unit.key) != fresh:
+            state.units[unit.key] = fresh
+            changed = True
+    if changed:
+        state.save(cache_dir)
+        if state_cache is not None:
+            state_cache[str(Path(cache_dir).resolve())] = \
+                (_state_stat(cache_dir), state)
     return out

@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Union
 
 from .driver import (DriverConfig, DriverMetrics, PhaseTimings, Unit,
                      run_units, run_units_incremental)
+from .driver.incremental import memoized_program, source_sha
 from .lang.elaborate import elaborate_unit
 from .lang.parser import parse
 from .proofs.manual import LEMMAS_BY_STUDY
@@ -190,8 +191,13 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
 
     A long-lived caller (the serve daemon) passes ``session`` (a warm
     :class:`repro.driver.PoolSession`) to reuse one worker pool across
-    calls and ``state_cache`` to skip re-parsing unchanged incremental
-    planner state; ``ledger=False`` suppresses the per-call ``verify``
+    calls and ``state_cache``, its memo of incremental planner state and
+    elaborated programs: an unchanged ``depgraph.json`` is not re-read,
+    and a unit whose source hashes as it did last time is neither
+    re-parsed nor re-elaborated (its ``PhaseTimings`` read 0, and a
+    traced run gets an empty front-end buffer for the planner's
+    events).  Batch callers pass no ``state_cache`` and always run the
+    front end.  ``ledger=False`` suppresses the per-call ``verify``
     ledger record for callers that append their own richer one."""
     tracing = trace_env_enabled() if trace is None else bool(trace)
     units = []
@@ -201,7 +207,14 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
         study = p.stem
         lemmas = LEMMAS_BY_STUDY.get(study)
         source = p.read_text()
-        tp, timings, front = _front_end(source, lemmas, tracing, study)
+        tp = memoized_program(state_cache, study, source_sha(source)) \
+            if state_cache is not None else None
+        if tp is None:
+            tp, timings, front = _front_end(source, lemmas, tracing, study)
+        else:
+            timings = PhaseTimings()
+            front = FunctionTrace(unit=study, function="") \
+                if tracing else None
         tps[study] = tp
         units.append(Unit(key=study, source=source, tp=tp, lemmas=lemmas,
                           timings=timings, front_trace=front))

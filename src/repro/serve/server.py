@@ -17,8 +17,9 @@ Architecture (see DESIGN.md "Verification as a service"):
   the warm pool is a single shared resource, and serialization is what
   keeps multi-tenant results deterministic;
 * each project root is a :class:`Namespace` with its own ``.rc-cache``
-  result cache, ``depgraph.json`` planner state, and an in-memory
-  parsed-state memo, so tenants never read each other's caches;
+  result cache, ``depgraph.json`` planner state, and an in-memory memo
+  of the parsed planner state and each unit's elaborated program, so
+  tenants never read each other's caches;
 * a pool-level failure mid-request triggers **poisoned-pool recovery**:
   ``session.reset()`` plus a serial in-process retry of the failed unit
   (the same fallback the fuzz oracle uses), so one crashed worker never
@@ -45,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+from ..driver.incremental import memoized_program
 from ..driver.pool import PoolSession
 from ..frontend import verify_files
 from ..obs.ledger import ledger_env_path, record_run
@@ -86,9 +88,12 @@ class Namespace:
     """One tenant: a project root with isolated caches and telemetry.
 
     ``state_cache`` memoises the parsed incremental planner state
-    (:func:`repro.driver.incremental.load_state_cached`), so a warm
-    request re-reads ``depgraph.json`` only when some other process
-    moved it."""
+    (:func:`repro.driver.incremental.load_state_cached`) and, per unit
+    stem, ``(sha256(source), TypedProgram, DepGraph)``.  A warm request
+    re-reads ``depgraph.json`` only when some other process moved it,
+    writes it only when some unit's state changed, and re-parses and
+    re-elaborates only the units whose text changed.  The memo holds at
+    most one entry per file of the namespace; ``reset`` empties it."""
 
     root: Path
     cache_dir: Path
@@ -368,9 +373,10 @@ class VerifyDaemon:
         self.request_stop()
 
     def _do_reset(self) -> dict:
-        """Drop every warm layer: the pool and the per-namespace parsed
-        planner state.  On-disk caches survive (they are content-
-        addressed); the next request rebuilds warmth from them."""
+        """Drop every warm layer: the pool and the per-namespace memo of
+        planner state and elaborated programs.  On-disk caches survive
+        (they are content-addressed); the next request rebuilds warmth
+        from them."""
         if self._session is not None:
             self._session.reset()
         for ns in self.namespaces.values():
@@ -479,7 +485,7 @@ class VerifyDaemon:
         totals = {"files": 0, "functions": 0, "clean": 0, "dirty": 0,
                   "reused": 0, "rechecked": 0, "failed": 0}
         elab_hits = elab_misses = 0
-        recovered = 0
+        recovered = parsed = 0
         all_metrics = []
         suite: list[str] = []
         ok = True
@@ -490,6 +496,7 @@ class VerifyDaemon:
         # to one batched call — function checks are independent proof
         # obligations (spec modularity, §4).
         for path in targets:
+            memo = memoized_program(ns.state_cache, path.stem)
             try:
                 outcomes = self._run_verify([path], ns, jobs, session,
                                             full)
@@ -503,6 +510,9 @@ class VerifyDaemon:
                            retry="serial"))
                 outcomes = self._run_verify([path], ns, 1, None, full)
             for stem, out in outcomes.items():
+                # The front end ran iff the program is not the memoized
+                # one this request started with.
+                parsed += out.typed_program is not memo
                 m = out.metrics
                 all_metrics.append(m)
                 suite.append(stem)
@@ -547,7 +557,7 @@ class VerifyDaemon:
         summary = dict(ok=ok, wall_s=round(wall, 6),
                        queue_wait_s=round(queue_wait_s, 6), warm=warm,
                        namespace=str(ns.root), jobs=jobs,
-                       recovered=recovered,
+                       recovered=recovered, parsed=parsed,
                        elab_memo_hits=elab_hits,
                        elab_memo_misses=elab_misses, **totals)
         if session is not None:
@@ -566,7 +576,7 @@ class VerifyDaemon:
             return
         extra = {k: summary[k] for k in
                  ("queue_wait_s", "warm", "clean", "dirty", "rechecked",
-                  "recovered", "namespace")}
+                  "recovered", "parsed", "namespace")}
         extra["session_batches"] = (summary.get("session") or {}) \
             .get("batches", 0)
         extra["session_resets"] = (summary.get("session") or {}) \
@@ -599,6 +609,7 @@ class VerifyDaemon:
             pool_recoveries=self.pool_recoveries,
             namespaces={key: {"served": ns.served,
                               "functions_checked": ns.functions_checked,
+                              "memo_entries": len(ns.state_cache),
                               "cache_dir": str(ns.cache_dir)}
                         for key, ns in sorted(self.namespaces.items())},
             session=session_block,

@@ -11,7 +11,7 @@ from repro.driver.incremental import (STATE_FILE, IncrementalState,
                                       source_sha)
 from repro.frontend import verify_file, verify_files, verify_source
 
-from .conftest import fingerprint, study_path
+from .conftest import ALL_STUDIES, fingerprint, study_path
 
 # A three-deep call chain where the top caller does NOT mention the leaf:
 # f3 -> f2 -> f1.  A spec edit on f1 must ripple to f2 (direct caller)
@@ -188,41 +188,50 @@ class TestRobustness:
 
     def test_corrupted_state_degrades_to_full(self, tmp_path):
         first = run(CHAIN, tmp_path)
-        self._state_path(tmp_path).write_text("{ not json !")
+        path = self._state_path(tmp_path)
+        good = path.read_text()
+        path.write_text("{ not json !")
         out = run(CHAIN, tmp_path)
         assert set(states(out).values()) == {"dirty"}
         assert fingerprint(first) == fingerprint(out)
+        assert path.read_text() == good      # rewritten, not kept
         # ... and the rewritten state works again on the next run.
         assert set(states(run(CHAIN, tmp_path)).values()) == {"clean"}
 
     def test_truncated_state_degrades_to_full(self, tmp_path):
         first = run(CHAIN, tmp_path)
         path = self._state_path(tmp_path)
-        path.write_text(path.read_text()[:40])
+        good = path.read_text()
+        path.write_text(good[:40])
         out = run(CHAIN, tmp_path)
         assert set(states(out).values()) == {"dirty"}
         assert fingerprint(first) == fingerprint(out)
+        assert path.read_text() == good
 
     def test_version_mismatch_degrades_to_full(self, tmp_path):
         run(CHAIN, tmp_path)
         path = self._state_path(tmp_path)
-        data = json.loads(path.read_text())
+        good = path.read_text()
+        data = json.loads(good)
         data["format_version"] = 999
         path.write_text(json.dumps(data))
         out = run(CHAIN, tmp_path)
         assert set(states(out).values()) == {"dirty"}
+        assert path.read_text() == good
 
     def test_foreign_engine_state_degrades_to_full(self, tmp_path):
         """A CI restore-keys cache from an older checker build must not
         poison results: the engine fingerprint mismatch voids it."""
         run(CHAIN, tmp_path)
         path = self._state_path(tmp_path)
-        data = json.loads(path.read_text())
+        good = path.read_text()
+        data = json.loads(good)
         assert data["engine"] == engine_fingerprint()
         data["engine"] = "0" * 64
         path.write_text(json.dumps(data))
         out = run(CHAIN, tmp_path)
         assert set(states(out).values()) == {"dirty"}
+        assert path.read_text() == good
 
     def test_evicted_result_entry_forces_recheck(self, tmp_path):
         run(CHAIN, tmp_path)
@@ -263,3 +272,112 @@ class TestRobustness:
         assert state.units["<unit>"].source_sha == source_sha(CHAIN)
         assert set(state.units["<unit>"].functions) \
             == set(out.result.functions)
+
+
+class TestStateWrites:
+    """``depgraph.json`` is rewritten only when the planner state it
+    holds changed, and recreated whenever it is missing (defective
+    files are rewritten too: see ``TestRobustness``)."""
+
+    STEMS = ("binary_search", "mpool")
+
+    @pytest.fixture
+    def saves(self, monkeypatch):
+        calls = []
+        real = IncrementalState.save
+
+        def counting(self, cache_dir):
+            calls.append(cache_dir)
+            return real(self, cache_dir)
+
+        monkeypatch.setattr(IncrementalState, "save", counting)
+        return calls
+
+    def _tree(self, tmp_path):
+        paths = []
+        for stem in self.STEMS:
+            p = tmp_path / f"{stem}.c"
+            shutil.copy(study_path(stem), p)
+            paths.append(p)
+        return paths
+
+    def _per_file(self, paths, cache, state_cache=None):
+        """One driver call per file, the way the serve daemon runs a
+        request."""
+        for p in paths:
+            verify_files([p], cache_dir=cache, incremental=True,
+                         state_cache=state_cache, ledger=False)
+
+    def test_noop_rerun_leaves_state_file_untouched(self, tmp_path, saves):
+        run(CHAIN, tmp_path)
+        path = tmp_path / "cache" / STATE_FILE
+        before, stat = path.read_bytes(), path.stat()
+        del saves[:]
+        again = run(CHAIN, tmp_path)
+        assert set(states(again).values()) == {"clean"}
+        assert saves == []
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_one_file_edit_writes_once(self, tmp_path, saves, memo):
+        paths = self._tree(tmp_path)
+        cache = tmp_path / "cache"
+        state_cache = {} if memo else None
+        self._per_file(paths, cache, state_cache)
+        assert len(saves) == len(paths)       # one new unit per call
+        del saves[:]
+        self._per_file(paths, cache, state_cache)
+        assert saves == []
+        bs = paths[0]
+        bs.write_text(bs.read_text().replace("return x <= y;",
+                                             "return y >= x;"))
+        self._per_file(paths, cache, state_cache)
+        assert len(saves) == 1
+        state = IncrementalState.load(cache, engine_fingerprint())
+        assert state.units["binary_search"].source_sha \
+            == source_sha(bs.read_text())
+
+    def test_deleted_state_is_recreated(self, tmp_path, saves):
+        run(CHAIN, tmp_path)
+        path = tmp_path / "cache" / STATE_FILE
+        good = path.read_text()
+        path.unlink()
+        del saves[:]
+        out = run(CHAIN, tmp_path)
+        assert out.ok
+        assert len(saves) == 1
+        assert path.read_text() == good
+
+    def test_deleted_state_is_recreated_through_memo(self, tmp_path,
+                                                     saves):
+        """The memo's stat check notices the file is gone and reloads
+        empty state, so each unit is planned afresh and written back."""
+        paths = self._tree(tmp_path)
+        cache = tmp_path / "cache"
+        state_cache: dict = {}
+        self._per_file(paths, cache, state_cache)
+        (cache / STATE_FILE).unlink()
+        del saves[:]
+        self._per_file(paths, cache, state_cache)
+        assert len(saves) == len(paths)
+        state = IncrementalState.load(cache, engine_fingerprint())
+        assert set(state.units) == set(self.STEMS)
+
+
+def test_memoized_programs_recheck_like_fresh_ones(tmp_path):
+    """A program reused from the ``state_cache`` memo is checked again
+    (a fresh cache dir makes every function dirty) and must give the
+    same outcomes, counters and error text as a fresh elaboration."""
+    paths = [study_path(stem) for stem in ALL_STUDIES]
+    state_cache: dict = {}
+    first = verify_files(paths, cache_dir=tmp_path / "a", incremental=True,
+                         state_cache=state_cache, ledger=False)
+    again = verify_files(paths, cache_dir=tmp_path / "b", incremental=True,
+                         state_cache=state_cache, ledger=False)
+    fresh = verify_files(paths, ledger=False)
+    for stem in ALL_STUDIES:
+        assert again[stem].typed_program is first[stem].typed_program
+        assert again[stem].metrics.phases.parse_s == 0.0
+        assert set(states(again[stem]).values()) == {"dirty"}
+        assert fingerprint(again[stem]) == fingerprint(fresh[stem])

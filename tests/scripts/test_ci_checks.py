@@ -1,6 +1,7 @@
 """ci_checks subcommands: the assertions CI enforces, now testable."""
 
 import json
+import os
 
 import pytest
 
@@ -143,3 +144,51 @@ class TestServeCompare:
         err = capsys.readouterr().err
         assert "not served warm" in err
         assert "re-checked 2" in err
+
+
+# ---------------------------------------------------------------------
+# state-stamp + warm-noop
+# ---------------------------------------------------------------------
+
+class TestWarmNoop:
+    @pytest.fixture
+    def stamped(self, ci_checks, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "depgraph.json").write_text("{}")
+        stamp = tmp_path / "stamp.json"
+        assert ci_checks.main(["state-stamp", str(cache),
+                               "--json", str(stamp)]) == 0
+        return cache / "depgraph.json", str(stamp)
+
+    def warm(self, tmp_path, parsed):
+        return write(tmp_path / "warm.json",
+                     {"files": {}, "summary": {"parsed": parsed}})
+
+    def test_untouched_state_and_no_parse_pass(self, ci_checks, stamped,
+                                               tmp_path, capsys):
+        _, stamp = stamped
+        assert ci_checks.main(["warm-noop", stamp,
+                               self.warm(tmp_path, 0)]) == 0
+        assert "untouched" in capsys.readouterr().out
+
+    def test_rewritten_state_fails(self, ci_checks, stamped, tmp_path,
+                                   capsys):
+        state, stamp = stamped
+        st = state.stat()
+        os.utime(state, ns=(st.st_atime_ns, st.st_mtime_ns + 1000))
+        assert ci_checks.main(["warm-noop", stamp,
+                               self.warm(tmp_path, 0)]) == 1
+        assert "rewrote" in capsys.readouterr().err
+
+    def test_reparse_fails(self, ci_checks, stamped, tmp_path, capsys):
+        _, stamp = stamped
+        assert ci_checks.main(["warm-noop", stamp,
+                               self.warm(tmp_path, 2)]) == 1
+        assert "parsed 2 unit(s)" in capsys.readouterr().err
+
+    def test_missing_parsed_field_fails(self, ci_checks, stamped,
+                                        tmp_path):
+        _, stamp = stamped
+        path = write(tmp_path / "warm.json", {"files": {}, "summary": {}})
+        assert ci_checks.main(["warm-noop", stamp, path]) == 1

@@ -7,10 +7,12 @@ one on real case studies; only the pool-crash test injects a failure.
 
 import http.client
 import json
+import os
 import threading
 
 import pytest
 
+from repro.driver.incremental import memoized_program, source_sha
 from repro.frontend import verify_files
 from repro.serve import DaemonError
 from .conftest import done_of, events_of, make_project
@@ -99,6 +101,104 @@ class TestVerifyStream:
         done = done_of(client.verify(full=True))
         assert done["warm"] is False
         assert done["rechecked"] == done["functions"] > 0
+
+
+# ---------------------------------------------------------------------
+# The per-namespace program memo.
+# ---------------------------------------------------------------------
+
+def outcome_map(events):
+    """The canonical ``{stem: {fn: {ok, error, counters}}}`` map of one
+    verify stream, serialised — what ``rcd verify --json`` writes."""
+    files: dict = {}
+    for ev in events_of(events, "function"):
+        files.setdefault(ev["unit"], {})[ev["name"]] = {
+            "ok": ev["ok"], "error": ev.get("error", ""),
+            "counters": ev["counters"]}
+    return json.dumps(files, sort_keys=True)
+
+
+def batch_outcome_map(paths):
+    outcomes = verify_files(paths, jobs=1, ledger=False)
+    return json.dumps({
+        stem: {name: {"ok": fr.ok,
+                      "error": "" if fr.ok else fr.format_error(),
+                      "counters": fr.stats.counters()}
+               for name, fr in out.result.functions.items()}
+        for stem, out in outcomes.items()}, sort_keys=True)
+
+
+def rename_local(path):
+    """A same-size edit of queue.c's dequeue body (a renamed local)."""
+    text = path.read_text()
+    edited = text.replace("int64_t v = n->value;", "int64_t w = n->value;")
+    edited = edited.replace("return v;", "return w;")
+    assert edited != text and len(edited) == len(text)
+    path.write_text(edited)
+
+
+class TestProgramMemo:
+    def test_warm_noop_parses_nothing(self, daemon):
+        _, client = daemon
+        assert done_of(client.verify())["parsed"] == 2
+        assert done_of(client.verify())["parsed"] == 0
+
+    def test_same_size_edit_with_restored_mtime_is_rechecked(self, daemon,
+                                                             project):
+        _, client = daemon
+        client.verify()
+        path = project / "queue.c"
+        st = path.stat()
+        rename_local(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert path.stat().st_size == st.st_size
+        done = done_of(client.verify())
+        assert done["parsed"] == 1
+        assert done["rechecked"] >= 1
+
+    def test_reset_empties_the_memo(self, daemon):
+        d, client = daemon
+        client.verify()
+        key = str(d.config.root)
+        # planner state + one entry per unit
+        assert client.status()["namespaces"][key]["memo_entries"] == 3
+        client.reset()
+        assert client.status()["namespaces"][key]["memo_entries"] == 0
+        assert d.namespaces[key].state_cache == {}
+        assert done_of(client.verify())["parsed"] == 2
+
+    def test_namespaces_never_share_a_unit_entry(self, daemon, project,
+                                                 tmp_path):
+        d, client = daemon
+        other = make_project(tmp_path / "other")
+        rename_local(other / "queue.c")
+        client.verify()
+        client.verify(root=str(other))
+        memo_a = d.namespaces[str(project.resolve())].state_cache
+        memo_b = d.namespaces[str(other.resolve())].state_cache
+        sha_a = source_sha((project / "queue.c").read_text())
+        sha_b = source_sha((other / "queue.c").read_text())
+        assert sha_a != sha_b
+        tp_a = memoized_program(memo_a, "queue", sha_a)
+        tp_b = memoized_program(memo_b, "queue", sha_b)
+        assert tp_a is not None and tp_b is not None
+        assert tp_a is not tp_b
+        assert memoized_program(memo_a, "queue", sha_b) is None
+        assert memoized_program(memo_b, "queue", sha_a) is None
+        # ...and each namespace stays warm on its own text.
+        assert done_of(client.verify())["parsed"] == 0
+        assert done_of(client.verify(root=str(other)))["parsed"] == 0
+
+    def test_edit_then_noop_matches_cold_batch(self, daemon, project):
+        _, client = daemon
+        client.verify()
+        rename_local(project / "queue.c")
+        assert done_of(client.verify())["parsed"] == 1
+        noop = client.verify()
+        assert done_of(noop)["parsed"] == 0
+        assert done_of(noop)["rechecked"] == 0
+        assert outcome_map(noop) == batch_outcome_map(
+            sorted(project.glob("*.c")))
 
 
 # ---------------------------------------------------------------------
@@ -336,6 +436,8 @@ class TestLedger:
         assert cold["extra"]["warm"] is False
         assert warm["extra"]["warm"] is True
         assert warm["extra"]["rechecked"] == 0
+        assert cold["extra"]["parsed"] == 1
+        assert warm["extra"]["parsed"] == 0
         assert cold["suite"] == ["queue"]
         assert cold["extra"]["queue_wait_s"] >= 0
         assert cold["config"]["incremental"] is True
