@@ -59,13 +59,12 @@ def effectiveness_cells(record: dict) -> str:
         for layer, field in (("result_cache", "ratio"),
                              ("solver_memo", "ratio"),
                              ("dispatch_table", "per_application"),
-                             ("elaboration_memo", "ratio"),
                              ("depgraph", "ratio")))
 
 
 def dashboard(records, limit: int) -> str:
     lines = [f"{'when':<12} {'kind':<7} {'sha':<8} {'jobs':>4} "
-             f"{'wall':>9}  {'rcache memo  disp  elab   dep':<30} suite"]
+             f"{'wall':>9}  {'rcache memo  disp   dep':<30} suite"]
     for r in records[-limit:]:
         sha = (r.get("git_sha") or "")[:8] or "-"
         suite = ",".join(r.get("suite", [])) or "-"
@@ -83,7 +82,7 @@ def cache_report(records, limit: int) -> str:
     lines = ["per-layer cache effectiveness (newest last; '-' = layer "
              "never ran)",
              f"{'when':<12} {'kind':<7} {'result':>7} {'memo':>6} "
-             f"{'disp':>6} {'elab':>6} {'dep':>6}"]
+             f"{'disp':>6} {'dep':>6}"]
     for r in records[-limit:]:
         if "cache_effectiveness" not in r:
             continue
@@ -96,7 +95,6 @@ def cache_report(records, limit: int) -> str:
                      f"{r.get('kind', '?'):<7} "
                      f"{cell('result_cache'):>7} {cell('solver_memo'):>6} "
                      f"{cell('dispatch_table', 'per_application'):>6} "
-                     f"{cell('elaboration_memo'):>6} "
                      f"{cell('depgraph'):>6}")
     return "\n".join(lines)
 

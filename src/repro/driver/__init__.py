@@ -17,7 +17,7 @@ from .incremental import (IncrementalState, plan_unit,
 from .metrics import (DriverMetrics, FunctionMetrics, PhaseTimings,
                       merge_metrics)
 from .pool import (DriverConfig, FunctionPlan, PoolSession, Unit, UnitPlan,
-                   reset_fresh_counters, run_program, run_units)
+                   reset_fresh_counters, run_units)
 
 __all__ = [
     "CACHE_FORMAT_VERSION", "DEFAULT_CACHE_DIR", "DepGraph",
@@ -25,6 +25,6 @@ __all__ = [
     "IncrementalState", "PhaseTimings", "PoolSession", "ResultCache",
     "Unit", "UnitPlan", "atomic_write_json", "build_depgraph",
     "engine_fingerprint", "function_cache_key", "merge_metrics",
-    "plan_unit", "reset_fresh_counters", "run_program", "run_units",
+    "plan_unit", "reset_fresh_counters", "run_units",
     "run_units_incremental", "transitive_key",
 ]

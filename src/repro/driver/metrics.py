@@ -48,15 +48,18 @@ from ..lithium.search import TELEMETRY_KEYS
 #       ``counters`` so outcomes stay byte-identical whether the pure
 #       caches start cold or warm.
 #   6 — observability (repro.obs): the per-unit record gains
-#       ``elab_memo_hits`` / ``elab_memo_misses`` (per-worker elaborated-
-#       program cache effectiveness on the parallel paths; both 0 for
-#       serial runs, where the front end elaborates exactly once) and the
-#       derived ``cache_effectiveness`` block — one hits/total/ratio
-#       entry per caching layer (result cache, solver memo, dispatch
-#       table, elaboration memo, depgraph reuse) — consumed by the run
-#       ledger (``repro.obs.ledger``) and the regression sentinel.  v5
-#       records still load through ``DriverMetrics.from_dict`` (the new
-#       fields default to 0; derived blocks are always recomputed).
+#       ``elab_memo_hits`` / ``elab_memo_misses`` and the derived
+#       ``cache_effectiveness`` block — one hits/total/ratio entry per
+#       caching layer (result cache, solver memo, dispatch table,
+#       depgraph reuse) — consumed by the run ledger
+#       (``repro.obs.ledger``) and the regression sentinel.  The two
+#       ``elab_memo_*`` counters once measured the workers' elaboration
+#       memo; workers now receive pickled programs and never elaborate,
+#       so both are always 0 and no longer feed ``cache_effectiveness``.
+#       They stay in the record (and in ``from_dict``) for readers of
+#       older v6 records.  v5 records still load through
+#       ``DriverMetrics.from_dict`` (the new fields default to 0;
+#       derived blocks are always recomputed).
 METRICS_SCHEMA_VERSION = 6
 
 
@@ -118,9 +121,9 @@ class DriverMetrics:
     functions_clean: int = 0
     functions_dirty: int = 0
     results_reused: int = 0
-    # Schema v6: per-worker elaborated-program cache accounting (the
-    # parallel paths re-elaborate sources in the workers; the counters
-    # say how often a worker's memo already held the unit).
+    # Schema v6: per-worker elaborated-program cache accounting.  Workers
+    # no longer elaborate (they receive pickled programs), so both are
+    # always 0; kept so v6 records keep their shape and old readers work.
     elab_memo_hits: int = 0
     elab_memo_misses: int = 0
     phases: PhaseTimings = field(default_factory=PhaseTimings)
@@ -191,9 +194,6 @@ class DriverMetrics:
                                           / rule_apps, 4)
                                     if rule_apps else None),
             },
-            "elaboration_memo": ratio_block(
-                self.elab_memo_hits,
-                self.elab_memo_hits + self.elab_memo_misses),
             "depgraph": ratio_block(self.results_reused,
                                     len(self.functions)),
         }

@@ -20,10 +20,12 @@ a pure function of (body, spec, context, lemmas).  This is what makes
 parallel results byte-identical to serial ones: a worker process and the
 parent produce the very same names.
 
-Workers never receive the elaborated program (specs close over Python
-functions and do not pickle); each worker re-elaborates the source text
-once and keeps it for the lifetime of the pool, so the per-task payload
-is just a function name.
+Workers never parse or elaborate: the parent elaborates each unit once,
+pickles its :class:`TypedProgram` once per call, and every task carries
+that blob.  Each worker memoises unpickled programs by the blob's
+sha256, so the memo is content addressed — a unit key reused with
+different source (a daemon tenant, a fuzz round) simply misses — and a
+unit's functions share one program, warm refinement caches included.
 """
 
 from __future__ import annotations
@@ -144,69 +146,29 @@ class UnitPlan:
 
 
 # ---------------------------------------------------------------------
-# Worker side.  Module-level so both fork and spawn start methods can
-# import them; state lives in a per-process dict filled lazily.
+# Worker side.  Module-level so fork, forkserver and spawn workers can
+# all import it.
 # ---------------------------------------------------------------------
 
-_WORKER_STATE: dict = {}
+#: cap on each worker's memo of unpickled programs; fuzz campaigns
+#: stream thousands of distinct one-shot units through one pool
+_PROGRAM_MEMO_CAP = 64
 
-#: cap on the per-worker elaborated-program cache in session mode; fuzz
-#: campaigns stream thousands of distinct one-shot units through one pool
-_SESSION_PROGRAM_CAP = 64
-
-
-def _worker_init(units_blob: bytes, tracing: bool = False) -> None:
-    _WORKER_STATE["units"] = pickle.loads(units_blob)
-    _WORKER_STATE["programs"] = {}
-    _WORKER_STATE["tracing"] = tracing
+_PROGRAMS: dict[str, TypedProgram] = {}
 
 
-def _worker_check(unit_key: str, fn_name: str):
-    from ..lang.elaborate import elaborate_source
-    tp = _WORKER_STATE["programs"].get(unit_key)
-    elab_hit = tp is not None
+def _worker_check(unit_key: str, fn_name: str, digest: str, blob: bytes,
+                  tracing: bool):
+    """The one pool task: check ``fn_name`` of the pickled program
+    ``blob`` (whose sha256 is ``digest``)."""
+    tp = _PROGRAMS.get(digest)
     if tp is None:
-        source, lemmas = _WORKER_STATE["units"][unit_key]
-        tp = elaborate_source(source, lemmas)
-        _WORKER_STATE["programs"][unit_key] = tp
-    fr, wall, trace = _traced_check(tp, fn_name,
-                                    _WORKER_STATE.get("tracing", False))
-    return unit_key, fn_name, fr, wall, trace, elab_hit
-
-
-def _session_worker_init() -> None:
-    _WORKER_STATE["session_programs"] = {}
-
-
-def session_unit_key(unit_key: str, source: str) -> str:
-    """The per-worker elaboration-memo key for session-mode tasks.
-
-    Mixing the source digest into the key makes the memo *content
-    addressed*: a long-lived session serving several tenants (the serve
-    daemon's namespaces, a fuzz campaign recycling stems) can never
-    replay a stale elaboration for a same-named unit whose text differs
-    — the colliding name simply maps to a different entry."""
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
-    return f"{unit_key}@{digest}"
-
-
-def _session_worker_check(unit_key: str, memo_key: str, fn_name: str,
-                          source: str, lemmas, tracing: bool):
-    """Session-mode task: the source rides on every task (sources are
-    tiny in the workloads that use sessions) and each worker memoises its
-    elaboration, so the functions of one unit share the front-end work
-    whichever worker they land on."""
-    from ..lang.elaborate import elaborate_source
-    cache = _WORKER_STATE.setdefault("session_programs", {})
-    tp = cache.get(memo_key)
-    elab_hit = tp is not None
-    if tp is None:
-        tp = elaborate_source(source, lemmas)
-        if len(cache) >= _SESSION_PROGRAM_CAP:
-            cache.clear()
-        cache[memo_key] = tp
+        tp = pickle.loads(blob)
+        if len(_PROGRAMS) >= _PROGRAM_MEMO_CAP:
+            _PROGRAMS.clear()
+        _PROGRAMS[digest] = tp
     fr, wall, trace = _traced_check(tp, fn_name, tracing)
-    return unit_key, fn_name, fr, wall, trace, elab_hit
+    return unit_key, fn_name, fr, wall, trace
 
 
 class PoolSession:
@@ -222,12 +184,11 @@ class PoolSession:
             for batch in rounds:
                 run_units(batch, DriverConfig(jobs=4), session=session)
 
-    Results are byte-identical to sessionless runs: workers reset the
-    fresh-name counters before every check (the same determinism contract
-    as the per-call pool), and the per-worker elaboration cache is keyed
-    by unit, never shared across units.  If the pool breaks (a worker
-    died mid-task), :meth:`reset` discards it; the next call lazily
-    builds a new one."""
+    A call without a session runs on a temporary one, so results are
+    byte-identical either way: workers reset the fresh-name counters
+    before every check, and their program memo is keyed by content.  If
+    the pool breaks (a worker died mid-task), :meth:`reset` discards it;
+    the next call lazily builds a new one."""
 
     def __init__(self, jobs: int = 0, mp_context=None) -> None:
         self.jobs = jobs if jobs > 0 else max(1, multiprocessing.cpu_count())
@@ -242,8 +203,7 @@ class PoolSession:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                mp_context=self._mp_context or _pool_context(),
-                initializer=_session_worker_init)
+                mp_context=self._mp_context or _pool_context())
         return self._pool
 
     def reset(self) -> None:
@@ -266,12 +226,6 @@ class PoolSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _check_one(tp: TypedProgram, name: str, tracing: bool = False
-               ) -> tuple[FunctionResult, float, Optional[tuple]]:
-    """The in-process reference path: reset counters, check, time it."""
-    return _traced_check(tp, name, tracing)
 
 
 def _traced_check(tp: TypedProgram, name: str, tracing: bool
@@ -402,15 +356,7 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
 
     if pending:
         live = _run_pending(pending, units_by_key, jobs, tracing, session)
-        for (ukey, name), (fr, wall, trace, elab_hit) in live.items():
-            # Schema v6 telemetry: did the worker's elaborated-program
-            # memo already hold the unit?  ``None`` on the serial path
-            # (the front end elaborated exactly once, no memo involved).
-            if elab_hit is not None:
-                if elab_hit:
-                    metrics[ukey].elab_memo_hits += 1
-                else:
-                    metrics[ukey].elab_memo_misses += 1
+        for (ukey, name), (fr, wall, trace) in live.items():
             plan = plans.get(ukey)
             fplan = plan.functions.get(name) if plan is not None else None
             if fplan is not None:
@@ -469,81 +415,54 @@ def _run_pending(pending: list[tuple[str, str]],
                  units_by_key: dict[str, Unit], jobs: int, tracing: bool,
                  session: Optional[PoolSession] = None
                  ) -> dict[tuple[str, str],
-                           tuple[FunctionResult, float, Optional[tuple],
-                                 Optional[bool]]]:
-    if session is not None and session.jobs > 1 and len(pending) > 1:
-        try:
-            return _run_parallel_session(pending, units_by_key, session,
-                                         tracing)
-        except (pickle.PicklingError, AttributeError, TypeError):
-            pass
-    if jobs > 1 and len(pending) > 1:
-        try:
-            return _run_parallel(pending, units_by_key, jobs, tracing)
-        except (pickle.PicklingError, AttributeError, TypeError):
-            # Unpicklable user-supplied lemmas or results: fall back to
-            # the deterministic serial path rather than failing the run.
-            pass
-    return _run_serial(pending, units_by_key, tracing)
+                           tuple[FunctionResult, float, Optional[tuple]]]:
+    if session is not None and session.jobs > 1:
+        jobs = session.jobs
+    else:
+        session = None
+    blobs = _program_blobs(pending, units_by_key) \
+        if jobs > 1 and len(pending) > 1 else None
+    if blobs is None:
+        return _run_serial(pending, units_by_key, tracing)
+    if session is not None:
+        return _run_parallel(pending, blobs, session, tracing)
+    with PoolSession(min(jobs, len(pending))) as temporary:
+        return _run_parallel(pending, blobs, temporary, tracing)
+
+
+def _program_blobs(pending, units_by_key
+                   ) -> Optional[dict[str, tuple[str, bytes]]]:
+    """Pickle each pending unit's program once: unit key -> ``(sha256,
+    blob)``.  ``None`` if a program does not pickle (an unpicklable
+    user-supplied lemma): the run then takes the deterministic serial
+    path rather than failing."""
+    blobs = {}
+    try:
+        for ukey, _name in pending:
+            if ukey not in blobs:
+                blob = pickle.dumps(units_by_key[ukey].tp)
+                blobs[ukey] = (hashlib.sha256(blob).hexdigest(), blob)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+    return blobs
 
 
 def _run_serial(pending, units_by_key, tracing):
     out = {}
     for ukey, name in pending:
-        fr, wall, trace = _check_one(units_by_key[ukey].tp, name, tracing)
-        out[(ukey, name)] = (fr, wall, trace, None)
+        out[(ukey, name)] = _traced_check(units_by_key[ukey].tp, name,
+                                          tracing)
     return out
 
 
-def _run_parallel_session(pending, units_by_key, session, tracing):
+def _run_parallel(pending, blobs, session, tracing):
     pool = session.executor()
     session.batches += 1
     session.tasks += len(pending)
-    memo_keys = {ukey: session_unit_key(ukey, units_by_key[ukey].source)
-                 for ukey in {u for u, _ in pending}}
-    futures = [pool.submit(_session_worker_check, ukey, memo_keys[ukey],
-                           name, units_by_key[ukey].source,
-                           units_by_key[ukey].lemmas, tracing)
+    futures = [pool.submit(_worker_check, ukey, name, *blobs[ukey], tracing)
                for ukey, name in pending]
     out = {}
     for fut in as_completed(futures):
-        ukey, name, fr, wall, trace, elab_hit = fut.result()
-        out[(ukey, name)] = (fr, wall, trace, elab_hit)
+        ukey, name, fr, wall, trace = fut.result()
+        out[(ukey, name)] = (fr, wall, trace)
     return out
-
-
-def _run_parallel(pending, units_by_key, jobs, tracing):
-    needed = {ukey for ukey, _ in pending}
-    blob = pickle.dumps({k: (units_by_key[k].source, units_by_key[k].lemmas)
-                         for k in needed})
-    workers = min(jobs, len(pending))
-    out = {}
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_pool_context(),
-                             initializer=_worker_init,
-                             initargs=(blob, tracing)) as pool:
-        futures = [pool.submit(_worker_check, ukey, name)
-                   for ukey, name in pending]
-        for fut in as_completed(futures):
-            ukey, name, fr, wall, trace, elab_hit = fut.result()
-            out[(ukey, name)] = (fr, wall, trace, elab_hit)
-    return out
-
-
-def run_program(tp: TypedProgram, *, source: Optional[str] = None,
-                lemmas: Optional[dict] = None, study: str = "",
-                config: Optional[DriverConfig] = None,
-                timings: Optional[PhaseTimings] = None
-                ) -> tuple[ProgramResult, DriverMetrics]:
-    """Drive verification of one elaborated program.
-
-    ``source`` enables the parallel path (workers re-elaborate it); with
-    ``source=None`` the driver always runs serially in-process."""
-    config = config or DriverConfig()
-    if source is None:
-        config = DriverConfig(jobs=1, cache=config.cache,
-                              cache_dir=config.cache_dir,
-                              trace=config.trace)
-    unit = Unit(key=study or "<unit>", source=source or "", tp=tp,
-                lemmas=lemmas, timings=timings)
-    return run_units([unit], config)[unit.key]

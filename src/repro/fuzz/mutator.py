@@ -106,9 +106,8 @@ def evaluate_mutants(progs: Sequence[GenProgram], jobs: int = 1,
         chosen = prog.mutants[:limit] if limit is not None else prog.mutants
         for mutant in chosen:
             # Key by the campaign-global program index, never the position
-            # within this call: a warm PoolSession memoises elaborated
-            # programs per unit key across batches, so a repeating key
-            # would silently serve a stale elaboration to a later round.
+            # within this call, so one key names one program for the whole
+            # campaign in results and findings.
             work.append((f"p{prog.index}:{mutant.name}", prog, mutant))
     checks = check_batch([(key, _as_program(prog, mutant))
                           for key, prog, mutant in work], jobs=jobs,

@@ -46,7 +46,6 @@ RATIO_FIELDS = (
     ("result_cache", "ratio"),
     ("solver_memo", "ratio"),
     ("dispatch_table", "per_application"),
-    ("elaboration_memo", "ratio"),
     ("depgraph", "ratio"),
 )
 

@@ -203,7 +203,7 @@ _TMPL_MISS = object()
 def _parse_refinement(text: str, env: Mapping[str, Term],
                       ctx: SpecContext) -> Term:
     # Refinement texts are re-parsed at check time whenever a named
-    # type is unfolded (struct_body closures call back into
+    # type is unfolded (StructBody unfolds call back into
     # parse_type per field).  The binder *terms* differ per unfold,
     # so memoizing on the exact environment rarely hits; instead the
     # text is parsed ONCE per (text, binder-sort signature) against
@@ -531,20 +531,27 @@ class RawStructAnnotations:
     typedef_name: Optional[str] = None           # plain typedef alias
 
 
-def define_struct_type(layout: StructLayout, raw: RawStructAnnotations,
-                       ctx: SpecContext) -> Optional[str]:
-    """Register the named RefinedC type a struct annotation defines.
+@dataclass(eq=False, repr=False)
+class StructBody:
+    """The body of a struct-defined named type: unfolding it parses the
+    ``rc::field``/``rc::constraints``/``rc::size`` annotations under the
+    given refinements.
 
-    Returns the name of the defined type (or ``None`` if the struct carries
-    no refinement annotations).
-    """
-    if not raw.refined_by and not raw.fields:
-        return None
-    binders = [_parse_binder(d) for d in raw.refined_by]
-    ex_binders = [_parse_binder(d) for d in raw.exists]
-    param_sorts = tuple(s for _, s, _ in binders)
+    A module-level class rather than a closure, so an elaborated
+    :class:`~repro.refinedc.checker.TypedProgram` pickles and the driver
+    can ship it to pool workers as data.  No generated ``__eq__`` or
+    ``__repr__``: nothing should ever compare or print the whole
+    :class:`SpecContext` it holds."""
 
-    def struct_body(*args: Term) -> RType:
+    layout: StructLayout
+    raw: RawStructAnnotations
+    binders: list          # parsed rc::refined_by binders
+    ex_binders: list       # parsed rc::exists binders
+    ctx: SpecContext
+
+    def __call__(self, *args: Term) -> RType:
+        layout, raw, ctx = self.layout, self.raw, self.ctx
+        binders, ex_binders = self.binders, self.ex_binders
         env: dict[str, Term] = {n: a for (n, _, _), a in zip(binders, args)}
         nat_facts = [le(intlit(0), a)
                      for (n, _, is_nat), a in zip(binders, args) if is_nat]
@@ -579,18 +586,46 @@ def define_struct_type(layout: StructLayout, raw: RawStructAnnotations,
             t = ConstrainedT(t, and_(*nat_facts))
         return t
 
+
+@dataclass(eq=False, repr=False)
+class PtrTypeBody:
+    """The body of an ``rc::ptr_type`` named type: its type expression,
+    with ``...`` standing for the enclosing struct's :class:`StructBody`
+    at the same refinements.  Module-level for the same reason."""
+
+    ptr_text: str
+    struct_body: StructBody
+
+    def __call__(self, *args: Term) -> RType:
+        struct_body, ctx = self.struct_body, self.struct_body.ctx
+        env = {n: a for (n, _, _), a in zip(struct_body.binders, args)}
+        old = ctx.placeholder
+        ctx.placeholder = lambda: struct_body(*args)
+        try:
+            return parse_type(self.ptr_text, env, ctx)
+        finally:
+            ctx.placeholder = old
+
+
+def define_struct_type(layout: StructLayout, raw: RawStructAnnotations,
+                       ctx: SpecContext) -> Optional[str]:
+    """Register the named RefinedC type a struct annotation defines.
+
+    Returns the name of the defined type (or ``None`` if the struct carries
+    no refinement annotations).
+    """
+    if not raw.refined_by and not raw.fields:
+        return None
+    binders = [_parse_binder(d) for d in raw.refined_by]
+    ex_binders = [_parse_binder(d) for d in raw.exists]
+    param_sorts = tuple(s for _, s, _ in binders)
+    struct_body = StructBody(layout, raw, binders, ex_binders, ctx)
+
     if raw.ptr_type is not None:
         ptr_name, ptr_text = raw.ptr_type
         # Defer: '...' inside the ptr_type expression means the struct body.
-        def ptr_body(*args: Term) -> RType:
-            env = {n: a for (n, _, _), a in zip(binders, args)}
-            old = ctx.placeholder
-            ctx.placeholder = lambda: struct_body(*args)
-            try:
-                return parse_type(ptr_text, env, ctx)
-            finally:
-                ctx.placeholder = old
-        ctx.types.define(TypeDef(ptr_name, param_sorts, ptr_body,
+        ctx.types.define(TypeDef(ptr_name, param_sorts,
+                                 PtrTypeBody(ptr_text, struct_body),
                                  layout=None, is_ptr_type=True))
         ctx.type_sources[ptr_name] = layout.name
         return ptr_name

@@ -2,9 +2,10 @@
 
 One long-lived process holds everything the batch CLI re-builds per
 invocation: the worker :class:`~repro.driver.PoolSession` (process pool
-+ per-worker, content-addressed elaboration memos), the interned-term
-and pure-solver caches those workers accumulate, and the parsed
-incremental planner state per project namespace.  Requests then pay
++ per-worker, content-addressed memos of the pickled programs the
+parent ships them), the interned-term and pure-solver caches those
+workers accumulate, and the parsed incremental planner state per
+project namespace.  Requests then pay
 only for what actually changed — the paper's edit-annotate-recheck loop
 at interactive latency.
 
@@ -30,8 +31,8 @@ Architecture (see DESIGN.md "Verification as a service"):
 
 Observability: every served verify request appends one ``kind=serve``
 ledger record (:mod:`repro.obs.ledger`) carrying queue wait, warm-pool
-telemetry (session batches/resets, elaboration-memo hits, clean/dirty
-splits) and per-function walls — ``rcstat --kind serve`` then shows the
+telemetry (session batches/resets, clean/dirty splits) and
+per-function walls — ``rcstat --kind serve`` then shows the
 daemon-vs-batch trajectory next to every other run kind.
 """
 
@@ -484,7 +485,6 @@ class VerifyDaemon:
         t0 = time.perf_counter()
         totals = {"files": 0, "functions": 0, "clean": 0, "dirty": 0,
                   "reused": 0, "rechecked": 0, "failed": 0}
-        elab_hits = elab_misses = 0
         recovered = parsed = 0
         all_metrics = []
         suite: list[str] = []
@@ -548,8 +548,6 @@ class VerifyDaemon:
                 totals["rechecked"] += rechecked
                 totals["failed"] += sum(1 for f in m.functions
                                         if not f.ok)
-                elab_hits += m.elab_memo_hits
-                elab_misses += m.elab_memo_misses
                 ns.served += 1
                 ns.functions_checked += len(m.functions)
         wall = time.perf_counter() - t0
@@ -557,9 +555,7 @@ class VerifyDaemon:
         summary = dict(ok=ok, wall_s=round(wall, 6),
                        queue_wait_s=round(queue_wait_s, 6), warm=warm,
                        namespace=str(ns.root), jobs=jobs,
-                       recovered=recovered, parsed=parsed,
-                       elab_memo_hits=elab_hits,
-                       elab_memo_misses=elab_misses, **totals)
+                       recovered=recovered, parsed=parsed, **totals)
         if session is not None:
             summary["session"] = {"jobs": session.jobs,
                                   "batches": session.batches,

@@ -5,9 +5,15 @@ check, so a verification is a pure function of (body, spec, context,
 lemmas) — independent of run order, process, and job count.  These tests
 pin that down for both the serial and the parallel scheduler."""
 
+import pickle
+
 import pytest
 
+from repro.driver import DriverConfig, Unit, run_units
 from repro.frontend import verify_file, verify_source
+from repro.lang.elaborate import elaborate_source
+from repro.proofs.manual import LEMMAS_BY_STUDY
+from repro.report import EXTRA_STUDIES, FIGURE7_STUDIES
 
 from .conftest import fingerprint, study_path
 
@@ -70,3 +76,22 @@ def test_error_text_identical_across_job_counts(study):
     serial = verify_source(broken, jobs=1)
     parallel = verify_source(broken, jobs=4)
     assert fingerprint(serial) == fingerprint(parallel)
+
+
+@pytest.mark.parametrize("study", [stem for stem, _cls in
+                                   FIGURE7_STUDIES + EXTRA_STUDIES])
+def test_typed_program_pickles_and_checks_identically(study):
+    """Pool workers receive the parent's elaborated program pickled, so
+    every study's ``TypedProgram`` must round-trip through ``pickle`` and
+    check to the same fingerprint as the original."""
+    source = study_path(study).read_text()
+    tp = elaborate_source(source, LEMMAS_BY_STUDY.get(study))
+    copy = pickle.loads(pickle.dumps(tp))
+    outcomes = [run_units([Unit(key=study, source=source, tp=program)],
+                          DriverConfig(jobs=1))[study][0]
+                for program in (tp, copy)]
+    rows = [[(name, fr.ok, fr.stats.counters(), fr.format_error())
+             for name, fr in result.functions.items()]
+            for result in outcomes]
+    assert outcomes[0].ok
+    assert rows[0] == rows[1]

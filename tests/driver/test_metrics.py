@@ -203,12 +203,11 @@ def test_json_v6_cache_effectiveness_block():
     data = json.loads(out.metrics.to_json())
     eff = data["cache_effectiveness"]
     assert set(eff) == {"result_cache", "solver_memo", "dispatch_table",
-                        "elaboration_memo", "depgraph"}
-    # Cache off, serial run: the result cache and elaboration memo never
-    # ran, while solver memo and depgraph have live denominators.
+                        "depgraph"}
+    # Cache off, serial run: the result cache never ran, while solver
+    # memo and depgraph have live denominators.
     assert eff["result_cache"]["total"] == 0
     assert eff["result_cache"]["ratio"] is None
-    assert eff["elaboration_memo"]["ratio"] is None
     assert eff["solver_memo"]["total"] > 0
     assert eff["depgraph"] == {"hits": 0,
                                "total": len(data["functions"]),

@@ -68,3 +68,27 @@ def test_session_preserves_traced_signatures():
                            session=session)
     sig = lambda res: signature_of(res["queue"][0].trace)  # noqa: E731
     assert sig(serial) == sig(pooled)
+
+
+def test_session_serves_each_batch_its_own_source():
+    """Tenant safety: one warm session, the same unit key with different
+    source in two batches.  Workers memoise programs by the sha256 of
+    the pickled program, so the second batch gets the second source's
+    outcome, never the first's."""
+    source = study_path("mpool").read_text()
+    broken = source.replace('rc::args("&own<uninit<64>>")',
+                            'rc::args("&own<uninit<65>>")', 1)
+    assert broken != source
+
+    def batch(text):
+        return [Unit(key="tenant", source=text, tp=elaborate_source(text))]
+
+    expected = run_units(batch(broken), DriverConfig(jobs=1))
+    with PoolSession(2) as session:
+        first = run_units(batch(source), DriverConfig(jobs=2),
+                          session=session)
+        second = run_units(batch(broken), DriverConfig(jobs=2),
+                           session=session)
+    assert first["tenant"][0].ok
+    assert not second["tenant"][0].ok
+    assert _outcomes(second) == _outcomes(expected)

@@ -64,9 +64,8 @@ def test_budget_campaign_replays_from_count():
 
 
 def test_mutant_unit_keys_are_campaign_global(monkeypatch):
-    # The warm PoolSession memoises elaborated programs by unit key
-    # across batches, so keys must never repeat between rounds: a
-    # repeating key would serve round N a stale elaboration from round M.
+    # A unit key names one program for the whole campaign in results
+    # and findings, so keys must never repeat between rounds.
     from repro.fuzz import mutator as mutator_mod
     from repro.fuzz.oracle import CheckResult, CheckVerdict
     batches = []

@@ -32,8 +32,7 @@ def test_build_record_shape():
     assert rec["suite"] == ["unit"]
     assert rec["functions"] == {"unit:f": 0.1}
     assert set(rec["cache_effectiveness"]) == {
-        "result_cache", "solver_memo", "dispatch_table",
-        "elaboration_memo", "depgraph"}
+        "result_cache", "solver_memo", "dispatch_table", "depgraph"}
     assert rec["cache_effectiveness"]["result_cache"]["ratio"] == 0.75
     assert rec["env"].keys() == {"RC_TRACE"}
     assert rec["config"] == {}
