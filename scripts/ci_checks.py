@@ -9,8 +9,9 @@ assert about.  Each block is a subcommand here instead — ruff-linted,
 unit-tested (``tests/scripts/test_ci_checks.py``) and runnable locally
 to reproduce exactly what CI enforces:
 
-* ``bench-artifact BENCH.json`` — the bench-smoke gate: cold, warm and
-  traced fingerprints recorded identical, and all functions verified.
+* ``speed-gates [--jobs N]`` — the tests job's timing bounds: a warm
+  result cache >=5x and jobs=N >=2x (on >=2 cores) faster than the
+  serial pass, the run-ledger record <=2% of the traced checking wall.
 * ``traced-verify [--stem STEM]`` — the trace-smoke gate: with
   ``RC_TRACE=1`` in the environment a verification must thread a
   non-empty trace through result *and* metrics without any kwargs.
@@ -36,6 +37,8 @@ import argparse
 import json
 import os
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -46,22 +49,144 @@ def _load(path):
 
 
 # ---------------------------------------------------------------------
-# bench-smoke
+# speed gates
 # ---------------------------------------------------------------------
 
-def check_bench_artifact(args) -> int:
-    data = _load(args.artifact)
-    checks = data["checks"]
-    if checks["fingerprint_identical"] is not True:
-        print("bench-artifact: correctness fingerprint differs between "
-              "cold, warm and traced passes", file=sys.stderr)
-        return 1
-    if checks["all_verified"] is not True:
-        print("bench-artifact: not every function verified",
-              file=sys.stderr)
-        return 1
-    print(f"fingerprint ok; {checks['functions']} function(s) verified")
-    return 0
+#: warm result cache vs the serial reference pass (min of repetitions)
+MIN_WARM_CACHE_SPEEDUP = 5.0
+#: jobs=N vs the serial reference pass, asserted on >= 2 cores only
+MIN_PARALLEL_SPEEDUP = 2.0
+#: ledger record + rule-cost aggregation, percent of the traced
+#: checking wall (``search_s + solver_s``)
+MAX_LEDGER_OVERHEAD_PCT = 2.0
+#: timed passes per driver configuration
+DRIVER_REPEAT = 1
+#: interleaved untraced/traced rounds for the ledger budget
+LEDGER_ROUNDS = 2
+#: extra traced passes a pending ledger failure gets: a load spike
+#: during one pass is likelier than a real aggregation slowdown
+LEDGER_RETRIES = 3
+
+
+def _wall(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def measure_driver_walls(jobs: int) -> dict:
+    """Walls of the whole suite through ``verify_files``: the serial
+    reference, jobs=N, and a warm result cache (after one untimed
+    pass fills it), each the minimum of ``DRIVER_REPEAT`` passes."""
+    from repro.frontend import verify_files
+    from repro.report import EXTRA_STUDIES, FIGURE7_STUDIES, casestudies_dir
+
+    base = casestudies_dir()
+    paths = [base / f"{stem}.c"
+             for stem, _cls in FIGURE7_STUDIES + EXTRA_STUDIES]
+
+    def wall(**kwargs):
+        return min(_wall(lambda: verify_files(paths, **kwargs))
+                   for _ in range(DRIVER_REPEAT))
+
+    serial_s = wall(jobs=1)
+    parallel_s = wall(jobs=jobs)
+    with tempfile.TemporaryDirectory(prefix="rc-cache-speed-") as cache:
+        verify_files(paths, jobs=1, cache=True, cache_dir=cache)
+        warm_cache_s = wall(jobs=1, cache=True, cache_dir=cache)
+    return {"serial_s": serial_s, "parallel_s": parallel_s,
+            "warm_cache_s": warm_cache_s}
+
+
+def ledger_overhead_pct(ledger_s: float, traced_check_s: float) -> float:
+    return ledger_s / traced_check_s * 100.0
+
+
+def measure_ledger_walls() -> dict:
+    """The cheapest ledger append (record built, rule costs aggregated)
+    and the cheapest traced checking wall over the Figure-7 suite, from
+    traced passes interleaved with untraced ones in one session."""
+    from repro.frontend import verify_file
+    from repro.obs import costs_of_outcomes, record_run
+    from repro.pure.memo import clear_pure_caches
+    from repro.report import FIGURE7_STUDIES, casestudies_dir
+
+    base = casestudies_dir()
+    paths = [base / f"{stem}.c" for stem, _cls in FIGURE7_STUDIES]
+
+    def suite_pass(cold=True, traced=False):
+        if cold:
+            clear_pure_caches()
+        outcomes = [verify_file(p, trace=traced) for p in paths]
+        check = sum(o.metrics.phases.search_s + o.metrics.phases.solver_s
+                    for o in outcomes)
+        return check, outcomes
+
+    traced_check, ledger_extra = [], []
+    fd, scratch = tempfile.mkstemp(suffix=".rc-ledger.jsonl")
+    os.close(fd)
+
+    def untraced_round():
+        suite_pass()
+        suite_pass(cold=False)
+
+    def traced_round():
+        check, outcomes = suite_pass(traced=True)
+        traced_check.append(check)
+        ledger_extra.append(_wall(lambda: record_run(
+            "bench", wall_s=check, metrics=[o.metrics for o in outcomes],
+            costs=costs_of_outcomes(outcomes), path=scratch)))
+
+    # Untimed warm-up passes (interpreter and import effects).
+    suite_pass()
+    suite_pass(cold=False)
+    suite_pass(traced=True)
+    try:
+        for i in range(LEDGER_ROUNDS):
+            for run_round in ((untraced_round, traced_round) if i % 2 == 0
+                              else (traced_round, untraced_round)):
+                run_round()
+        for _ in range(LEDGER_RETRIES):
+            if (ledger_overhead_pct(min(ledger_extra), min(traced_check))
+                    <= MAX_LEDGER_OVERHEAD_PCT):
+                break
+            traced_round()
+    finally:
+        os.unlink(scratch)
+    return {"ledger_s": min(ledger_extra),
+            "traced_check_s": min(traced_check)}
+
+
+def judge_speed_gates(*, serial_s: float, parallel_s: float,
+                      warm_cache_s: float, ledger_s: float,
+                      traced_check_s: float, jobs: int, cores: int) -> int:
+    """The gate arithmetic over measured walls (seconds): print each
+    ratio against its bound; 1 if an asserted bound is missed.  The
+    parallel bound is asserted on >= 2 cores only."""
+    warm = serial_s / warm_cache_s
+    parallel = serial_s / parallel_s
+    ledger = ledger_overhead_pct(ledger_s, traced_check_s)
+    gates = [
+        ("warm-cache speedup", f"{warm:.2f}x",
+         f">= {MIN_WARM_CACHE_SPEEDUP}x", warm >= MIN_WARM_CACHE_SPEEDUP),
+        (f"parallel speedup, jobs={jobs} on {cores} core(s)",
+         f"{parallel:.2f}x", f">= {MIN_PARALLEL_SPEEDUP}x",
+         parallel >= MIN_PARALLEL_SPEEDUP if cores >= 2 else None),
+        ("ledger overhead of the traced checking wall", f"{ledger:+.2f}%",
+         f"<= +{MAX_LEDGER_OVERHEAD_PCT}%",
+         ledger <= MAX_LEDGER_OVERHEAD_PCT),
+    ]
+    for name, value, bound, ok in gates:
+        verdict = "skip" if ok is None else "ok" if ok else "FAIL"
+        print(f"{verdict:<4} {name}: {value} (bound {bound})")
+    return 1 if any(ok is False for *_, ok in gates) else 0
+
+
+def speed_gates(args) -> int:
+    walls = measure_driver_walls(args.jobs)
+    walls.update(measure_ledger_walls())
+    return judge_speed_gates(**walls, jobs=args.jobs,
+                             cores=os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------
@@ -227,10 +352,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bench-artifact",
-                       help="bench-smoke fingerprint check")
-    p.add_argument("artifact", help="BENCH_solver.json path")
-    p.set_defaults(func=check_bench_artifact)
+    p = sub.add_parser("speed-gates",
+                       help="warm-cache, parallel and ledger timing "
+                            "bounds")
+    p.add_argument("--jobs", type=int, default=4)
+    p.set_defaults(func=speed_gates)
 
     p = sub.add_parser("traced-verify",
                        help="assert RC_TRACE=1 threads a trace through")

@@ -9,8 +9,8 @@ stuck (§2.1's actionable error reporting).  This package provides both:
   rule application, ``PureSolver.prove`` call, evar seal/instantiate,
   context atom add/consume, memo hit/miss) with monotonic timestamps,
   nesting depth and deterministic sequence ids.  The off path is a single
-  ``CURRENT is None`` check at every site; ``scripts/bench_solver.py``
-  times traced against untraced passes interleaved in one session.
+  ``CURRENT is None`` check at every site; ``perfbench/run.py --trace 1``
+  reports the cost of the on path as ``tracing_overhead_frac``.
 * :mod:`.chrome` — Chrome trace-event JSON export (loadable in Perfetto /
   ``chrome://tracing``), a JSONL stream, and an event-schema validator.
 * :mod:`.profile` — the self-profile tree: time per rule, per solver

@@ -4,10 +4,22 @@ For every Figure-7 and extra case study, and for one failing mutant of
 ``alloc``, the golden file records each function's ``(name, ok,
 Stats.counters(), format_error())``.  Any change to proof search, the
 pure solver, or their caches that alters a single counter or one
-character of error text fails this test.  The suite runs twice against
-the same golden file: study by study in-process (``jobs=1``), and as one
-``verify_files`` batch on a two-worker pool (``jobs=2``), which ships
-every pickled program to the workers.
+character of error text fails this test.
+
+The suite is verified in every execution mode and each mode is compared
+against the same golden file:
+
+* ``serial`` — study by study in-process from cold pure caches;
+* ``pooled`` — one ``verify_files`` batch on a two-worker pool, which
+  ships every pickled program to the workers;
+* ``warm_pure`` — a second in-process pass with the pure caches kept
+  from the first;
+* ``traced`` — the serial pass with tracing on;
+* ``result_cache_warm`` — a second batch against a filled result cache,
+  which must serve every function (0 misses);
+* ``incremental_noop`` — an incremental rerun over unchanged state,
+  which must re-check 0 functions and agree with the incremental cold
+  pass before it.
 
 Regenerate (only when a change to the fingerprint is intended)::
 
@@ -19,9 +31,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.frontend import verify_file, verify_files, verify_source
+import pytest
+
+from repro.frontend import verify_file, verify_files
 from repro.pure.memo import clear_pure_caches
 from repro.report import EXTRA_STUDIES, FIGURE7_STUDIES, casestudies_dir
+
+from ..driver.conftest import fingerprint
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "fig7_fingerprint.json"
 
@@ -30,36 +46,67 @@ ALLOC_MUTANT = ("alloc_mutant", "alloc", "{n <= a} @ optional",
                 "{n < a} @ optional")
 
 
-def _rows(outcome) -> list:
-    return [[name, fr.ok, fr.stats.counters(), fr.format_error()]
-            for name, fr in outcome.result.functions.items()]
+def _in_process(paths, *, traced=False):
+    outcomes = {}
+    for p in paths:
+        clear_pure_caches()
+        outcomes[p.stem] = verify_file(p, trace=traced)
+    return outcomes
 
 
-def compute_fingerprint(jobs: int = 1) -> dict:
-    """Verify every study from cold pure caches; return the fingerprint
-    in the exact shape the golden file stores.  ``jobs > 1`` verifies the
-    whole suite, mutant included, as one pooled ``verify_files`` batch."""
+def _warm_pure(paths, _tmp):
+    clear_pure_caches()
+    for p in paths:
+        verify_file(p)
+    return {p.stem: verify_file(p) for p in paths}
+
+
+def _pooled(paths, _tmp):
+    clear_pure_caches()
+    return verify_files(paths, jobs=2)
+
+
+def _result_cache_warm(paths, tmp):
+    verify_files(paths, cache=True, cache_dir=tmp)
+    warm = verify_files(paths, cache=True, cache_dir=tmp)
+    assert sum(o.metrics.cache_misses for o in warm.values()) == 0
+    return warm
+
+
+def _incremental_noop(paths, tmp):
+    cold = verify_files(paths, cache_dir=tmp, incremental=True)
+    noop = verify_files(paths, cache_dir=tmp, incremental=True)
+    assert sum(o.metrics.functions_dirty for o in noop.values()) == 0
+    assert ({s: fingerprint(o) for s, o in cold.items()}
+            == {s: fingerprint(o) for s, o in noop.items()})
+    return noop
+
+
+#: mode -> ``run(paths, scratch_dir) -> {stem: outcome}``
+MODES = {
+    "serial": lambda paths, _tmp: _in_process(paths),
+    "pooled": _pooled,
+    "warm_pure": _warm_pure,
+    "traced": lambda paths, _tmp: _in_process(paths, traced=True),
+    "result_cache_warm": _result_cache_warm,
+    "incremental_noop": _incremental_noop,
+}
+
+
+def compute_fingerprint(mode: str = "serial") -> dict:
+    """Verify every study, mutant included, in ``mode``; return the
+    fingerprint in the exact shape the golden file stores."""
     base = casestudies_dir()
-    stems = [stem for stem, _cls in FIGURE7_STUDIES + EXTRA_STUDIES]
     name, stem, old, new = ALLOC_MUTANT
     source = (base / f"{stem}.c").read_text()
     assert old in source
-    mutant = source.replace(old, new)
-    if jobs > 1:
-        with tempfile.TemporaryDirectory() as tmp:
-            mutant_path = Path(tmp) / f"{name}.c"
-            mutant_path.write_text(mutant)
-            clear_pure_caches()
-            outcomes = verify_files(
-                [base / f"{s}.c" for s in stems] + [mutant_path], jobs=jobs)
-        out = {study: _rows(outcome) for study, outcome in outcomes.items()}
-    else:
-        out = {}
-        for s in stems:
-            clear_pure_caches()
-            out[s] = _rows(verify_file(base / f"{s}.c"))
-        clear_pure_caches()
-        out[name] = _rows(verify_source(mutant))
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant_path = Path(tmp) / f"{name}.c"
+        mutant_path.write_text(source.replace(old, new))
+        paths = [base / f"{s}.c"
+                 for s, _cls in FIGURE7_STUDIES + EXTRA_STUDIES]
+        outcomes = MODES[mode](paths + [mutant_path], Path(tmp) / "cache")
+    out = {study: fingerprint(outcome) for study, outcome in outcomes.items()}
     # Round-trip through JSON so tuples/lists compare like the file.
     return json.loads(json.dumps(out))
 
@@ -77,7 +124,13 @@ def test_fingerprint_matches_golden():
 
 
 def test_pooled_fingerprint_matches_golden():
-    _assert_matches_golden(compute_fingerprint(jobs=2))
+    _assert_matches_golden(compute_fingerprint("pooled"))
+
+
+@pytest.mark.parametrize("mode", ["warm_pure", "traced",
+                                  "result_cache_warm", "incremental_noop"])
+def test_mode_fingerprint_matches_golden(mode):
+    _assert_matches_golden(compute_fingerprint(mode))
 
 
 if __name__ == "__main__":

@@ -12,28 +12,52 @@ def write(path, payload):
 
 
 # ---------------------------------------------------------------------
-# bench-artifact
+# speed-gates
 # ---------------------------------------------------------------------
 
-def bench_payload(fingerprint=True, verified=True):
-    return {"checks": {"fingerprint_identical": fingerprint,
-                       "all_verified": verified, "functions": 29}}
+#: walls (seconds) that meet every bound exactly: warm cache 5x and
+#: jobs=2 2x faster than the 1 s serial pass, ledger 2% of 0.5 s
+AT_BOUNDS = {"serial_s": 1.0, "warm_cache_s": 0.2, "parallel_s": 0.5,
+             "ledger_s": 0.01, "traced_check_s": 0.5}
 
 
-class TestBenchArtifact:
-    def test_good_artifact_passes(self, ci_checks, tmp_path, capsys):
-        p = write(tmp_path / "b.json", bench_payload())
-        assert ci_checks.main(["bench-artifact", p]) == 0
-        assert "fingerprint ok" in capsys.readouterr().out
+def judge(ci_checks, cores=2, **walls):
+    return ci_checks.judge_speed_gates(**{**AT_BOUNDS, **walls}, jobs=2,
+                                       cores=cores)
 
-    @pytest.mark.parametrize("payload", [
-        bench_payload(fingerprint=False),
-        bench_payload(verified=False),
-        bench_payload(fingerprint=None),   # flag never recorded
+
+class TestSpeedGates:
+    def test_walls_at_every_bound_pass(self, ci_checks):
+        assert judge(ci_checks) == 0
+
+    @pytest.mark.parametrize("walls", [
+        {"warm_cache_s": 1.0 / 4.99},     # warm cache 4.99x
+        {"parallel_s": 1.0 / 1.99},       # jobs=2 1.99x
+        {"ledger_s": 0.5 * 0.0201},       # ledger +2.01%
     ])
-    def test_bad_artifact_fails(self, ci_checks, tmp_path, payload):
-        p = write(tmp_path / "b.json", payload)
-        assert ci_checks.main(["bench-artifact", p]) == 1
+    def test_just_below_a_bound_fails(self, ci_checks, capsys, walls):
+        assert judge(ci_checks, **walls) == 1
+        assert capsys.readouterr().out.count("FAIL") == 1
+
+    def test_one_core_skips_only_the_parallel_bound(self, ci_checks,
+                                                    capsys):
+        assert judge(ci_checks, cores=1, parallel_s=2.0) == 0
+        assert "skip parallel speedup" in capsys.readouterr().out
+        assert judge(ci_checks, cores=1, warm_cache_s=1.0 / 4.99) == 1
+        assert judge(ci_checks, cores=1, ledger_s=0.5 * 0.0201) == 1
+
+    def test_subcommand_judges_the_measured_walls(self, ci_checks,
+                                                  monkeypatch):
+        calls = []
+        monkeypatch.setattr(ci_checks, "measure_driver_walls",
+                            lambda jobs: calls.append(jobs) or {
+                                "serial_s": 1.0, "warm_cache_s": 0.5,
+                                "parallel_s": 0.5})
+        monkeypatch.setattr(ci_checks, "measure_ledger_walls",
+                            lambda: {"ledger_s": 0.001,
+                                     "traced_check_s": 0.5})
+        assert ci_checks.main(["speed-gates", "--jobs", "2"]) == 1
+        assert calls == [2]
 
 
 # ---------------------------------------------------------------------
