@@ -6,8 +6,9 @@ Run:  python examples/verify_casestudies.py [--jobs N] [--cache [DIR]]
                                             [--metrics-json PATH]
 
 ``--jobs N`` verifies independent functions on a process pool; ``--cache``
-makes unchanged re-runs cache hits (persisted under ``.rc-cache/`` or the
-given DIR); ``--metrics-json`` dumps the aggregated per-phase metrics.
+re-checks only functions whose inputs changed since the last cached run
+(state under ``.rc-cache/`` or the given DIR); ``--metrics-json`` dumps
+the aggregated per-phase metrics.
 """
 
 import argparse
@@ -19,27 +20,25 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--jobs", type=int, default=1,
                     help="parallel verification workers (0 = one per CPU)")
-    ap.add_argument("--cache", nargs="?", const=True, default=False,
+    ap.add_argument("--cache", nargs="?", const=True, default=None,
                     metavar="DIR",
                     help="enable the result cache (optionally in DIR)")
     ap.add_argument("--metrics-json", metavar="PATH",
                     help="write aggregated driver metrics as JSON")
     args = ap.parse_args(argv)
 
-    from repro.driver import DriverConfig, merge_metrics
+    from repro.driver import DEFAULT_CACHE_DIR, DriverConfig, merge_metrics
     from repro.frontend import verify_files
     from repro.report import (EXTRA_STUDIES, FIGURE7_STUDIES,
                               casestudies_dir, format_table, study_report)
 
-    cache = bool(args.cache)
-    cache_dir = args.cache if isinstance(args.cache, str) else None
+    cache_dir = DEFAULT_CACHE_DIR if args.cache is True else args.cache
     base = casestudies_dir()
     paths = [base / f"{stem}.c"
              for stem, _cls in FIGURE7_STUDIES + EXTRA_STUDIES]
 
     t0 = time.perf_counter()
-    outcomes = verify_files(paths, jobs=args.jobs, cache=cache,
-                            cache_dir=cache_dir)
+    outcomes = verify_files(paths, jobs=args.jobs, cache_dir=cache_dir)
     elapsed = time.perf_counter() - t0
     rows = [study_report(p, outcomes[p.stem]) for p in paths]
     print(format_table(rows))
@@ -53,7 +52,7 @@ def main(argv=None) -> None:
           f"solver {total.phases.solver_s:.2f}s, "
           f"front end {total.phases.parse_s + total.phases.elaborate_s:.2f}s"
           + (f", cache {total.cache_hits} hit / {total.cache_misses} miss"
-             if cache else "") + ")")
+             if cache_dir is not None else "") + ")")
     if args.metrics_json:
         out = Path(args.metrics_json)
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -92,8 +92,8 @@ def measure_driver_walls(jobs: int) -> dict:
     serial_s = wall(jobs=1)
     parallel_s = wall(jobs=jobs)
     with tempfile.TemporaryDirectory(prefix="rc-cache-speed-") as cache:
-        verify_files(paths, jobs=1, cache=True, cache_dir=cache)
-        warm_cache_s = wall(jobs=1, cache=True, cache_dir=cache)
+        verify_files(paths, jobs=1, cache_dir=cache)
+        warm_cache_s = wall(jobs=1, cache_dir=cache)
     return {"serial_s": serial_s, "parallel_s": parallel_s,
             "warm_cache_s": warm_cache_s}
 
@@ -245,8 +245,7 @@ def batch_reference(args) -> int:
     base = casestudies_dir()
     paths = ([base / f"{s}.c" for s in args.stems] if args.stems
              else sorted(base.glob("*.c")))
-    outcomes = verify_files(paths, jobs=args.jobs, cache_dir=None,
-                            incremental=False, ledger=False)
+    outcomes = verify_files(paths, jobs=args.jobs, ledger=False)
     files = {
         stem: {
             name: {"ok": fr.ok, "error": fr.format_error(),

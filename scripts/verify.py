@@ -173,12 +173,11 @@ def main(argv=None) -> int:
     if to_run:
         outcomes = verify_files(
             to_run, jobs=args.jobs,
-            cache_dir=None if args.full else cache_dir,
-            incremental=not args.full)
+            cache_dir=None if args.full else cache_dir)
         for stem, out in outcomes.items():
             m = out.metrics
             rechecked = sum(1 for f in m.functions
-                            if f.cache in ("dirty", "miss", "off"))
+                            if f.cache != "clean")
             all_ok = all_ok and out.ok
             telemetry["files"][stem] = {
                 "status": "verified", "ok": out.ok,

@@ -9,7 +9,7 @@ the metrics JSON schema.
 """
 
 from .cache import (CACHE_FORMAT_VERSION, DEFAULT_CACHE_DIR, ResultCache,
-                    atomic_write_json, function_cache_key)
+                    atomic_write_json)
 from .depgraph import (DepGraph, build_depgraph, engine_fingerprint,
                        transitive_key)
 from .incremental import (IncrementalState, plan_unit,
@@ -24,7 +24,7 @@ __all__ = [
     "DriverConfig", "DriverMetrics", "FunctionMetrics", "FunctionPlan",
     "IncrementalState", "PhaseTimings", "PoolSession", "ResultCache",
     "Unit", "UnitPlan", "atomic_write_json", "build_depgraph",
-    "engine_fingerprint", "function_cache_key", "merge_metrics",
-    "plan_unit", "reset_fresh_counters", "run_units",
-    "run_units_incremental", "transitive_key",
+    "engine_fingerprint", "merge_metrics", "plan_unit",
+    "reset_fresh_counters", "run_units", "run_units_incremental",
+    "transitive_key",
 ]

@@ -1,27 +1,19 @@
 """Content-addressed verification result cache (persisted under
 ``.rc-cache/``).
 
-A cached entry is keyed by a SHA-256 over everything the verification of
-one function depends on:
-
-* the **elaborated Caesium body** (``repr`` of the
-  :class:`~repro.caesium.syntax.Function` — layouts included, so a struct
-  layout change invalidates);
-* the function's **raw spec text** (``repr(RawFunctionAnnotations)``,
-  recorded by the front end in ``TypedProgram.spec_texts``);
-* the **unit context text**: struct annotations and globals
-  (``TypedProgram.context_text``) — data-structure invariants are part of
-  every proof;
-* the **lemma table** and ``rc::tactics`` solvers the spec pulls in
-  (stable ``repr`` of the parsed :class:`~repro.pure.solver.Lemma`
-  values);
-* a cache **format version**, so layout changes of the entry format
-  invalidate old caches wholesale.
+An entry is stored under one key: the function's **transitive key**
+(:func:`repro.driver.depgraph.transitive_key`), a SHA-256 over every
+input node reachable from the function in its unit's dependency graph —
+its body and spec, the specs of its callees, the structs, globals,
+tactics and lemma table it consumes — plus the engine fingerprint.  The
+incremental planner (:mod:`repro.driver.incremental`) computes the key,
+reads the entry for a clean function and has the pool write the entry
+for a re-checked one; nothing else addresses the store.
 
 Entries store the outcome, the deterministic ``Stats.counters()`` and the
-error text — **not** the derivation tree.  A cache hit therefore returns a
-:class:`FunctionResult` with ``derivations=[]``; re-run with the cache
-disabled to regenerate certificates for ``proofs.certcheck``.
+error text — **not** the derivation tree.  A reused entry therefore
+returns a :class:`FunctionResult` with ``derivations=[]``; re-run with
+the cache disabled to regenerate certificates for ``proofs.certcheck``.
 
 Corrupted, truncated, stale-version or otherwise unreadable entries are
 treated as misses, never as errors.
@@ -29,7 +21,6 @@ treated as misses, never as errors.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -40,7 +31,7 @@ from dataclasses import fields as _dc_fields
 
 from ..lithium.search import (TELEMETRY_KEYS, WALL_CLOCK_KEYS, Stats,
                               VerificationError)
-from ..refinedc.checker import FunctionResult, TypedProgram
+from ..refinedc.checker import FunctionResult
 
 CACHE_FORMAT_VERSION = 1
 
@@ -76,26 +67,6 @@ _COUNTER_FIELDS = tuple(
     f.name for f in _dc_fields(Stats)
     if f.name not in TELEMETRY_KEYS + WALL_CLOCK_KEYS
     + ("rules_used", "manual_conditions"))
-
-
-def function_cache_key(tp: TypedProgram, name: str) -> str:
-    """The content hash for one function's verification result."""
-    spec = tp.specs[name]
-    h = hashlib.sha256()
-    h.update(f"rc-cache-v{CACHE_FORMAT_VERSION}\n".encode())
-    h.update(tp.context_text.encode())
-    h.update(b"\x00spec\x00")
-    h.update(tp.spec_texts.get(name, "").encode())
-    h.update(b"\x00body\x00")
-    fn = tp.program.functions.get(name)
-    h.update(repr(fn).encode() if fn is not None else b"<no body>")
-    h.update(b"\x00tactics\x00")
-    h.update(repr(list(spec.tactics)).encode())
-    h.update(b"\x00lemmas\x00")
-    for lemma in sorted(spec.lemmas, key=lambda l: l.name):
-        h.update(repr(lemma).encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 class CachedVerificationError(VerificationError):

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -195,7 +195,7 @@ def plan_unit(unit: Unit, state: IncrementalState, store, engine: str,
                 action="check", label="dirty", store_key=keys[fn],
                 roots=tuple(sorted(dirty[fn])))
             continue
-        hit = store.get(keys[fn]) if store is not None else None
+        hit = store.get(keys[fn])
         if hit is None:
             # Clean but evicted from the result cache: degrade to a
             # re-check, never to a missing outcome.
@@ -288,16 +288,15 @@ def memoized_program(state_cache: dict, stem: str,
 # The incremental entry point.
 # ---------------------------------------------------------------------
 
-def run_units_incremental(units: Sequence[Unit],
-                          config: Optional[DriverConfig] = None,
+def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
                           session: Optional[PoolSession] = None,
                           state_cache: Optional[dict] = None
                           ) -> dict[str, tuple[object, DriverMetrics]]:
     """Drive ``run_units`` through the incremental planner.
 
-    Same signature and result shape as :func:`repro.driver.run_units`;
-    the persistent result cache is implied (``cache=True`` when no cache
-    directory was named).  After the run the fresh graph, per-function
+    Same result shape as :func:`repro.driver.run_units`;
+    ``config.cache_dir`` must name the directory holding the result cache
+    and the planner state.  After the run the fresh graph, per-function
     transitive keys and outcomes are persisted for the next invocation
     — only when some unit's state differs from what was loaded, or the
     state file is absent; an unchanged state is never rewritten.
@@ -308,10 +307,9 @@ def run_units_incremental(units: Sequence[Unit],
     and memoizes each unit's ``(source sha, program, graph)`` so an
     unchanged unit's graph is not rebuilt.
     """
-    config = config or DriverConfig()
-    if not config.cache and config.cache_dir is None:
-        config = replace(config, cache=True)
     store = config.open_cache()
+    if store is None:
+        raise ValueError("a planned run needs config.cache_dir")
     cache_dir = store.root
     engine = engine_fingerprint()
     state = load_state_cached(cache_dir, engine, state_cache)

@@ -38,8 +38,11 @@ from ..lithium.search import TELEMETRY_KEYS
 #       (an input changed — or a callee's spec rippled — so the function
 #       was re-checked), and the per-unit record gains the counters
 #       ``functions_clean`` / ``functions_dirty`` / ``results_reused``.
-#       All three are 0 for non-incremental runs, so v3 consumers keep
-#       working unchanged.
+#       All three are 0 for uncached runs, so v3 consumers keep working
+#       unchanged.  Every cached run is planned, so new records carry
+#       only "off" | "clean" | "dirty"; older records may also carry the
+#       hit and miss states of a retired per-function key, and still load
+#       unchanged.
 #   5 — compiled hot path: the per-function and per-unit records gain
 #       ``dispatch_table_hits`` (flat-table rule dispatch hits) and
 #       ``terms_compiled`` (closure forms stamped onto interned nodes,
@@ -88,7 +91,7 @@ class FunctionMetrics:
 
     name: str
     ok: bool
-    cache: str = "off"    # "off" | "hit" | "miss" | "clean" | "dirty"
+    cache: str = "off"    # "off" | "clean" | "dirty"
     wall_s: float = 0.0           # check wall time (original, if cached)
     solver_s: float = 0.0
     counters: dict = field(default_factory=dict)  # Stats.counters()
@@ -111,7 +114,7 @@ class DriverMetrics:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_s: float = 0.0           # elapsed checking time (excl. front end)
-    solver_cache_hits: int = 0    # summed over live (non-"hit") functions
+    solver_cache_hits: int = 0    # summed over live (non-"clean") functions
     terms_interned: int = 0
     dispatch_table_hits: int = 0  # schema v5, summed like the two above
     terms_compiled: int = 0
@@ -150,7 +153,7 @@ class DriverMetrics:
             self.results_reused += 1
         elif cache == "dirty":
             self.functions_dirty += 1
-        if cache not in ("hit", "clean"):
+        if cache != "clean":
             # Cached entries report the *original* run's times; only live
             # checks contribute to this unit's phase totals.
             self.phases.search_s += max(0.0, wall_s - solver_s)
@@ -178,7 +181,7 @@ class DriverMetrics:
             return {"hits": hits, "total": total,
                     "ratio": round(hits / total, 4) if total else None}
 
-        live = [f for f in self.functions if f.cache not in ("hit", "clean")]
+        live = [f for f in self.functions if f.cache != "clean"]
         solver_calls = sum(f.counters.get("solver_calls", 0) for f in live)
         rule_apps = sum(f.counters.get("rule_applications", 0)
                         for f in live)

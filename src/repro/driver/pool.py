@@ -9,8 +9,10 @@ parallel.  The driver:
 1. schedules independent functions onto a **process pool** (``jobs > 1``),
    with a deterministic in-process serial path as the ``jobs = 1``
    fallback and reference semantics;
-2. consults a **content-addressed result cache** (:mod:`.cache`) before
-   scheduling anything;
+2. follows the incremental planner's per-unit plans
+   (:mod:`.incremental`): a clean function's outcome comes from the
+   content-addressed result cache (:mod:`.cache`) without a check, and a
+   re-checked one is written back under its transitive key;
 3. records **per-phase metrics** (:mod:`.metrics`).
 
 Determinism: before every function check the driver resets the global
@@ -51,7 +53,7 @@ from ..refinedc.checker import (FunctionResult, ProgramResult, TypedProgram,
 from ..trace.profile import trace_summary
 from ..trace.tracer import (FunctionTrace, Tracer, merge_function_traces,
                             set_current, trace_env_enabled)
-from .cache import DEFAULT_CACHE_DIR, ResultCache, function_cache_key
+from .cache import ResultCache
 from .metrics import DriverMetrics, PhaseTimings
 
 
@@ -80,10 +82,11 @@ def reset_fresh_counters() -> None:
 @dataclass
 class DriverConfig:
     """Driver knobs, shared by ``verify_source``/``verify_file`` and the
-    multi-unit entry point."""
+    multi-unit entry point.  ``cache_dir`` names the result cache and
+    planner state of a planned run (``run_units_incremental``); ``None``
+    means no cache."""
 
     jobs: int = 1                 # <=0 means "one per CPU"
-    cache: bool = False
     cache_dir: Optional[Path] = None
     trace: Optional[bool] = None  # None: defer to the RC_TRACE env var
 
@@ -98,11 +101,9 @@ class DriverConfig:
         return trace_env_enabled()
 
     def open_cache(self) -> Optional[ResultCache]:
-        if not self.cache and self.cache_dir is None:
+        if self.cache_dir is None:
             return None
-        root = Path(self.cache_dir) if self.cache_dir is not None \
-            else DEFAULT_CACHE_DIR
-        return ResultCache(root)
+        return ResultCache(self.cache_dir)
 
 
 @dataclass
@@ -123,8 +124,8 @@ class FunctionPlan:
 
     ``action`` is ``"check"`` (re-verify; ``label`` says why it is dirty)
     or ``"reuse"`` (``result`` holds the cached ``(FunctionResult, wall)``
-    to restore verbatim).  ``store_key`` is the incremental result-cache
-    key — re-checked outcomes are stored under it; ``roots`` lists the
+    to restore verbatim).  ``store_key`` is the function's transitive
+    key, under which a re-checked outcome is stored; ``roots`` lists the
     changed input nodes that dirtied the function (for telemetry)."""
 
     action: str                        # "check" | "reuse"
@@ -288,8 +289,9 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
 
     ``plans`` (unit key → :class:`UnitPlan`) is the incremental path:
     planned units reuse cached results for clean functions and schedule
-    only the dirty subset, in the plan's dependency order.  Functions a
-    plan does not mention fall back to the legacy whole-key cache path.
+    only the dirty subset, in the plan's dependency order; re-checked
+    outcomes are written to the result cache under the plan's
+    ``store_key``.  Functions no plan mentions are checked uncached.
 
     ``session`` reuses a caller-owned warm :class:`PoolSession` instead
     of starting (and paying for) a fresh pool for this call."""
@@ -333,18 +335,6 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
                 if store is not None and fplan.store_key is not None:
                     cache_keys[(unit.key, name)] = fplan.store_key
                 m.cache_misses += 1
-                unit_pending.append(name)
-                continue
-            if store is not None:
-                ckey = function_cache_key(unit.tp, name)
-                cache_keys[(unit.key, name)] = ckey
-                hit = store.get(ckey)
-                if hit is not None:
-                    fr, wall = hit
-                    collected[(unit.key, name)] = (fr, wall, "hit")
-                    m.cache_hits += 1
-                    continue
-                m.cache_misses += 1
             unit_pending.append(name)
         if plan is not None and plan.order:
             # Dependency (callee-before-caller) order: at jobs=1 a
@@ -359,10 +349,7 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
         for (ukey, name), (fr, wall, trace) in live.items():
             plan = plans.get(ukey)
             fplan = plan.functions.get(name) if plan is not None else None
-            if fplan is not None:
-                state = fplan.label
-            else:
-                state = "miss" if store is not None else "off"
+            state = fplan.label if fplan is not None else "off"
             collected[(ukey, name)] = (fr, wall, state)
             if trace is not None:
                 events, dropped = trace
@@ -391,16 +378,15 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
                            dispatch_table_hits=fr.stats.dispatch_table_hits,
                            terms_compiled=fr.stats.terms_compiled)
         # Elapsed time is shared by every unit on the pool; a unit's own
-        # checking cost is the sum of its live function walls.  "hit" and
-        # "clean" entries carry the *original* run's wall time.
+        # checking cost is the sum of its live function walls.  "clean"
+        # entries carry the *original* run's wall time.
         m.wall_s = elapsed if len(units) == 1 else \
-            sum(f.wall_s for f in m.functions
-                if f.cache not in ("hit", "clean"))
+            sum(f.wall_s for f in m.functions if f.cache != "clean")
         if tracing:
             # Deterministic merge: front end first, then the live-checked
             # functions in spec order — independent of the schedule that
-            # produced the buffers.  Cache hits have no buffer (the
-            # function was not re-checked).
+            # produced the buffers.  Clean functions have no buffer (they
+            # were not re-checked).
             by_fn = {name: buf for (ukey, name), buf in traces.items()
                      if ukey == unit.key}
             unit_trace = merge_function_traces(

@@ -8,9 +8,10 @@ manual facts.
 
 Stage (B)+(C) is scheduled by the verification driver
 (:mod:`repro.driver`): ``jobs=N`` verifies independent functions on a
-process pool, ``cache=True`` consults the content-addressed result cache
-under ``.rc-cache/``, and every run records per-phase metrics
-(``VerificationOutcome.metrics``).  The defaults (``jobs=1``, cache off)
+process pool, ``cache_dir=DIR`` plans the run through the dependency
+graph and result cache stored under ``DIR`` (only functions whose
+inputs changed are re-checked), and every run records per-phase metrics
+(``VerificationOutcome.metrics``).  The defaults (``jobs=1``, no cache)
 keep the classic serial behaviour.
 
 ``trace=True`` (or ``RC_TRACE=1``) additionally records a structured
@@ -128,26 +129,22 @@ def verify_source(source: str,
                   lemmas: Optional[dict[str, Lemma]] = None,
                   study: str = "", *,
                   jobs: int = 1,
-                  cache: bool = False,
                   cache_dir: Optional[Union[str, Path]] = None,
-                  trace: Optional[bool] = None,
-                  incremental: bool = False
+                  trace: Optional[bool] = None
                   ) -> VerificationOutcome:
     """Verify annotated C source text.
 
-    ``incremental=True`` plans the run through the dependency-aware
+    A ``cache_dir`` plans the run through the dependency-aware
     re-verification engine (:mod:`repro.driver.incremental`): only
     functions whose fingerprinted inputs changed since the state stored
-    under the cache directory are re-checked; the persistent cache is
-    implied."""
+    there are re-checked; the others reuse their cached outcomes."""
     key = study or "<unit>"
     tracing = trace_env_enabled() if trace is None else bool(trace)
     tp, timings, front = _front_end(source, lemmas, tracing, key)
-    config = DriverConfig(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                          trace=tracing)
+    config = DriverConfig(jobs=jobs, cache_dir=cache_dir, trace=tracing)
     unit = Unit(key=key, source=source, tp=tp, lemmas=lemmas,
                 timings=timings, front_trace=front)
-    runner = run_units_incremental if incremental else run_units
+    runner = run_units if cache_dir is None else run_units_incremental
     result, metrics = runner([unit], config)[unit.key]
     return VerificationOutcome(tp, result, study, metrics)
 
@@ -155,10 +152,8 @@ def verify_source(source: str,
 def verify_file(path: Union[str, Path],
                 lemmas: Optional[dict[str, Lemma]] = None, *,
                 jobs: int = 1,
-                cache: bool = False,
                 cache_dir: Optional[Union[str, Path]] = None,
-                trace: Optional[bool] = None,
-                incremental: bool = False
+                trace: Optional[bool] = None
                 ) -> VerificationOutcome:
     """Verify an annotated C file.  Manual lemma tables registered for the
     file's stem (see :mod:`repro.proofs.manual`) are picked up
@@ -168,16 +163,13 @@ def verify_file(path: Union[str, Path],
     if lemmas is None:
         lemmas = LEMMAS_BY_STUDY.get(study)
     return verify_source(path.read_text(), lemmas, study, jobs=jobs,
-                         cache=cache, cache_dir=cache_dir, trace=trace,
-                         incremental=incremental)
+                         cache_dir=cache_dir, trace=trace)
 
 
 def verify_files(paths: Sequence[Union[str, Path]], *,
                  jobs: int = 1,
-                 cache: bool = False,
                  cache_dir: Optional[Union[str, Path]] = None,
                  trace: Optional[bool] = None,
-                 incremental: bool = False,
                  session=None,
                  state_cache: Optional[dict] = None,
                  ledger: bool = True
@@ -186,8 +178,8 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
 
     Returns outcomes keyed by file stem, in input order.  With ``jobs>1``
     every (file, function) pair is one task on a single process pool.
-    ``incremental=True`` re-checks only the functions whose fingerprinted
-    inputs changed since the last run against this cache directory.
+    A ``cache_dir`` re-checks only the functions whose fingerprinted
+    inputs changed since the last run against that directory.
 
     A long-lived caller (the serve daemon) passes ``session`` (a warm
     :class:`repro.driver.PoolSession`) to reuse one worker pool across
@@ -218,34 +210,33 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
         tps[study] = tp
         units.append(Unit(key=study, source=source, tp=tp, lemmas=lemmas,
                           timings=timings, front_trace=front))
-    config = DriverConfig(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                          trace=tracing)
+    config = DriverConfig(jobs=jobs, cache_dir=cache_dir, trace=tracing)
     t0 = time.perf_counter()
-    if incremental:
+    if cache_dir is None:
+        results = run_units(units, config, session=session)
+    else:
         results = run_units_incremental(units, config, session=session,
                                         state_cache=state_cache)
-    else:
-        results = run_units(units, config, session=session)
     wall = time.perf_counter() - t0
     outcomes = {study: VerificationOutcome(tps[study], result, study,
                                            metrics)
                 for study, (result, metrics) in results.items()}
     if ledger:
         _ledger_record(outcomes, jobs=config.resolved_jobs(), wall_s=wall,
-                       cache=bool(cache or cache_dir or incremental),
-                       incremental=incremental)
+                       cached=cache_dir is not None)
     return outcomes
 
 
 def _ledger_record(outcomes: dict, *, jobs: int, wall_s: float,
-                   cache: bool, incremental: bool) -> None:
+                   cached: bool) -> None:
     """Append one run-ledger record when ``RC_LEDGER`` opts in (see
     :mod:`repro.obs.ledger`).  The off path is one environ lookup; the
     imports stay lazy so untelemetered runs never load the observatory.
-    The driver-level run shape (result cache, incremental planning) goes
-    into the record's config block: it changes the wall time as much as
-    any environment flag, so it must split the sentinel's comparability
-    pools."""
+    The driver-level run shape (cached and planned, or not) goes into
+    the record's config block: it changes the wall time as much as any
+    environment flag, so it must split the sentinel's comparability
+    pools.  ``result_cache`` and ``incremental`` are both written and
+    always equal, so pools built from older records stay comparable."""
     from .obs.ledger import ledger_env_path, record_run
     if ledger_env_path() is None:
         return
@@ -254,5 +245,5 @@ def _ledger_record(outcomes: dict, *, jobs: int, wall_s: float,
                metrics=[o.metrics for o in outcomes.values()
                         if o.metrics is not None],
                costs=costs_of_outcomes(outcomes.values()),
-               config_extra={"result_cache": cache,
-                             "incremental": incremental})
+               config_extra={"result_cache": cached,
+                             "incremental": cached})

@@ -116,14 +116,14 @@ def _count_loop_annots(stmts) -> int:
 
 
 def study_report(path, outcome: Optional[VerificationOutcome] = None, *,
-                 jobs: int = 1, cache: bool = False,
-                 cache_dir=None, trace: Optional[bool] = None) -> StudyReport:
+                 jobs: int = 1, cache_dir=None,
+                 trace: Optional[bool] = None) -> StudyReport:
     """Compute the Figure 7 row for one case-study file."""
     path = Path(path)
     source = path.read_text()
     if outcome is None:
-        outcome = verify_file(path, jobs=jobs, cache=cache,
-                              cache_dir=cache_dir, trace=trace)
+        outcome = verify_file(path, jobs=jobs, cache_dir=cache_dir,
+                              trace=trace)
     report = StudyReport(path.stem, outcome.ok)
     report.types_used = [label for needle, label in _SALIENT_TYPES
                          if needle in source]
@@ -176,18 +176,18 @@ def casestudies_dir() -> Path:
 
 
 def figure7_table(include_extra: bool = True, *, jobs: int = 1,
-                  cache: bool = False, cache_dir=None,
-                  trace: Optional[bool] = None) -> list[StudyReport]:
+                  cache_dir=None, trace: Optional[bool] = None
+                  ) -> list[StudyReport]:
     """Regenerate the Figure 7 table over all case studies.
 
     With ``jobs>1`` every (study, function) pair is scheduled on one
-    shared process pool; with ``cache=True`` unchanged studies are cache
-    hits (see :mod:`repro.driver`)."""
+    shared process pool; with a ``cache_dir`` functions whose inputs are
+    unchanged reuse their cached outcomes (see :mod:`repro.driver`)."""
     base = casestudies_dir()
     studies = FIGURE7_STUDIES + (EXTRA_STUDIES if include_extra else [])
     paths = [base / f"{stem}.c" for stem, _cls in studies]
-    outcomes = verify_files(paths, jobs=jobs, cache=cache,
-                            cache_dir=cache_dir, trace=trace)
+    outcomes = verify_files(paths, jobs=jobs, cache_dir=cache_dir,
+                            trace=trace)
     return [study_report(path, outcomes[path.stem]) for path in paths]
 
 

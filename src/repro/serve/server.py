@@ -63,8 +63,6 @@ REQUEST_READ_TIMEOUT_S = 30.0
 #: default daemon state-file name, written under the serve root
 STATE_FILE_NAME = ".rc-serve.json"
 
-_RECHECKED_STATES = ("dirty", "miss", "off")
-
 
 @dataclass
 class ServeConfig:
@@ -469,8 +467,7 @@ class VerifyDaemon:
         failures and observe the recovery path."""
         return verify_files(
             paths, jobs=jobs,
-            cache_dir=None if full else ns.cache_dir,
-            incremental=not full, session=session,
+            cache_dir=None if full else ns.cache_dir, session=session,
             state_cache=None if full else ns.state_cache,
             ledger=False)
 
@@ -531,7 +528,7 @@ class VerifyDaemon:
                             ev["stuck"] = stuck.render()
                     emit(ev)
                 rechecked = sum(1 for f in m.functions
-                                if f.cache in _RECHECKED_STATES)
+                                if f.cache != "clean")
                 emit(event("unit", unit=stem, ok=out.ok,
                            functions=len(m.functions),
                            clean=m.functions_clean,

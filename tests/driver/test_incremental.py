@@ -52,8 +52,7 @@ def rechecked(out):
 
 
 def run(src, tmp_path, **kw):
-    return verify_source(src, cache_dir=tmp_path / "cache",
-                         incremental=True, **kw)
+    return verify_source(src, cache_dir=tmp_path / "cache", **kw)
 
 
 class TestDirtySet:
@@ -112,10 +111,10 @@ class TestCaseStudies:
         work.write_text(text)
         cache = tmp_path / "cache"
 
-        cold = verify_file(work, cache_dir=cache, incremental=True)
+        cold = verify_file(work, cache_dir=cache)
         assert cold.ok
 
-        noop = verify_file(work, cache_dir=cache, incremental=True)
+        noop = verify_file(work, cache_dir=cache)
         assert noop.metrics.functions_dirty == 0
         assert noop.metrics.functions_clean == len(noop.result.functions)
         assert fingerprint(cold) == fingerprint(noop)
@@ -123,7 +122,7 @@ class TestCaseStudies:
         # Leaf body edit: cmp_le only.
         assert "return x <= y;" in text
         work.write_text(text.replace("return x <= y;", "return y >= x;"))
-        out = verify_file(work, cache_dir=cache, incremental=True)
+        out = verify_file(work, cache_dir=cache)
         assert out.ok
         assert rechecked(out) == ["cmp_le"]
 
@@ -133,13 +132,13 @@ class TestCaseStudies:
         text = src_path.read_text()
         work.write_text(text)
         cache = tmp_path / "cache"
-        verify_file(work, cache_dir=cache, incremental=True)
+        verify_file(work, cache_dir=cache)
 
         marker = '[[rc::returns("{x <= y} @ bool<int>")]]'
         assert marker in text
         work.write_text(text.replace(
             marker, '[[rc::returns("{x <= y } @ bool<int>")]]', 1))
-        out = verify_file(work, cache_dir=cache, incremental=True)
+        out = verify_file(work, cache_dir=cache)
         assert out.ok
         # cmp_le's spec changed; binary_search and find_slot both
         # (transitively) call it.
@@ -156,15 +155,13 @@ class TestCaseStudies:
             shutil.copy(study_path(stem), p)
             work_paths.append(p)
         cache = tmp_path / "cache"
-        verify_files(work_paths, jobs=jobs, cache_dir=cache,
-                     incremental=True)
+        verify_files(work_paths, jobs=jobs, cache_dir=cache)
 
         # Edit one leaf in one file; everything else stays clean.
         bs = tmp_path / "binary_search.c"
         bs.write_text(bs.read_text().replace("return x <= y;",
                                              "return y >= x;"))
-        incr = verify_files(work_paths, jobs=jobs, cache_dir=cache,
-                            incremental=True)
+        incr = verify_files(work_paths, jobs=jobs, cache_dir=cache)
         full = verify_files(work_paths, jobs=jobs)
         assert {s: fingerprint(o) for s, o in incr.items()} \
             == {s: fingerprint(o) for s, o in full.items()}
@@ -249,18 +246,15 @@ class TestRobustness:
     def test_concurrent_writers_leave_usable_state(self, tmp_path):
         """Two jobs>1 runs against the same cache dir (as racing CI jobs
         would): both succeed, and the surviving state is valid."""
-        a = verify_source(CHAIN, cache_dir=tmp_path / "cache",
-                          incremental=True, jobs=2)
+        a = verify_source(CHAIN, cache_dir=tmp_path / "cache", jobs=2)
         b = verify_source(CHAIN.replace("{ return x; }",
                                         "{ return x + 0; }"),
-                          cache_dir=tmp_path / "cache",
-                          incremental=True, jobs=2)
+                          cache_dir=tmp_path / "cache", jobs=2)
         assert a.ok and b.ok
         state = IncrementalState.load(tmp_path / "cache",
                                       engine_fingerprint())
         assert state.units  # last writer's state parsed fine
-        again = verify_source(CHAIN, cache_dir=tmp_path / "cache",
-                              incremental=True)
+        again = verify_source(CHAIN, cache_dir=tmp_path / "cache")
         assert again.ok
         assert fingerprint(a) == fingerprint(again)
 
@@ -305,8 +299,8 @@ class TestStateWrites:
         """One driver call per file, the way the serve daemon runs a
         request."""
         for p in paths:
-            verify_files([p], cache_dir=cache, incremental=True,
-                         state_cache=state_cache, ledger=False)
+            verify_files([p], cache_dir=cache, state_cache=state_cache,
+                         ledger=False)
 
     def test_noop_rerun_leaves_state_file_untouched(self, tmp_path, saves):
         run(CHAIN, tmp_path)
@@ -371,9 +365,9 @@ def test_memoized_programs_recheck_like_fresh_ones(tmp_path):
     same outcomes, counters and error text as a fresh elaboration."""
     paths = [study_path(stem) for stem in ALL_STUDIES]
     state_cache: dict = {}
-    first = verify_files(paths, cache_dir=tmp_path / "a", incremental=True,
+    first = verify_files(paths, cache_dir=tmp_path / "a",
                          state_cache=state_cache, ledger=False)
-    again = verify_files(paths, cache_dir=tmp_path / "b", incremental=True,
+    again = verify_files(paths, cache_dir=tmp_path / "b",
                          state_cache=state_cache, ledger=False)
     fresh = verify_files(paths, ledger=False)
     for stem in ALL_STUDIES:

@@ -68,9 +68,8 @@ def test_json_v4_incremental_counters(tmp_path):
     assert data["functions_dirty"] == 0
     assert data["results_reused"] == 0
 
-    verify_file(study_path("mpool"), cache_dir=tmp_path, incremental=True)
-    warm = verify_file(study_path("mpool"), cache_dir=tmp_path,
-                       incremental=True)
+    verify_file(study_path("mpool"), cache_dir=tmp_path)
+    warm = verify_file(study_path("mpool"), cache_dir=tmp_path)
     data = json.loads(warm.metrics.to_json())
     assert data["functions_clean"] == len(data["functions"])
     assert data["functions_dirty"] == 0

@@ -15,11 +15,15 @@ against the same golden file:
 * ``warm_pure`` — a second in-process pass with the pure caches kept
   from the first;
 * ``traced`` — the serial pass with tracing on;
-* ``result_cache_warm`` — a second batch against a filled result cache,
-  which must serve every function (0 misses);
-* ``incremental_noop`` — an incremental rerun over unchanged state,
-  which must re-check 0 functions and agree with the incremental cold
-  pass before it.
+* ``result_cache_warm`` — a cold cached batch on a two-worker pool
+  (so the cache holds entries written from worker results), then a
+  serial rerun over the unchanged state, which must serve every
+  function from the cache (0 misses, 0 dirty) and agree with the cold
+  pass before it;
+* ``incremental_noop`` — a cold cached batch run serially (so the cache
+  holds entries written in-process), then a serial rerun over the
+  unchanged state, which must re-check 0 functions and agree with the
+  cold pass before it.
 
 Regenerate (only when a change to the fingerprint is intended)::
 
@@ -67,15 +71,18 @@ def _pooled(paths, _tmp):
 
 
 def _result_cache_warm(paths, tmp):
-    verify_files(paths, cache=True, cache_dir=tmp)
-    warm = verify_files(paths, cache=True, cache_dir=tmp)
+    cold = verify_files(paths, jobs=2, cache_dir=tmp)
+    warm = verify_files(paths, jobs=1, cache_dir=tmp)
     assert sum(o.metrics.cache_misses for o in warm.values()) == 0
+    assert sum(o.metrics.functions_dirty for o in warm.values()) == 0
+    assert ({s: fingerprint(o) for s, o in cold.items()}
+            == {s: fingerprint(o) for s, o in warm.items()})
     return warm
 
 
 def _incremental_noop(paths, tmp):
-    cold = verify_files(paths, cache_dir=tmp, incremental=True)
-    noop = verify_files(paths, cache_dir=tmp, incremental=True)
+    cold = verify_files(paths, cache_dir=tmp)
+    noop = verify_files(paths, cache_dir=tmp)
     assert sum(o.metrics.functions_dirty for o in noop.values()) == 0
     assert ({s: fingerprint(o) for s, o in cold.items()}
             == {s: fingerprint(o) for s, o in noop.items()})

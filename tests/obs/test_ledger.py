@@ -15,7 +15,7 @@ from repro.obs.ledger import ledger_env_path
 def make_metrics(wall_s=0.1, hits=3, misses=1):
     m = DriverMetrics(study="unit", jobs=1, cache_enabled=True,
                       cache_hits=hits, cache_misses=misses, wall_s=wall_s)
-    m.add_function("f", True, "miss", wall_s, wall_s / 2,
+    m.add_function("f", True, "dirty", wall_s, wall_s / 2,
                    {"solver_calls": 10, "rule_applications": 40},
                    solver_cache_hits=4)
     return m

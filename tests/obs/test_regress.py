@@ -19,7 +19,7 @@ def baseline_record(wall_s=1.0, now=1000.0):
     """A realistic ledger record with live cache-effectiveness ratios."""
     m = DriverMetrics(study="unit", jobs=1, cache_enabled=True,
                       cache_hits=8, cache_misses=2, wall_s=wall_s)
-    m.add_function("f", True, "miss", wall_s, wall_s / 2,
+    m.add_function("f", True, "dirty", wall_s, wall_s / 2,
                    {"solver_calls": 100, "rule_applications": 400},
                    solver_cache_hits=60, dispatch_table_hits=380)
     return build_record("verify", wall_s=wall_s, jobs=1,

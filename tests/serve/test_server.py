@@ -21,8 +21,7 @@ from .conftest import done_of, events_of, make_project
 def batch_fingerprint(paths):
     """(unit, fn, ok, counters) rows from one plain batch run — the
     reference the daemon's streamed results must match exactly."""
-    outcomes = verify_files(paths, jobs=1, cache_dir=None,
-                            incremental=False, ledger=False)
+    outcomes = verify_files(paths, jobs=1, ledger=False)
     return sorted(
         (stem, name, fr.ok, fr.stats.counters())
         for stem, out in outcomes.items()
