@@ -51,7 +51,8 @@ def main(argv=None) -> None:
           f"(search {total.phases.search_s:.2f}s, "
           f"solver {total.phases.solver_s:.2f}s, "
           f"front end {total.phases.parse_s + total.phases.elaborate_s:.2f}s"
-          + (f", cache {total.cache_hits} hit / {total.cache_misses} miss"
+          + (f", cache {total.functions_clean} clean / "
+             f"{total.functions_dirty} dirty"
              if cache_dir is not None else "") + ")")
     if args.metrics_json:
         out = Path(args.metrics_json)

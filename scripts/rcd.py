@@ -11,10 +11,14 @@ Commands:
   is given and publishes its address in the state file
   (``<root>/.rc-serve.json``), which every other command reads.
 * ``status`` — the daemon's live telemetry: uptime, queue depth and
-  waits, warm-session batches/resets, per-namespace served counts.
+  waits, warm-session batches/resets, per-namespace served units and
+  function checks run (clean reuses are not checks).
 * ``verify`` — verify case-study stems or ``.c`` paths through the
   daemon.  Incremental re-verification against the namespace's warm
   state is the *default* hot path; ``--full`` forces a cache-free run.
+  Each unit and the total print the run counts of
+  ``DriverMetrics.counts``: functions, clean / dirty, re-checked in
+  this request, failures.
   ``--json`` writes the canonical per-function outcome map the CI
   serve-smoke job diffs against a batch run.
 * ``watch``  — poll the watched files (mtime/sha) and feed each dirty

@@ -39,6 +39,7 @@ from repro.obs import (MIN_HISTORY, RATIO_ABS_TOL,     # noqa: E402
 from repro.obs.aggregate import SOLVER_PREFIX          # noqa: E402
 from repro.obs.ledger import (DEFAULT_LEDGER_PATH,     # noqa: E402
                               KNOWN_KINDS, ledger_env_path)
+from repro.obs.regress import RATIO_FIELDS            # noqa: E402
 from repro.trace.signature import RULE_PREFIX          # noqa: E402
 
 EXIT_REGRESSION = 3
@@ -52,19 +53,20 @@ def fmt_ts(ts: float) -> str:
     return time.strftime("%m-%d %H:%M", time.localtime(ts))
 
 
+#: one short column heading per watched cache-effectiveness layer
+LAYER_HEADS = " ".join(f"{layer.split('_')[0][:6]:>6}"
+                       for layer, _field in RATIO_FIELDS)
+
+
 def effectiveness_cells(record: dict) -> str:
     eff = record.get("cache_effectiveness", {})
-    return " ".join(
-        fmt_ratio((eff.get(layer) or {}).get(field))
-        for layer, field in (("result_cache", "ratio"),
-                             ("solver_memo", "ratio"),
-                             ("dispatch_table", "per_application"),
-                             ("depgraph", "ratio")))
+    return " ".join(f"{fmt_ratio((eff.get(layer) or {}).get(field)):>6}"
+                    for layer, field in RATIO_FIELDS)
 
 
 def dashboard(records, limit: int) -> str:
     lines = [f"{'when':<12} {'kind':<7} {'sha':<8} {'jobs':>4} "
-             f"{'wall':>9}  {'rcache memo  disp   dep':<30} suite"]
+             f"{'wall':>9}  {LAYER_HEADS:<24} suite"]
     for r in records[-limit:]:
         sha = (r.get("git_sha") or "")[:8] or "-"
         suite = ",".join(r.get("suite", [])) or "-"
@@ -74,28 +76,18 @@ def dashboard(records, limit: int) -> str:
             f"{fmt_ts(r.get('ts', 0)):<12} {r.get('kind', '?'):<7} "
             f"{sha:<8} {r.get('jobs', 1):>4} "
             f"{r.get('wall_s', 0.0) * 1e3:>7.1f}ms  "
-            f"{effectiveness_cells(r):<30} {suite}")
+            f"{effectiveness_cells(r):<24} {suite}")
     return "\n".join(lines)
 
 
 def cache_report(records, limit: int) -> str:
     lines = ["per-layer cache effectiveness (newest last; '-' = layer "
              "never ran)",
-             f"{'when':<12} {'kind':<7} {'result':>7} {'memo':>6} "
-             f"{'disp':>6} {'dep':>6}"]
+             f"{'when':<12} {'kind':<7} {LAYER_HEADS}"]
     for r in records[-limit:]:
-        if "cache_effectiveness" not in r:
-            continue
-        eff = r["cache_effectiveness"]
-
-        def cell(layer, field="ratio"):
-            return fmt_ratio((eff.get(layer) or {}).get(field))
-
-        lines.append(f"{fmt_ts(r.get('ts', 0)):<12} "
-                     f"{r.get('kind', '?'):<7} "
-                     f"{cell('result_cache'):>7} {cell('solver_memo'):>6} "
-                     f"{cell('dispatch_table', 'per_application'):>6} "
-                     f"{cell('depgraph'):>6}")
+        if "cache_effectiveness" in r:
+            lines.append(f"{fmt_ts(r.get('ts', 0)):<12} "
+                         f"{r.get('kind', '?'):<7} {effectiveness_cells(r)}")
     return "\n".join(lines)
 
 
@@ -135,9 +127,7 @@ def diff_records(a: dict, b: dict, top: int) -> str:
 
     eff_a = a.get("cache_effectiveness", {})
     eff_b = b.get("cache_effectiveness", {})
-    for layer in sorted(set(eff_a) | set(eff_b)):
-        field = ("per_application" if layer == "dispatch_table"
-                 else "ratio")
+    for layer, field in RATIO_FIELDS:
         ra = (eff_a.get(layer) or {}).get(field)
         rb = (eff_b.get(layer) or {}).get(field)
         if ra != rb:

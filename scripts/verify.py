@@ -19,8 +19,10 @@ persisted per-function outcomes; changed or unknown files run through
 the incremental engine, which re-checks only the dirty functions inside
 them.  If git fails, every file is conservatively treated as changed.
 
-``--json`` writes the hit/dirty telemetry (per file: clean / dirty /
-reused / re-checked functions) — the artifact the CI job uploads.
+``--json`` writes the run counts of ``DriverMetrics.counts`` per file
+and in total (functions, clean, dirty, re-checked in this run, failed;
+a skipped file's stored functions count as clean) — the artifact the
+CI job uploads.
 Exit code 0 iff every function of every requested file verifies
 (including the stored outcomes of skipped files).
 """
@@ -34,7 +36,9 @@ from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.driver import DEFAULT_CACHE_DIR, engine_fingerprint  # noqa: E402
+from repro.driver import (DEFAULT_CACHE_DIR, DriverMetrics,    # noqa: E402
+                          FunctionMetrics, engine_fingerprint,
+                          merge_metrics)
 from repro.driver.incremental import (IncrementalState,         # noqa: E402
                                       source_sha)
 from repro.frontend import verify_files                         # noqa: E402
@@ -107,19 +111,23 @@ def main(argv=None) -> int:
                     help="skip files unchanged since REV whose stored "
                          "state is still valid")
     ap.add_argument("--json", dest="json_path", default="",
-                    help="write hit/dirty telemetry JSON to PATH")
+                    help="write the run counts as JSON to PATH")
     args = ap.parse_args(argv)
 
     paths = resolve_paths(args.paths)
     cache_dir = Path(args.cache_dir)
     telemetry = {"cache_dir": str(cache_dir), "jobs": args.jobs,
                  "mode": "full" if args.full else "incremental",
-                 "files": {}, "totals": {"functions": 0, "clean": 0,
-                                         "dirty": 0, "reused": 0,
-                                         "rechecked": 0, "skipped_files": 0,
-                                         "failed": 0}}
-    tot = telemetry["totals"]
+                 "files": {}}
+    reported = []        # one DriverMetrics per reported file
+    skipped = 0
     all_ok = True
+
+    def report(stem, status, ok, m) -> dict:
+        entry = telemetry["files"][stem] = {"status": status, "ok": ok,
+                                            **m.counts()}
+        reported.append(m)
+        return entry
 
     # A requested file may not exist on disk — most commonly a .c file
     # deleted on the PR branch while a CI matrix still names it (the
@@ -134,10 +142,8 @@ def main(argv=None) -> int:
             print(f"verify: no such file: {p}", file=sys.stderr)
         return 2
     for p in missing:
-        telemetry["files"][p.stem] = {
-            "status": "skipped-deleted", "ok": True, "functions": 0,
-            "clean": 0, "dirty": 0, "reused": 0, "rechecked": 0}
-        tot["skipped_files"] += 1
+        report(p.stem, "skipped-deleted", True, DriverMetrics(study=p.stem))
+        skipped += 1
         print(f"{p.stem}: deleted, nothing to verify (skipped)")
     paths = [p for p in paths if p not in missing]
 
@@ -152,20 +158,17 @@ def main(argv=None) -> int:
                     and unit.source_sha == source_sha(p.read_text())
                     and unit.functions):
                 # Unchanged since REV and the stored state still matches
-                # the file on disk: report the persisted outcomes.
-                oks = {fn: rec["ok"] for fn, rec in unit.functions.items()}
-                file_ok = all(oks.values())
+                # the file on disk: report the persisted outcomes, as
+                # clean functions nothing re-checked.
+                m = DriverMetrics(study=p.stem, functions=[
+                    FunctionMetrics(fn, rec["ok"], "clean")
+                    for fn, rec in unit.functions.items()])
+                file_ok = all(f.ok for f in m.functions)
                 all_ok = all_ok and file_ok
-                telemetry["files"][p.stem] = {
-                    "status": "skipped-unchanged", "ok": file_ok,
-                    "functions": len(oks), "clean": len(oks), "dirty": 0,
-                    "reused": 0, "rechecked": 0}
-                tot["functions"] += len(oks)
-                tot["clean"] += len(oks)
-                tot["skipped_files"] += 1
-                tot["failed"] += sum(1 for ok in oks.values() if not ok)
+                report(p.stem, "skipped-unchanged", file_ok, m)
+                skipped += 1
                 print(f"{p.stem}: unchanged since {args.changed_since}, "
-                      f"{len(oks)} function(s) "
+                      f"{len(m.functions)} function(s) "
                       f"{'ok' if file_ok else 'FAILED'} (skipped)")
             else:
                 to_run.append(p)
@@ -176,28 +179,18 @@ def main(argv=None) -> int:
             cache_dir=None if args.full else cache_dir)
         for stem, out in outcomes.items():
             m = out.metrics
-            rechecked = sum(1 for f in m.functions
-                            if f.cache != "clean")
             all_ok = all_ok and out.ok
-            telemetry["files"][stem] = {
-                "status": "verified", "ok": out.ok,
-                "functions": len(m.functions),
-                "clean": m.functions_clean, "dirty": m.functions_dirty,
-                "reused": m.results_reused, "rechecked": rechecked}
-            tot["functions"] += len(m.functions)
-            tot["clean"] += m.functions_clean
-            tot["dirty"] += m.functions_dirty
-            tot["reused"] += m.results_reused
-            tot["rechecked"] += rechecked
-            tot["failed"] += sum(1 for f in m.functions if not f.ok)
-            print(f"{stem}: {len(m.functions)} function(s), "
-                  f"{m.functions_clean} clean / {m.functions_dirty} dirty, "
-                  f"{rechecked} re-checked "
+            c = report(stem, "verified", out.ok, m)
+            print(f"{stem}: {c['functions']} function(s), "
+                  f"{c['clean']} clean / {c['dirty']} dirty, "
+                  f"{c['rechecked']} re-checked "
                   f"{'ok' if out.ok else 'FAILED'}")
             for f in m.functions:
                 if not f.ok:
                     print(f"  FAILED {f.name}")
 
+    tot = telemetry["totals"] = dict(merge_metrics(reported).counts(),
+                                     skipped_files=skipped)
     telemetry["ok"] = all_ok
     print(f"total: {tot['functions']} function(s), {tot['clean']} clean, "
           f"{tot['rechecked']} re-checked, {tot['skipped_files']} file(s) "

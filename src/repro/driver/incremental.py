@@ -192,7 +192,7 @@ def plan_unit(unit: Unit, state: IncrementalState, store, engine: str,
     for fn in to_check:
         if fn in dirty:
             plan.functions[fn] = FunctionPlan(
-                action="check", label="dirty", store_key=keys[fn],
+                action="check", store_key=keys[fn],
                 roots=tuple(sorted(dirty[fn])))
             continue
         hit = store.get(keys[fn])
@@ -200,12 +200,10 @@ def plan_unit(unit: Unit, state: IncrementalState, store, engine: str,
             # Clean but evicted from the result cache: degrade to a
             # re-check, never to a missing outcome.
             plan.functions[fn] = FunctionPlan(
-                action="check", label="dirty", store_key=keys[fn],
-                roots=("cache-evicted",))
+                action="check", store_key=keys[fn], roots=("cache-evicted",))
         else:
             plan.functions[fn] = FunctionPlan(
-                action="reuse", label="clean", store_key=keys[fn],
-                result=hit)
+                action="reuse", store_key=keys[fn], result=hit)
     plan.order = _topo_order(
         [fn for fn, fp in plan.functions.items() if fp.action == "check"],
         graph, list(unit.tp.specs))

@@ -122,14 +122,14 @@ class Unit:
 class FunctionPlan:
     """What the incremental planner decided for one function.
 
-    ``action`` is ``"check"`` (re-verify; ``label`` says why it is dirty)
-    or ``"reuse"`` (``result`` holds the cached ``(FunctionResult, wall)``
-    to restore verbatim).  ``store_key`` is the function's transitive
-    key, under which a re-checked outcome is stored; ``roots`` lists the
-    changed input nodes that dirtied the function (for telemetry)."""
+    ``action`` is ``"check"`` (the function is dirty: re-verify it) or
+    ``"reuse"`` (it is clean: ``result`` holds the cached
+    ``(FunctionResult, wall)`` to restore verbatim).  ``store_key`` is
+    the function's transitive key, under which a re-checked outcome is
+    stored; ``roots`` lists the changed input nodes that dirtied the
+    function (for telemetry)."""
 
     action: str                        # "check" | "reuse"
-    label: str = "dirty"               # "dirty" | "clean"
     store_key: Optional[str] = None
     result: Optional[tuple] = None     # (FunctionResult, wall_s)
     roots: tuple[str, ...] = ()
@@ -330,11 +330,9 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
                 if fplan.action == "reuse" and fplan.result is not None:
                     fr, wall = fplan.result
                     collected[(unit.key, name)] = (fr, wall, "clean")
-                    m.cache_hits += 1
                     continue
                 if store is not None and fplan.store_key is not None:
                     cache_keys[(unit.key, name)] = fplan.store_key
-                m.cache_misses += 1
             unit_pending.append(name)
         if plan is not None and plan.order:
             # Dependency (callee-before-caller) order: at jobs=1 a
@@ -348,9 +346,10 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
         live = _run_pending(pending, units_by_key, jobs, tracing, session)
         for (ukey, name), (fr, wall, trace) in live.items():
             plan = plans.get(ukey)
-            fplan = plan.functions.get(name) if plan is not None else None
-            state = fplan.label if fplan is not None else "off"
-            collected[(ukey, name)] = (fr, wall, state)
+            planned = plan is not None and name in plan.functions
+            collected[(ukey, name)] = (fr, wall,
+                                       "dirty" if planned else "off")
+            metrics[ukey].functions_rechecked += 1
             if trace is not None:
                 events, dropped = trace
                 traces[(ukey, name)] = FunctionTrace(ukey, name, events,
@@ -371,12 +370,7 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
                 continue
             fr, wall, state = item
             result.functions[name] = fr
-            m.add_function(name, fr.ok, state, wall, fr.stats.solver_time,
-                           fr.stats.counters(),
-                           solver_cache_hits=fr.stats.solver_cache_hits,
-                           terms_interned=fr.stats.terms_interned,
-                           dispatch_table_hits=fr.stats.dispatch_table_hits,
-                           terms_compiled=fr.stats.terms_compiled)
+            m.add_function(fr, state, wall)
         # Elapsed time is shared by every unit on the pool; a unit's own
         # checking cost is the sum of its live function walls.  "clean"
         # entries carry the *original* run's wall time.

@@ -11,7 +11,7 @@ configuration, and what it cost —
   run shape (result cache, incremental mode), job count, and the unit
   suite, so the regression sentinel never compares apples to oranges;
 * cost: total wall seconds, per-function wall times keyed
-  ``<unit>:<function>``, the schema-v6 cache-effectiveness block, and
+  ``<unit>:<function>``, the cache-effectiveness block, and
   optionally the :class:`~.aggregate.RuleCostMap` of the run.
 
 Append durability matters more than read speed: a record is serialized

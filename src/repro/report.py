@@ -54,8 +54,7 @@ class StudyReport:
     pure_lines: int = 0
     # Driver metrics (new columns next to the paper's):
     wall_s: float = 0.0           # checking wall time for the unit
-    cache_hits: int = 0
-    cache_misses: int = 0
+    counts: dict = field(default_factory=dict)   # DriverMetrics.counts()
 
     @property
     def overhead(self) -> float:
@@ -78,8 +77,9 @@ class StudyReport:
             "pure": self.pure_lines,
             "ovh": round(self.overhead, 1),
             "time": f"{self.wall_s * 1e3:.0f}ms",
-            "cache": (f"{self.cache_hits}h/{self.cache_misses}m"
-                      if self.cache_hits or self.cache_misses else "-"),
+            "cache": (f"{self.counts['clean']}c/{self.counts['dirty']}d"
+                      if self.counts.get("clean") or self.counts.get("dirty")
+                      else "-"),
         }
 
 
@@ -146,8 +146,7 @@ def study_report(path, outcome: Optional[VerificationOutcome] = None, *,
     if outcome.metrics is not None:
         m = outcome.metrics
         report.wall_s = m.wall_s
-        report.cache_hits = m.cache_hits
-        report.cache_misses = m.cache_misses
+        report.counts = m.counts()
     return report
 
 

@@ -31,8 +31,9 @@ Architecture (see DESIGN.md "Verification as a service"):
 
 Observability: every served verify request appends one ``kind=serve``
 ledger record (:mod:`repro.obs.ledger`) carrying queue wait, warm-pool
-telemetry (session batches/resets, clean/dirty splits) and
-per-function walls — ``rcstat --kind serve`` then shows the
+telemetry (session batches/resets), the per-unit run counts of
+:meth:`~repro.driver.metrics.DriverMetrics.counts` and per-function
+walls — ``rcstat --kind serve`` then shows the
 daemon-vs-batch trajectory next to every other run kind.
 """
 
@@ -48,6 +49,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from ..driver.incremental import memoized_program
+from ..driver.metrics import merge_metrics
 from ..driver.pool import PoolSession
 from ..frontend import verify_files
 from ..obs.ledger import ledger_env_path, record_run
@@ -98,7 +100,7 @@ class Namespace:
     cache_dir: Path
     state_cache: dict = field(default_factory=dict)
     served: int = 0
-    functions_checked: int = 0
+    functions_checked: int = 0    # checks run, clean reuses excluded
 
     @property
     def default_dir(self) -> Path:
@@ -480,11 +482,8 @@ class VerifyDaemon:
         session = self.session() if jobs > 1 else None
 
         t0 = time.perf_counter()
-        totals = {"files": 0, "functions": 0, "clean": 0, "dirty": 0,
-                  "reused": 0, "rechecked": 0, "failed": 0}
         recovered = parsed = 0
         all_metrics = []
-        suite: list[str] = []
         ok = True
         # One driver call per file, streamed in request order: the
         # client sees each unit's functions as soon as that unit is
@@ -512,7 +511,6 @@ class VerifyDaemon:
                 parsed += out.typed_program is not memo
                 m = out.metrics
                 all_metrics.append(m)
-                suite.append(stem)
                 by_name = {f.name: f for f in m.functions}
                 for name, fr in out.result.functions.items():
                     fm = by_name.get(name)
@@ -527,57 +525,41 @@ class VerifyDaemon:
                         if stuck is not None:
                             ev["stuck"] = stuck.render()
                     emit(ev)
-                rechecked = sum(1 for f in m.functions
-                                if f.cache != "clean")
                 emit(event("unit", unit=stem, ok=out.ok,
-                           functions=len(m.functions),
-                           clean=m.functions_clean,
-                           dirty=m.functions_dirty,
-                           reused=m.results_reused,
-                           rechecked=rechecked,
-                           wall_s=round(m.wall_s, 6)))
+                           wall_s=round(m.wall_s, 6), **m.counts()))
                 ok = ok and out.ok
-                totals["files"] += 1
-                totals["functions"] += len(m.functions)
-                totals["clean"] += m.functions_clean
-                totals["dirty"] += m.functions_dirty
-                totals["reused"] += m.results_reused
-                totals["rechecked"] += rechecked
-                totals["failed"] += sum(1 for f in m.functions
-                                        if not f.ok)
                 ns.served += 1
-                ns.functions_checked += len(m.functions)
         wall = time.perf_counter() - t0
+        totals = merge_metrics(all_metrics).counts()
+        ns.functions_checked += totals["rechecked"]
         warm = totals["functions"] > 0 and totals["rechecked"] == 0
         summary = dict(ok=ok, wall_s=round(wall, 6),
                        queue_wait_s=round(queue_wait_s, 6), warm=warm,
                        namespace=str(ns.root), jobs=jobs,
-                       recovered=recovered, parsed=parsed, **totals)
+                       recovered=recovered, parsed=parsed,
+                       files=len(all_metrics), **totals)
         if session is not None:
             summary["session"] = {"jobs": session.jobs,
                                   "batches": session.batches,
                                   "tasks": session.tasks,
                                   "resets": session.resets}
         emit(event("done", **summary))
-        self._ledger_record(summary, all_metrics, suite, jobs, wall,
-                            full)
+        self._ledger_record(summary, all_metrics, jobs, wall, full)
 
-    def _ledger_record(self, summary: dict, metrics: list,
-                       suite: list[str], jobs: int, wall: float,
-                       full: bool) -> None:
+    def _ledger_record(self, summary: dict, metrics: list, jobs: int,
+                       wall: float, full: bool) -> None:
         if self.ledger_target is None:
             return
         extra = {k: summary[k] for k in
                  ("queue_wait_s", "warm", "clean", "dirty", "rechecked",
                   "recovered", "parsed", "namespace")}
+        extra["units"] = {m.study: m.counts() for m in metrics}
         extra["session_batches"] = (summary.get("session") or {}) \
             .get("batches", 0)
         extra["session_resets"] = (summary.get("session") or {}) \
             .get("resets", 0)
-        record_run("serve", wall_s=wall, jobs=jobs,
-                   metrics=[m for m in metrics if m is not None],
-                   suite=suite,
-                   extra=extra,
+        record_run("serve", wall_s=wall, jobs=jobs, metrics=metrics,
+                   suite=[m.study for m in metrics], extra=extra,
                    config_extra={"result_cache": not full,
                                  "incremental": not full},
                    path=self.ledger_target)

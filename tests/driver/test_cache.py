@@ -51,19 +51,19 @@ def _key(tp, name, lemmas=None):
 class TestHits:
     def test_second_run_hits(self, tmp_path):
         first = verify_source(SRC, cache_dir=tmp_path)
-        assert first.metrics.cache_misses == 2
-        assert first.metrics.cache_hits == 0
+        assert first.metrics.functions_dirty == 2
+        assert first.metrics.functions_clean == 0
         second = verify_source(SRC, cache_dir=tmp_path)
-        assert second.metrics.cache_hits == 2
-        assert second.metrics.cache_misses == 0
+        assert second.metrics.functions_clean == 2
+        assert second.metrics.functions_dirty == 0
         assert fingerprint(first) == fingerprint(second)
 
     def test_case_study_rerun_is_all_hits(self, tmp_path):
         path = study_path("mpool")
         first = verify_file(path, cache_dir=tmp_path)
         second = verify_file(path, cache_dir=tmp_path)
-        assert second.metrics.cache_hits == len(second.result.functions)
-        assert second.metrics.cache_misses == 0
+        assert second.metrics.functions_clean == len(second.result.functions)
+        assert second.metrics.functions_dirty == 0
         assert fingerprint(first) == fingerprint(second)
 
     def test_failures_are_cached_with_error_text(self, tmp_path):
@@ -71,7 +71,7 @@ class TestHits:
         first = verify_source(bad, cache_dir=tmp_path)
         second = verify_source(bad, cache_dir=tmp_path)
         assert not first.ok and not second.ok
-        assert second.metrics.cache_hits == 2
+        assert second.metrics.functions_clean == 2
         assert fingerprint(first) == fingerprint(second)
 
     def test_hit_marks_metrics(self, tmp_path):
@@ -86,15 +86,15 @@ class TestInvalidation:
         changed = SRC.replace("{n <= 1000}", "{n <= 999}")
         out = verify_source(changed, cache_dir=tmp_path)
         # inc's spec changed -> miss; id is untouched -> hit.
-        assert out.metrics.cache_misses == 1
-        assert out.metrics.cache_hits == 1
+        assert out.metrics.functions_dirty == 1
+        assert out.metrics.functions_clean == 1
 
     def test_body_change_misses(self, tmp_path):
         verify_source(SRC, cache_dir=tmp_path)
         changed = SRC.replace("return x; }", "return x + 0; }")
         out = verify_source(changed, cache_dir=tmp_path)
-        assert out.metrics.cache_misses == 1
-        assert out.metrics.cache_hits == 1
+        assert out.metrics.functions_dirty == 1
+        assert out.metrics.functions_clean == 1
 
     def test_struct_annotation_change_invalidates_all(self, tmp_path):
         src = study_path("alloc").read_text()
@@ -111,7 +111,7 @@ class TestInvalidation:
         assert changed != src
         out = verify_source(changed, cache_dir=tmp_path)
         assert out.ok
-        assert out.metrics.cache_hits == 0
+        assert out.metrics.functions_clean == 0
 
     def test_callee_spec_change_rechecks_caller(self, tmp_path):
         """Tightening a callee's precondition must re-check its caller:
@@ -158,15 +158,15 @@ class TestRobustness:
             entry.write_text("{ not json !!")
         out = verify_source(SRC, cache_dir=tmp_path)
         assert out.ok
-        assert out.metrics.cache_hits == 0
-        assert out.metrics.cache_misses == 2
+        assert out.metrics.functions_clean == 0
+        assert out.metrics.functions_dirty == 2
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         verify_source(SRC, cache_dir=tmp_path)
         for entry in _entries(tmp_path):
             entry.write_text(entry.read_text()[:40])
         out = verify_source(SRC, cache_dir=tmp_path)
-        assert out.ok and out.metrics.cache_hits == 0
+        assert out.ok and out.metrics.functions_clean == 0
 
     def test_stale_format_version_is_a_miss(self, tmp_path):
         verify_source(SRC, cache_dir=tmp_path)
@@ -175,7 +175,7 @@ class TestRobustness:
             data["format_version"] = -1
             entry.write_text(json.dumps(data))
         out = verify_source(SRC, cache_dir=tmp_path)
-        assert out.ok and out.metrics.cache_hits == 0
+        assert out.ok and out.metrics.functions_clean == 0
 
     def test_semantically_broken_entry_is_a_miss(self, tmp_path):
         verify_source(SRC, cache_dir=tmp_path)
@@ -185,7 +185,7 @@ class TestRobustness:
             data["error"] = None
             entry.write_text(json.dumps(data))
         out = verify_source(SRC, cache_dir=tmp_path)
-        assert out.ok and out.metrics.cache_hits == 0
+        assert out.ok and out.metrics.functions_clean == 0
 
     def test_corrupt_entries_are_repaired_on_rewrite(self, tmp_path):
         verify_source(SRC, cache_dir=tmp_path)
@@ -193,7 +193,7 @@ class TestRobustness:
             entry.write_text("junk")
         verify_source(SRC, cache_dir=tmp_path)   # rewrites
         out = verify_source(SRC, cache_dir=tmp_path)
-        assert out.metrics.cache_hits == 2
+        assert out.metrics.functions_clean == 2
 
     def test_unreadable_cache_dir_never_crashes(self, tmp_path):
         target = tmp_path / "not-a-dir"

@@ -69,7 +69,7 @@ class TestDirtySet:
         assert set(states(again).values()) == {"clean"}
         assert again.metrics.functions_dirty == 0
         assert again.metrics.functions_clean == 4
-        assert again.metrics.results_reused == 4
+        assert again.metrics.functions_rechecked == 0
         assert fingerprint(first) == fingerprint(again)
 
     def test_leaf_body_edit_rechecks_exactly_one(self, tmp_path):

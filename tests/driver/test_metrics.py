@@ -5,7 +5,8 @@ import json
 from repro.driver import merge_metrics
 from repro.driver.metrics import METRICS_SCHEMA_VERSION, DriverMetrics
 from repro.frontend import verify_file
-from repro.lithium.search import TELEMETRY_KEYS
+from repro.lithium.search import TELEMETRY_KEYS, Stats
+from repro.refinedc.checker import FunctionResult
 
 from .conftest import study_path
 
@@ -42,7 +43,7 @@ def test_function_metrics_match_results():
 def test_json_export_schema():
     out = verify_file(study_path("mpool"))
     data = json.loads(out.metrics.to_json())
-    assert data["schema_version"] == METRICS_SCHEMA_VERSION == 6
+    assert data["schema_version"] == METRICS_SCHEMA_VERSION == 7
     assert data["jobs"] == 1
     assert set(data["phases"]) == {"parse_s", "elaborate_s", "search_s",
                                    "solver_s"}
@@ -60,20 +61,23 @@ def test_json_export_schema():
 
 
 def test_json_v4_incremental_counters(tmp_path):
-    """Schema v4: clean/dirty/reused counters are 0 for non-incremental
-    runs and populated by the incremental driver."""
+    """Clean/dirty counts are 0 for uncached runs, where every function
+    is re-checked, and populated by the incremental driver, whose no-op
+    rerun re-checks nothing."""
     out = verify_file(study_path("mpool"))
     data = json.loads(out.metrics.to_json())
     assert data["functions_clean"] == 0
     assert data["functions_dirty"] == 0
-    assert data["results_reused"] == 0
+    assert data["functions_rechecked"] == len(data["functions"])
 
-    verify_file(study_path("mpool"), cache_dir=tmp_path)
+    cold = verify_file(study_path("mpool"), cache_dir=tmp_path)
+    assert cold.metrics.counts()["dirty"] \
+        == cold.metrics.counts()["rechecked"] == len(data["functions"])
     warm = verify_file(study_path("mpool"), cache_dir=tmp_path)
     data = json.loads(warm.metrics.to_json())
     assert data["functions_clean"] == len(data["functions"])
     assert data["functions_dirty"] == 0
-    assert data["results_reused"] == data["functions_clean"]
+    assert data["functions_rechecked"] == 0
     assert {f["cache"] for f in data["functions"]} == {"clean"}
 
 
@@ -156,7 +160,10 @@ def test_merge_metrics_aggregates():
     assert len(total.functions) == len(a.functions) + len(b.functions)
     assert abs(total.phases.search_s
                - (a.phases.search_s + b.phases.search_s)) < 1e-9
-    assert total.cache_hits == 0 and total.cache_misses == 0
+    assert total.functions_clean == 0 and total.functions_dirty == 0
+    assert total.functions_rechecked \
+        == a.functions_rechecked + b.functions_rechecked
+    assert total.counts()["functions"] == len(total.functions)
 
 
 def test_merge_metrics_preserves_unit_names():
@@ -188,10 +195,16 @@ def test_merge_metrics_merges_trace_blocks():
 
 
 def test_cache_hit_rate():
+    """The result-cache ratio is clean / (clean + dirty), derived from
+    the per-function cache states; uncached functions do not count."""
     m = DriverMetrics()
-    assert m.cache_hit_rate == 0.0
-    m.cache_hits, m.cache_misses = 3, 1
-    assert m.cache_hit_rate == 0.75
+    assert m.cache_effectiveness()["result_cache"]["ratio"] is None
+    for i, state in enumerate(["clean"] * 3 + ["dirty", "off"]):
+        m.add_function(FunctionResult(f"f{i}", True, Stats()), state, 0.0)
+    assert m.cache_effectiveness()["result_cache"] == {
+        "hits": 3, "total": 4, "ratio": 0.75}
+    assert m.counts() == {"functions": 5, "clean": 3, "dirty": 1,
+                          "rechecked": 0, "failed": 0}
 
 
 def test_json_v6_cache_effectiveness_block():
@@ -201,59 +214,13 @@ def test_json_v6_cache_effectiveness_block():
     out = verify_file(study_path("mpool"))
     data = json.loads(out.metrics.to_json())
     eff = data["cache_effectiveness"]
-    assert set(eff) == {"result_cache", "solver_memo", "dispatch_table",
-                        "depgraph"}
-    # Cache off, serial run: the result cache never ran, while solver
-    # memo and depgraph have live denominators.
+    assert set(eff) == {"result_cache", "solver_memo", "dispatch_table"}
+    # Cache off, serial run: the result cache never ran, while the
+    # solver memo has a live denominator.
     assert eff["result_cache"]["total"] == 0
     assert eff["result_cache"]["ratio"] is None
     assert eff["solver_memo"]["total"] > 0
-    assert eff["depgraph"] == {"hits": 0,
-                               "total": len(data["functions"]),
-                               "ratio": 0.0}
     assert eff["dispatch_table"]["rule_applications"] > 0
-
-
-def test_json_v6_round_trip():
-    """``from_dict(to_dict(m)).to_dict()`` is byte-identical for a real
-    record — traced and untraced alike."""
-    for trace in (False, True):
-        out = verify_file(study_path("mpool"), trace=trace)
-        d = out.metrics.to_dict()
-        assert DriverMetrics.from_dict(d).to_dict() == d
-        # And through an actual JSON encode/decode cycle.
-        roundtrip = DriverMetrics.from_dict(json.loads(out.metrics.to_json()))
-        assert json.loads(roundtrip.to_json()) == json.loads(
-            out.metrics.to_json())
-
-
-def test_json_v5_record_still_loads():
-    """A v5 record (no elab counters, no effectiveness block) loads with
-    the v6 fields defaulted, and re-serializing it adds *only* the v6
-    derived/telemetry keys — every v5 field survives byte-compatibly."""
-    out = verify_file(study_path("mpool"))
-    v6 = out.metrics.to_dict()
-    v5 = json.loads(json.dumps(v6))
-    v5["schema_version"] = 5
-    del v5["cache_effectiveness"]
-    del v5["elab_memo_hits"]
-    del v5["elab_memo_misses"]
-
-    m = DriverMetrics.from_dict(v5)
-    assert m.elab_memo_hits == 0 and m.elab_memo_misses == 0
-    reexported = m.to_dict()
-    assert reexported["schema_version"] == METRICS_SCHEMA_VERSION
-    for key, value in v5.items():
-        if key == "schema_version":
-            continue
-        assert reexported[key] == value, key
-
-
-def test_from_dict_rejects_newer_schema():
-    import pytest
-    with pytest.raises(ValueError):
-        DriverMetrics.from_dict({"schema_version": METRICS_SCHEMA_VERSION
-                                 + 1})
 
 
 def test_merge_metrics_sums_elab_memo_counters():

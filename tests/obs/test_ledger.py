@@ -6,19 +6,16 @@ import subprocess
 
 import pytest
 
-from repro.driver.metrics import DriverMetrics
 from repro.obs import (LEDGER_SCHEMA_VERSION, append_record, build_record,
                        read_ledger, record_run)
 from repro.obs.ledger import ledger_env_path
 
+from .conftest import synthetic_metrics
 
-def make_metrics(wall_s=0.1, hits=3, misses=1):
-    m = DriverMetrics(study="unit", jobs=1, cache_enabled=True,
-                      cache_hits=hits, cache_misses=misses, wall_s=wall_s)
-    m.add_function("f", True, "dirty", wall_s, wall_s / 2,
-                   {"solver_calls": 10, "rule_applications": 40},
-                   solver_cache_hits=4)
-    return m
+
+def make_metrics(wall_s=0.1):
+    return synthetic_metrics(wall_s, clean=3, dirty=1, solver_calls=10,
+                             rule_applications=40, solver_cache_hits=4)
 
 
 def test_build_record_shape():
@@ -30,9 +27,10 @@ def test_build_record_shape():
     assert rec["jobs"] == 2
     assert rec["wall_s"] == 0.5
     assert rec["suite"] == ["unit"]
-    assert rec["functions"] == {"unit:f": 0.1}
+    assert rec["functions"] == {"unit:c0": 0.0, "unit:c1": 0.0,
+                                "unit:c2": 0.0, "unit:f": 0.1}
     assert set(rec["cache_effectiveness"]) == {
-        "result_cache", "solver_memo", "dispatch_table", "depgraph"}
+        "result_cache", "solver_memo", "dispatch_table"}
     assert rec["cache_effectiveness"]["result_cache"]["ratio"] == 0.75
     assert rec["env"].keys() == {"RC_TRACE"}
     assert rec["config"] == {}

@@ -7,21 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.driver.metrics import DriverMetrics
 from repro.obs import (append_record, build_record, check_all_pools,
                        check_latest, check_record, comparable_history,
                        pool_key)
+
+from .conftest import synthetic_metrics
 
 REPO = Path(__file__).resolve().parents[2]
 
 
 def baseline_record(wall_s=1.0, now=1000.0):
     """A realistic ledger record with live cache-effectiveness ratios."""
-    m = DriverMetrics(study="unit", jobs=1, cache_enabled=True,
-                      cache_hits=8, cache_misses=2, wall_s=wall_s)
-    m.add_function("f", True, "dirty", wall_s, wall_s / 2,
-                   {"solver_calls": 100, "rule_applications": 400},
-                   solver_cache_hits=60, dispatch_table_hits=380)
+    m = synthetic_metrics(wall_s, clean=8, dirty=2, solver_calls=100,
+                          rule_applications=400, solver_cache_hits=60,
+                          dispatch_table_hits=380)
     return build_record("verify", wall_s=wall_s, jobs=1,
                         metrics=[m], now=now)
 

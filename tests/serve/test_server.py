@@ -414,6 +414,10 @@ class TestLifecycle:
         assert str(d.config.root) in st["namespaces"]
         ns = st["namespaces"][str(d.config.root)]
         assert ns["functions_checked"] > 0
+        # A warm no-op reuses every function and checks none of them.
+        assert done_of(client.verify())["warm"] is True
+        after = client.status()["namespaces"][str(d.config.root)]
+        assert after["functions_checked"] == ns["functions_checked"]
 
 
 # ---------------------------------------------------------------------
