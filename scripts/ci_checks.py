@@ -25,10 +25,12 @@ to reproduce exactly what CI enforces:
   the warm request re-checked zero functions.
 * ``state-stamp CACHE_DIR --json OUT`` — record the ``st_mtime_ns`` of
   the planner state file ``CACHE_DIR/depgraph.json``.
-* ``warm-noop STAMP WARM`` — the warm request did no redundant work:
-  the planner state file still carries the stamped ``st_mtime_ns`` (it
-  was not rewritten) and the ``done`` summary reports ``parsed == 0``
-  (no unit went through the front end again).
+* ``warm-noop STAMP COLD WARM`` — the warm request did no redundant
+  work: the planner state file still carries the stamped
+  ``st_mtime_ns`` (it was not rewritten), the ``done`` summary reports
+  ``parsed == 0`` (no unit went through the front end again), and the
+  warm pool's ``session.batches`` did not grow past the cold request's
+  (a no-op never dispatches to the pool).
 
 Exit code 0 when the assertion holds, 1 when it fails.
 """
@@ -309,8 +311,13 @@ def state_stamp(args) -> int:
     return 0
 
 
+def _batches(summary: dict) -> int:
+    return int((summary.get("session") or {}).get("batches", 0))
+
+
 def warm_noop(args) -> int:
     stamp = _load(args.stamp)
+    cold = _load(args.cold)["summary"]
     summary = _load(args.warm)["summary"]
     failures = []
     try:
@@ -325,11 +332,16 @@ def warm_noop(args) -> int:
     if summary.get("parsed") != 0:
         failures.append(f"warm request parsed {summary.get('parsed')} "
                         "unit(s); expected 0")
+    if _batches(summary) > _batches(cold):
+        failures.append(f"warm request grew session.batches "
+                        f"({_batches(cold)} -> {_batches(summary)}); a "
+                        "no-op must not touch the pool")
     if failures:
         for f in failures:
             print(f"warm-noop: {f}", file=sys.stderr)
         return 1
-    print(f"warm-noop ok: {stamp['path']} untouched, 0 unit(s) parsed")
+    print(f"warm-noop ok: {stamp['path']} untouched, 0 unit(s) parsed, "
+          f"pool batches unchanged ({_batches(summary)})")
     return 0
 
 
@@ -394,9 +406,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=state_stamp)
 
     p = sub.add_parser("warm-noop",
-                       help="warm request rewrote no state and parsed "
-                            "no unit")
+                       help="warm request rewrote no state, parsed no "
+                            "unit and dispatched no pool batch")
     p.add_argument("stamp", help="state-stamp JSON")
+    p.add_argument("cold", help="rcd verify --json of the cold request")
     p.add_argument("warm", help="rcd verify --json of the warm request")
     p.set_defaults(func=warm_noop)
 

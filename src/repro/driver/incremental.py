@@ -24,11 +24,14 @@ outcomes) equals what it loaded leaves ``depgraph.json`` untouched, so
 a no-op re-run costs no write at all.
 
 A long-lived caller (the serve daemon) also passes a ``state_cache``
-memo that holds, next to the parsed planner state, one entry per unit
-stem: ``(sha256(source), TypedProgram, DepGraph)``.  The front end
+memo that holds, next to the parsed planner state, one
+:class:`UnitMemo` per unit stem.  The front end
 (:func:`repro.frontend.verify_files`) skips parse and elaborate for a
 unit whose source sha still matches, and :func:`plan_unit` skips
-rebuilding its graph; any other sha replaces the entry.
+rebuilding its graph; any other sha replaces the entry.  A unit whose
+last run reused every function keeps that reuse plan, and is served
+from it — no planning, no result-cache read — while the planner state
+still holds the very ``UnitState`` object recorded beside it.
 
 Degradation is always towards a *full* re-verification, never towards a
 wrong or missing outcome: a corrupted / truncated / version-mismatched
@@ -52,8 +55,8 @@ from .cache import atomic_write_json
 from .depgraph import (DepGraph, build_depgraph, changed_nodes,
                        engine_fingerprint, transitive_key)
 from .metrics import DriverMetrics
-from .pool import (DriverConfig, FunctionPlan, PoolSession, Unit, UnitPlan,
-                   run_units)
+from .pool import (DriverConfig, FunctionPlan, PoolSession, Unit,
+                   UnitCallback, UnitPlan, run_units)
 
 STATE_FORMAT_VERSION = 1
 STATE_FILE = "depgraph.json"
@@ -145,11 +148,12 @@ def _topo_order(dirty: Sequence[str], graph: DepGraph,
 
 def plan_unit(unit: Unit, state: IncrementalState, store, engine: str,
               graph: Optional[DepGraph] = None
-              ) -> tuple[UnitPlan, DepGraph, dict[str, str]]:
+              ) -> tuple[UnitPlan, DepGraph]:
     """Classify one unit's functions as clean/dirty and build the pool
     schedule.  ``graph`` is the unit's already-built dependency graph,
     when the caller memoized one for this very program.  Returns
-    ``(plan, fresh graph, fresh transitive keys)``."""
+    ``(plan, fresh graph)``; each function's fresh transitive key is its
+    plan's ``store_key``."""
     if graph is None:
         graph = build_depgraph(unit.tp, unit.lemmas)
     old = state.units.get(unit.key)
@@ -207,7 +211,7 @@ def plan_unit(unit: Unit, state: IncrementalState, store, engine: str,
     plan.order = _topo_order(
         [fn for fn, fp in plan.functions.items() if fp.action == "check"],
         graph, list(unit.tp.specs))
-    return plan, graph, keys
+    return plan, graph
 
 
 def _trace_plan(unit: Unit, plan: UnitPlan) -> None:
@@ -267,9 +271,31 @@ def load_state_cached(cache_dir: Path, engine: str,
 
 
 def _unit_slot(stem: str) -> tuple[str, str]:
-    """The ``state_cache`` key of one unit's program memo entry (planner
-    state entries are keyed by cache-dir path strings)."""
+    """The ``state_cache`` key of one unit's memo entry (planner state
+    entries are keyed by cache-dir path strings)."""
     return ("unit", stem)
+
+
+@dataclass
+class UnitMemo:
+    """One unit's entry in a long-lived caller's ``state_cache``.
+
+    ``program`` and ``graph`` are what the front end and the planner
+    built for source text hashing to ``sha``.  ``state`` is the
+    :class:`UnitState` object the planner state held for the unit after
+    the run that recorded this entry, and ``plan`` that run's reuse
+    plan — kept only when every function of the unit was reused clean.
+    ``plan`` is valid exactly while ``state.units.get(stem) is state``:
+    any reload of ``depgraph.json`` (a foreign writer, a deleted cache
+    directory) and any change of the unit's own state builds new
+    objects, so the unit goes back through :func:`plan_unit` and the
+    result cache."""
+
+    sha: str
+    program: TypedProgram
+    graph: DepGraph
+    state: Optional[UnitState]
+    plan: Optional[UnitPlan]
 
 
 def memoized_program(state_cache: dict, stem: str,
@@ -277,9 +303,9 @@ def memoized_program(state_cache: dict, stem: str,
     """The elaborated program memoized for unit ``stem`` — when ``sha``
     is given, only if the unit's source still hashes to it."""
     entry = state_cache.get(_unit_slot(stem))
-    if entry is None or (sha is not None and entry[0] != sha):
+    if entry is None or (sha is not None and entry.sha != sha):
         return None
-    return entry[1]
+    return entry.program
 
 
 # ---------------------------------------------------------------------
@@ -288,7 +314,8 @@ def memoized_program(state_cache: dict, stem: str,
 
 def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
                           session: Optional[PoolSession] = None,
-                          state_cache: Optional[dict] = None
+                          state_cache: Optional[dict] = None,
+                          on_unit: Optional[UnitCallback] = None
                           ) -> dict[str, tuple[object, DriverMetrics]]:
     """Drive ``run_units`` through the incremental planner.
 
@@ -300,10 +327,12 @@ def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
     state file is absent; an unchanged state is never rewritten.
 
     ``session`` reuses a caller-owned warm :class:`PoolSession` for the
-    dirty subset.  ``state_cache`` lets a long-lived caller (the serve
-    daemon) skip re-reading an unchanged ``depgraph.json`` per request,
-    and memoizes each unit's ``(source sha, program, graph)`` so an
-    unchanged unit's graph is not rebuilt.
+    dirty subset, and ``on_unit`` is handed to ``run_units``.
+    ``state_cache`` lets a long-lived caller (the serve daemon) skip
+    re-reading an unchanged ``depgraph.json`` per request, and keeps one
+    :class:`UnitMemo` per unit: an unchanged unit's graph is not
+    rebuilt, and a unit whose memoized reuse plan is still valid skips
+    planning and result-cache reads altogether.
     """
     store = config.open_cache()
     if store is None:
@@ -314,31 +343,42 @@ def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
 
     plans: dict[str, UnitPlan] = {}
     graphs: dict[str, DepGraph] = {}
-    keys: dict[str, dict[str, str]] = {}
+    shas: dict[str, str] = {}
+    memoized: set[str] = set()
     for unit in units:
-        slot = _unit_slot(unit.key)
-        memo = state_cache.get(slot) if state_cache is not None else None
-        known = memo[2] if memo is not None and memo[1] is unit.tp else None
-        plan, graph, unit_keys = plan_unit(unit, state, store, engine,
-                                           known)
-        if state_cache is not None:
-            state_cache[slot] = (source_sha(unit.source), unit.tp, graph)
+        memo = state_cache.get(_unit_slot(unit.key)) \
+            if state_cache is not None else None
+        if memo is not None and memo.program is not unit.tp:
+            memo = None
+        old = state.units.get(unit.key)
+        if memo is not None and memo.plan is not None \
+                and old is not None and old is memo.state:
+            plan, graph = memo.plan, memo.graph
+            memoized.add(unit.key)
+        else:
+            plan, graph = plan_unit(
+                unit, state, store, engine,
+                memo.graph if memo is not None else None)
         plans[unit.key] = plan
         graphs[unit.key] = graph
-        keys[unit.key] = unit_keys
+        shas[unit.key] = memo.sha if memo is not None \
+            else source_sha(unit.source)
         if config.resolved_trace():
             _trace_plan(unit, plan)
 
-    out = run_units(units, config, plans, session=session)
+    out = run_units(units, config, plans, session=session, on_unit=on_unit)
 
     changed = _state_stat(cache_dir) is None
     for unit in units:
+        if unit.key in memoized:
+            # Served from its memo: the state it recorded is unchanged.
+            continue
         result, _metrics = out[unit.key]
         functions = {
-            fn: {"key": unit_keys_fn, "ok": result.functions[fn].ok}
-            for fn, unit_keys_fn in keys[unit.key].items()
+            fn: {"key": fp.store_key, "ok": result.functions[fn].ok}
+            for fn, fp in plans[unit.key].functions.items()
             if fn in result.functions}
-        fresh = UnitState(source_sha=source_sha(unit.source),
+        fresh = UnitState(source_sha=shas[unit.key],
                           graph=graphs[unit.key], functions=functions)
         if state.units.get(unit.key) != fresh:
             state.units[unit.key] = fresh
@@ -348,4 +388,12 @@ def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
         if state_cache is not None:
             state_cache[str(Path(cache_dir).resolve())] = \
                 (_state_stat(cache_dir), state)
+    if state_cache is not None:
+        for unit in units:
+            plan = plans[unit.key]
+            reused = all(fp.action == "reuse"
+                         for fp in plan.functions.values())
+            state_cache[_unit_slot(unit.key)] = UnitMemo(
+                shas[unit.key], unit.tp, graphs[unit.key],
+                state.units.get(unit.key), plan if reused else None)
     return out

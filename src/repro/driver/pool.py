@@ -41,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..lithium import search as _search
 from ..pure import terms as _terms
@@ -116,6 +116,10 @@ class Unit:
     lemmas: Optional[dict] = None
     timings: Optional[PhaseTimings] = None   # parse/elaborate, if measured
     front_trace: Optional[FunctionTrace] = None  # parse/elaborate events
+
+
+#: ``on_unit(key, result, metrics)`` of :func:`run_units`
+UnitCallback = Callable[[str, ProgramResult, DriverMetrics], None]
 
 
 @dataclass
@@ -279,7 +283,8 @@ def _pool_context():
 
 def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
               plans: Optional[dict] = None,
-              session: Optional[PoolSession] = None
+              session: Optional[PoolSession] = None,
+              on_unit: Optional[UnitCallback] = None
               ) -> dict[str, tuple[ProgramResult, DriverMetrics]]:
     """Verify several translation units under one scheduler.
 
@@ -294,7 +299,12 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
     ``store_key``.  Functions no plan mentions are checked uncached.
 
     ``session`` reuses a caller-owned warm :class:`PoolSession` instead
-    of starting (and paying for) a fresh pool for this call."""
+    of starting (and paying for) a fresh pool for this call.
+
+    ``on_unit(key, result, metrics)`` is called once per unit, as soon
+    as that unit's last function is collected; a unit with no pending
+    work is reported right after planning.  Callers that stream (the
+    serve daemon) pass it; the returned map is the same either way."""
     config = config or DriverConfig()
     plans = plans or {}
     jobs = config.resolved_jobs()
@@ -302,14 +312,47 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
     tracing = config.resolved_trace()
 
     t_start = time.perf_counter()
-    results: dict[str, ProgramResult] = {}
     metrics: dict[str, DriverMetrics] = {}
     # (unit_key, fn_name) -> bookkeeping for assembly.
     cache_keys: dict[tuple[str, str], str] = {}
     collected: dict[tuple[str, str], tuple[FunctionResult, float, str]] = {}
     traces: dict[tuple[str, str], FunctionTrace] = {}
     pending: list[tuple[str, str]] = []
+    remaining: dict[str, int] = {}
     units_by_key = {u.key: u for u in units}
+    out: dict[str, tuple[ProgramResult, DriverMetrics]] = {}
+
+    def finish(unit: Unit) -> None:
+        result = ProgramResult()
+        m = metrics[unit.key]
+        # Assemble in spec order, so dict iteration (and therefore
+        # reports) is byte-identical to the serial reference path.
+        for name in unit.tp.specs:
+            item = collected.get((unit.key, name))
+            if item is None:
+                continue
+            fr, wall, state = item
+            result.functions[name] = fr
+            m.add_function(fr, state, wall)
+        # Elapsed time is shared by every unit on the pool; a unit's own
+        # checking cost is the sum of its live function walls.  "clean"
+        # entries carry the *original* run's wall time.
+        m.wall_s = time.perf_counter() - t_start if len(units) == 1 else \
+            sum(f.wall_s for f in m.functions if f.cache != "clean")
+        if tracing:
+            # Deterministic merge: front end first, then the live-checked
+            # functions in spec order — independent of the schedule that
+            # produced the buffers.  Clean functions have no buffer (they
+            # were not re-checked).
+            by_fn = {name: buf for (ukey, name), buf in traces.items()
+                     if ukey == unit.key}
+            unit_trace = merge_function_traces(
+                unit.key, unit.front_trace, by_fn, iter(unit.tp.specs))
+            result.trace = unit_trace
+            m.trace = trace_summary(unit_trace)
+        out[unit.key] = (result, m)
+        if on_unit is not None:
+            on_unit(unit.key, result, m)
 
     for unit in units:
         m = DriverMetrics(study=unit.key, jobs=jobs,
@@ -341,61 +384,40 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
             rank = {n: i for i, n in enumerate(plan.order)}
             unit_pending.sort(key=lambda n: (rank.get(n, len(rank)),))
         pending.extend((unit.key, name) for name in unit_pending)
+        remaining[unit.key] = len(unit_pending)
 
-    if pending:
-        live = _run_pending(pending, units_by_key, jobs, tracing, session)
-        for (ukey, name), (fr, wall, trace) in live.items():
-            plan = plans.get(ukey)
-            planned = plan is not None and name in plan.functions
-            collected[(ukey, name)] = (fr, wall,
-                                       "dirty" if planned else "off")
-            metrics[ukey].functions_rechecked += 1
-            if trace is not None:
-                events, dropped = trace
-                traces[(ukey, name)] = FunctionTrace(ukey, name, events,
-                                                     dropped)
-            if store is not None and (ukey, name) in cache_keys:
-                store.put(cache_keys[(ukey, name)], fr, wall)
-
-    elapsed = time.perf_counter() - t_start
-    out: dict[str, tuple[ProgramResult, DriverMetrics]] = {}
     for unit in units:
-        result = ProgramResult()
-        m = metrics[unit.key]
-        # Assemble in spec order, so dict iteration (and therefore
-        # reports) is byte-identical to the serial reference path.
-        for name in unit.tp.specs:
-            item = collected.get((unit.key, name))
-            if item is None:
-                continue
-            fr, wall, state = item
-            result.functions[name] = fr
-            m.add_function(fr, state, wall)
-        # Elapsed time is shared by every unit on the pool; a unit's own
-        # checking cost is the sum of its live function walls.  "clean"
-        # entries carry the *original* run's wall time.
-        m.wall_s = elapsed if len(units) == 1 else \
-            sum(f.wall_s for f in m.functions if f.cache != "clean")
-        if tracing:
-            # Deterministic merge: front end first, then the live-checked
-            # functions in spec order — independent of the schedule that
-            # produced the buffers.  Clean functions have no buffer (they
-            # were not re-checked).
-            by_fn = {name: buf for (ukey, name), buf in traces.items()
-                     if ukey == unit.key}
-            unit_trace = merge_function_traces(
-                unit.key, unit.front_trace, by_fn, iter(unit.tp.specs))
-            result.trace = unit_trace
-            m.trace = trace_summary(unit_trace)
-        out[unit.key] = (result, m)
-    return out
+        if not remaining[unit.key]:
+            finish(unit)
+
+    for (ukey, name), (fr, wall, trace) in _run_pending(
+            pending, units_by_key, jobs, tracing, session):
+        plan = plans.get(ukey)
+        planned = plan is not None and name in plan.functions
+        collected[(ukey, name)] = (fr, wall, "dirty" if planned else "off")
+        metrics[ukey].functions_rechecked += 1
+        if trace is not None:
+            events, dropped = trace
+            traces[(ukey, name)] = FunctionTrace(ukey, name, events, dropped)
+        if store is not None and (ukey, name) in cache_keys:
+            store.put(cache_keys[(ukey, name)], fr, wall)
+        remaining[ukey] -= 1
+        if not remaining[ukey]:
+            finish(units_by_key[ukey])
+
+    return {unit.key: out[unit.key] for unit in units}
 
 
 def _run_pending(pending: list[tuple[str, str]],
                  units_by_key: dict[str, Unit], jobs: int, tracing: bool,
                  session: Optional[PoolSession] = None
-                 ) -> dict[tuple[str, str],
-                           tuple[FunctionResult, float, Optional[tuple]]]:
+                 ) -> Iterator[tuple[tuple[str, str],
+                                     tuple[FunctionResult, float,
+                                           Optional[tuple]]]]:
+    """Check every pending ``(unit, function)``, yielding each outcome as
+    it is collected: ``((unit, function), (result, wall, trace))``."""
+    if not pending:
+        return
     if session is not None and session.jobs > 1:
         jobs = session.jobs
     else:
@@ -403,11 +425,12 @@ def _run_pending(pending: list[tuple[str, str]],
     blobs = _program_blobs(pending, units_by_key) \
         if jobs > 1 and len(pending) > 1 else None
     if blobs is None:
-        return _run_serial(pending, units_by_key, tracing)
-    if session is not None:
-        return _run_parallel(pending, blobs, session, tracing)
-    with PoolSession(min(jobs, len(pending))) as temporary:
-        return _run_parallel(pending, blobs, temporary, tracing)
+        yield from _run_serial(pending, units_by_key, tracing)
+    elif session is not None:
+        yield from _run_parallel(pending, blobs, session, tracing)
+    else:
+        with PoolSession(min(jobs, len(pending))) as temporary:
+            yield from _run_parallel(pending, blobs, temporary, tracing)
 
 
 def _program_blobs(pending, units_by_key
@@ -428,11 +451,9 @@ def _program_blobs(pending, units_by_key
 
 
 def _run_serial(pending, units_by_key, tracing):
-    out = {}
     for ukey, name in pending:
-        out[(ukey, name)] = _traced_check(units_by_key[ukey].tp, name,
+        yield (ukey, name), _traced_check(units_by_key[ukey].tp, name,
                                           tracing)
-    return out
 
 
 def _run_parallel(pending, blobs, session, tracing):
@@ -441,8 +462,6 @@ def _run_parallel(pending, blobs, session, tracing):
     session.tasks += len(pending)
     futures = [pool.submit(_worker_check, ukey, name, *blobs[ukey], tracing)
                for ukey, name in pending]
-    out = {}
     for fut in as_completed(futures):
         ukey, name, fr, wall, trace = fut.result()
-        out[(ukey, name)] = (fr, wall, trace)
-    return out
+        yield (ukey, name), (fr, wall, trace)

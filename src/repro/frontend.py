@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .driver import (DriverConfig, DriverMetrics, PhaseTimings, Unit,
                      run_units, run_units_incremental)
@@ -172,7 +172,9 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
                  trace: Optional[bool] = None,
                  session=None,
                  state_cache: Optional[dict] = None,
-                 ledger: bool = True
+                 ledger: bool = True,
+                 on_unit: Optional[Callable[[str, VerificationOutcome],
+                                            None]] = None
                  ) -> dict[str, VerificationOutcome]:
     """Verify several annotated C files under one shared scheduler.
 
@@ -190,7 +192,10 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
     traced run gets an empty front-end buffer for the planner's
     events).  Batch callers pass no ``state_cache`` and always run the
     front end.  ``ledger=False`` suppresses the per-call ``verify``
-    ledger record for callers that append their own richer one."""
+    ledger record for callers that append their own richer one.
+    ``on_unit(stem, outcome)`` streams: it is called once per unit, as
+    soon as that unit's last function is checked (see
+    :func:`repro.driver.run_units`)."""
     tracing = trace_env_enabled() if trace is None else bool(trace)
     units = []
     tps: dict[str, TypedProgram] = {}
@@ -211,12 +216,18 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
         units.append(Unit(key=study, source=source, tp=tp, lemmas=lemmas,
                           timings=timings, front_trace=front))
     config = DriverConfig(jobs=jobs, cache_dir=cache_dir, trace=tracing)
+    report = None
+    if on_unit is not None:
+        def report(study, result, metrics):
+            on_unit(study, VerificationOutcome(tps[study], result, study,
+                                               metrics))
     t0 = time.perf_counter()
     if cache_dir is None:
-        results = run_units(units, config, session=session)
+        results = run_units(units, config, session=session, on_unit=report)
     else:
         results = run_units_incremental(units, config, session=session,
-                                        state_cache=state_cache)
+                                        state_cache=state_cache,
+                                        on_unit=report)
     wall = time.perf_counter() - t0
     outcomes = {study: VerificationOutcome(tps[study], result, study,
                                            metrics)

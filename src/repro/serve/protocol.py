@@ -12,6 +12,13 @@ immediately, per-function results as each unit finishes, and a final
 errors are structured (``code`` + ``message``) and never tear down the
 daemon or its warm pool.
 
+A ``verify`` stream reports units in request order: each unit's
+``function`` events, then its ``unit`` event carrying the unit's run
+counts and ``wall_s``, the unit's own live check time (the summed walls
+of the functions checked in this request; 0 when every function was
+reused clean).  A request is one driver call, so no unit has an elapsed
+time of its own.
+
 Validation is strict and bounded: an unknown method, a non-object
 ``params``, or a body over :data:`MAX_BODY_BYTES` yields a structured
 error *before* any work is queued.

@@ -17,14 +17,16 @@ Architecture (see DESIGN.md "Verification as a service"):
   .RequestQueue` and executed one at a time by the **worker loop** —
   the warm pool is a single shared resource, and serialization is what
   keeps multi-tenant results deterministic;
+* each request is **one driver call** over all its units, streamed
+  back unit by unit in request order as the driver finishes them;
 * each project root is a :class:`Namespace` with its own ``.rc-cache``
   result cache, ``depgraph.json`` planner state, and an in-memory memo
-  of the parsed planner state and each unit's elaborated program, so
-  tenants never read each other's caches;
+  of the parsed planner state and, per unit, the elaborated program and
+  the last reuse plan, so tenants never read each other's caches;
 * a pool-level failure mid-request triggers **poisoned-pool recovery**:
-  ``session.reset()`` plus a serial in-process retry of the failed unit
-  (the same fallback the fuzz oracle uses), so one crashed worker never
-  fails the request, let alone the daemon;
+  ``session.reset()`` plus a serial in-process retry of the units not
+  yet streamed (the same fallback the fuzz oracle uses), so one crashed
+  worker never fails the request, let alone the daemon;
 * ``shutdown`` **drains**: new verify requests are refused with a
   structured ``draining`` error, queued ones finish, then the server
   stops and removes its state file.
@@ -90,11 +92,16 @@ class Namespace:
 
     ``state_cache`` memoises the parsed incremental planner state
     (:func:`repro.driver.incremental.load_state_cached`) and, per unit
-    stem, ``(sha256(source), TypedProgram, DepGraph)``.  A warm request
-    re-reads ``depgraph.json`` only when some other process moved it,
-    writes it only when some unit's state changed, and re-parses and
-    re-elaborates only the units whose text changed.  The memo holds at
-    most one entry per file of the namespace; ``reset`` empties it."""
+    stem, a :class:`~repro.driver.incremental.UnitMemo`: source sha,
+    program, dependency graph, the unit's planner-state object and,
+    when every function was reused clean, the reuse plan.  A warm
+    request re-reads ``depgraph.json`` only when some other process
+    moved it, writes it only when some unit's state changed, re-parses
+    and re-elaborates only the units whose text changed, and serves a
+    unit from its reuse plan — no planning, no result-cache read — only
+    while the planner state still holds the very object the memo
+    recorded.  The memo holds at most one entry per file of the
+    namespace; ``reset`` empties it."""
 
     root: Path
     cache_dir: Path
@@ -108,6 +115,52 @@ class Namespace:
         when the root carries one, else the root itself."""
         cand = self.root / "examples" / "casestudies"
         return cand if cand.is_dir() else self.root
+
+
+class _UnitStream:
+    """One verify request's unit stream: the driver's per-unit callback.
+
+    Units arrive as the driver finishes them; each is emitted (its
+    ``function`` events, then its ``unit`` event) once every unit before
+    it in request order has been, so a unit that finishes early waits in
+    ``finished``.  ``parsed`` counts the units whose program is not the
+    one memoized when the request started: the front end ran for them."""
+
+    def __init__(self, targets: list[Path], state_cache: dict,
+                 emit: Callable[[dict], None]) -> None:
+        self.order = [p.stem for p in targets]
+        self.memos = {stem: memoized_program(state_cache, stem)
+                      for stem in self.order}
+        self.emit = emit
+        self.finished: dict = {}
+        self.metrics: list = []
+        self.ok = True
+        self.parsed = 0
+
+    def __call__(self, stem: str, out) -> None:
+        self.finished[stem] = out
+        while len(self.metrics) < len(self.order) and \
+                self.order[len(self.metrics)] in self.finished:
+            self._publish(self.finished[self.order[len(self.metrics)]])
+
+    def _publish(self, out) -> None:
+        stem, m = out.study, out.metrics
+        self.parsed += out.typed_program is not self.memos[stem]
+        self.metrics.append(m)
+        for fm in m.functions:
+            ev = event("function", unit=stem, name=fm.name, ok=fm.ok,
+                       cache=fm.cache, wall_s=round(fm.wall_s, 6),
+                       counters=fm.counters)
+            if not fm.ok:
+                fr = out.result.functions[fm.name]
+                ev["error"] = fr.format_error()
+                stuck = getattr(fr.error, "stuck", None)
+                if stuck is not None:
+                    ev["stuck"] = stuck.render()
+            self.emit(ev)
+        self.emit(event("unit", unit=stem, ok=out.ok,
+                        wall_s=round(m.wall_s, 6), **m.counts()))
+        self.ok = self.ok and out.ok
 
 
 class VerifyDaemon:
@@ -128,6 +181,8 @@ class VerifyDaemon:
                               if self.config.ledger_path is not None
                               else ledger_env_path())
         self._session: Optional[PoolSession] = None
+        # The running request's unit stream (requests run one at a time).
+        self._on_unit: Optional[_UnitStream] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
@@ -460,18 +515,26 @@ class VerifyDaemon:
                                     f"namespace root {ns.root}")
             if not cand.is_file():
                 raise ProtocolError(E_PARAMS, f"no such file: {cand}")
-            out.append(cand)
+            # A unit is named by its stem in the one driver call.
+            other = next((q for q in out if q.stem == cand.stem), None)
+            if other is None:
+                out.append(cand)
+            elif other != cand:
+                raise ProtocolError(E_PARAMS,
+                                    f"{other} and {cand} share the unit "
+                                    f"name {cand.stem!r}")
         return out
 
     def _run_verify(self, paths: list[Path], ns: Namespace, jobs: int,
                     session: Optional[PoolSession], full: bool) -> dict:
-        """One driver call — split out so tests can inject pool
-        failures and observe the recovery path."""
+        """The request's one driver call — split out so tests can inject
+        pool failures and observe the recovery path.  Each unit is
+        handed to the request's stream as soon as it is checked."""
         return verify_files(
             paths, jobs=jobs,
             cache_dir=None if full else ns.cache_dir, session=session,
             state_cache=None if full else ns.state_cache,
-            ledger=False)
+            ledger=False, on_unit=self._on_unit)
 
     def _execute_verify(self, params: dict, queue_wait_s: float,
                         emit: Callable[[dict], None]) -> None:
@@ -482,69 +545,47 @@ class VerifyDaemon:
         session = self.session() if jobs > 1 else None
 
         t0 = time.perf_counter()
-        recovered = parsed = 0
-        all_metrics = []
-        ok = True
-        # One driver call per file, streamed in request order: the
-        # client sees each unit's functions as soon as that unit is
-        # done, and a pool failure costs one unit's serial retry, not
-        # the whole request.  Per-function outcomes are byte-identical
-        # to one batched call — function checks are independent proof
-        # obligations (spec modularity, §4).
-        for path in targets:
-            memo = memoized_program(ns.state_cache, path.stem)
+        stream = _UnitStream(targets, ns.state_cache, emit)
+        recovered = 0
+        # One driver call for the whole request: every unit is planned
+        # once and the dirty functions of all units share one pool
+        # batch; the stream still reports each unit, in request order,
+        # as soon as it is done.  A pool failure resets the session and
+        # retries serially only the units not yet streamed.
+        self._on_unit = stream
+        try:
             try:
-                outcomes = self._run_verify([path], ns, jobs, session,
-                                            full)
+                self._run_verify(targets, ns, jobs, session, full)
             except Exception as exc:   # noqa: BLE001 — poisoned pool
-                recovered += 1
+                rest = [p for p in targets if p.stem not in stream.finished]
+                recovered = len(rest)
                 self.pool_recoveries += 1
                 if session is not None:
                     session.reset()
-                emit(event("recovered", unit=path.stem,
-                           message=f"{type(exc).__name__}: {exc}",
-                           retry="serial"))
-                outcomes = self._run_verify([path], ns, 1, None, full)
-            for stem, out in outcomes.items():
-                # The front end ran iff the program is not the memoized
-                # one this request started with.
-                parsed += out.typed_program is not memo
-                m = out.metrics
-                all_metrics.append(m)
-                by_name = {f.name: f for f in m.functions}
-                for name, fr in out.result.functions.items():
-                    fm = by_name.get(name)
-                    ev = event("function", unit=stem, name=name,
-                               ok=fr.ok,
-                               cache=fm.cache if fm else "off",
-                               wall_s=round(fm.wall_s, 6) if fm else 0.0,
-                               counters=fr.stats.counters())
-                    if not fr.ok:
-                        ev["error"] = fr.format_error()
-                        stuck = getattr(fr.error, "stuck", None)
-                        if stuck is not None:
-                            ev["stuck"] = stuck.render()
-                    emit(ev)
-                emit(event("unit", unit=stem, ok=out.ok,
-                           wall_s=round(m.wall_s, 6), **m.counts()))
-                ok = ok and out.ok
-                ns.served += 1
+                for path in rest:
+                    emit(event("recovered", unit=path.stem,
+                               message=f"{type(exc).__name__}: {exc}",
+                               retry="serial"))
+                self._run_verify(rest, ns, 1, None, full)
+        finally:
+            self._on_unit = None
         wall = time.perf_counter() - t0
-        totals = merge_metrics(all_metrics).counts()
+        ns.served += len(stream.metrics)
+        totals = merge_metrics(stream.metrics).counts()
         ns.functions_checked += totals["rechecked"]
         warm = totals["functions"] > 0 and totals["rechecked"] == 0
-        summary = dict(ok=ok, wall_s=round(wall, 6),
+        summary = dict(ok=stream.ok, wall_s=round(wall, 6),
                        queue_wait_s=round(queue_wait_s, 6), warm=warm,
                        namespace=str(ns.root), jobs=jobs,
-                       recovered=recovered, parsed=parsed,
-                       files=len(all_metrics), **totals)
+                       recovered=recovered, parsed=stream.parsed,
+                       files=len(stream.metrics), **totals)
         if session is not None:
             summary["session"] = {"jobs": session.jobs,
                                   "batches": session.batches,
                                   "tasks": session.tasks,
                                   "resets": session.resets}
         emit(event("done", **summary))
-        self._ledger_record(summary, all_metrics, jobs, wall, full)
+        self._ledger_record(summary, stream.metrics, jobs, wall, full)
 
     def _ledger_record(self, summary: dict, metrics: list, jobs: int,
                        wall: float, full: bool) -> None:

@@ -185,14 +185,22 @@ class TestWarmNoop:
                                "--json", str(stamp)]) == 0
         return cache / "depgraph.json", str(stamp)
 
-    def warm(self, tmp_path, parsed):
-        return write(tmp_path / "warm.json",
-                     {"files": {}, "summary": {"parsed": parsed}})
+    @staticmethod
+    def summary(path, batches=None, **fields):
+        if batches is not None:
+            fields["session"] = {"jobs": 2, "batches": batches}
+        return write(path, {"files": {}, "summary": fields})
+
+    def cold(self, tmp_path, batches=None):
+        return self.summary(tmp_path / "cold.json", batches, parsed=54)
+
+    def warm(self, tmp_path, parsed, batches=None):
+        return self.summary(tmp_path / "warm.json", batches, parsed=parsed)
 
     def test_untouched_state_and_no_parse_pass(self, ci_checks, stamped,
                                                tmp_path, capsys):
         _, stamp = stamped
-        assert ci_checks.main(["warm-noop", stamp,
+        assert ci_checks.main(["warm-noop", stamp, self.cold(tmp_path),
                                self.warm(tmp_path, 0)]) == 0
         assert "untouched" in capsys.readouterr().out
 
@@ -201,13 +209,13 @@ class TestWarmNoop:
         state, stamp = stamped
         st = state.stat()
         os.utime(state, ns=(st.st_atime_ns, st.st_mtime_ns + 1000))
-        assert ci_checks.main(["warm-noop", stamp,
+        assert ci_checks.main(["warm-noop", stamp, self.cold(tmp_path),
                                self.warm(tmp_path, 0)]) == 1
         assert "rewrote" in capsys.readouterr().err
 
     def test_reparse_fails(self, ci_checks, stamped, tmp_path, capsys):
         _, stamp = stamped
-        assert ci_checks.main(["warm-noop", stamp,
+        assert ci_checks.main(["warm-noop", stamp, self.cold(tmp_path),
                                self.warm(tmp_path, 2)]) == 1
         assert "parsed 2 unit(s)" in capsys.readouterr().err
 
@@ -215,4 +223,21 @@ class TestWarmNoop:
                                         tmp_path):
         _, stamp = stamped
         path = write(tmp_path / "warm.json", {"files": {}, "summary": {}})
-        assert ci_checks.main(["warm-noop", stamp, path]) == 1
+        assert ci_checks.main(["warm-noop", stamp, self.cold(tmp_path),
+                               path]) == 1
+
+    def test_unchanged_pool_batches_pass(self, ci_checks, stamped,
+                                         tmp_path, capsys):
+        _, stamp = stamped
+        assert ci_checks.main(["warm-noop", stamp,
+                               self.cold(tmp_path, batches=1),
+                               self.warm(tmp_path, 0, batches=1)]) == 0
+        assert "pool batches unchanged (1)" in capsys.readouterr().out
+
+    def test_grown_pool_batches_fail(self, ci_checks, stamped, tmp_path,
+                                     capsys):
+        _, stamp = stamped
+        assert ci_checks.main(["warm-noop", stamp,
+                               self.cold(tmp_path, batches=1),
+                               self.warm(tmp_path, 0, batches=2)]) == 1
+        assert "grew session.batches (1 -> 2)" in capsys.readouterr().err

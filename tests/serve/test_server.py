@@ -311,6 +311,18 @@ class TestErrors:
             client.verify(paths=["no_such_study"])
         assert exc.value.code == "bad-params"
 
+    def test_unit_names_are_unique_per_request(self, daemon, project):
+        _, client = daemon
+        (project / "sub").mkdir()
+        make_project(project / "sub", studies=("queue",))
+        with pytest.raises(DaemonError) as exc:
+            client.verify(paths=["queue", "sub/queue"])
+        assert exc.value.code == "bad-params"
+        assert "share the unit name 'queue'" in exc.value.message
+        # the same file named twice is one unit
+        events = client.verify(paths=["queue", "queue.c"])
+        assert [ev["unit"] for ev in events_of(events, "unit")] == ["queue"]
+
     def test_errors_do_not_kill_later_verifies(self, daemon):
         d, client = daemon
         raw_post(d, b"{nope")
@@ -370,6 +382,47 @@ class TestCrashRecovery:
         assert daemon.pool_recoveries == 1
         # the daemon is healthy afterwards
         assert done_of(client.verify())["ok"] is True
+
+
+class TestPartialRecovery:
+    def test_failure_after_first_unit_retries_only_the_rest(
+            self, daemon_factory, tmp_path):
+        project = make_project(tmp_path / "proj")     # mpool, queue
+        daemon, client = daemon_factory(project)
+        fake = FakeSession()
+        daemon.config.jobs = 2
+        daemon._session = fake
+
+        original = daemon._run_verify
+        retried = []
+
+        def flaky(paths, ns, jobs, session, full):
+            if session is not None:
+                # The first unit is checked and streamed, then the pool
+                # dies under the rest of the request.
+                original(paths[:1], ns, 1, None, full)
+                raise RuntimeError("worker died mid-task")
+            retried.append([p.stem for p in paths])
+            return original(paths, ns, 1, None, full)
+
+        daemon._run_verify = flaky
+        events = client.verify()
+        done = done_of(events)
+
+        assert retried == [["queue"]]
+        assert [ev["unit"] for ev in events_of(events, "recovered")] \
+            == ["queue"]
+        assert [ev["unit"] for ev in events_of(events, "unit")] \
+            == ["mpool", "queue"]
+        names = [(ev["unit"], ev["name"])
+                 for ev in events_of(events, "function")]
+        assert len(names) == len(set(names))
+        assert serve_fingerprint(events) == batch_fingerprint(
+            sorted(project.glob("*.c")))
+        assert done["recovered"] == 1
+        assert done["files"] == 2
+        assert done["ok"] is True
+        assert fake.resets == 1
 
 
 # ---------------------------------------------------------------------
