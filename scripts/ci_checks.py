@@ -31,6 +31,9 @@ to reproduce exactly what CI enforces:
   ``parsed == 0`` (no unit went through the front end again), and the
   warm pool's ``session.batches`` did not grow past the cold request's
   (a no-op never dispatches to the pool).
+* ``serve-latency STATUS`` — ``rcd status --json`` reports request
+  latency for the daemon root's namespace over at least
+  :data:`MIN_LATENCY_REQUESTS` requests, with ``p50_s <= p99_s``.
 
 Exit code 0 when the assertion holds, 1 when it fails.
 """
@@ -345,6 +348,27 @@ def warm_noop(args) -> int:
     return 0
 
 
+#: requests the serve-smoke job has made when it reads the status
+MIN_LATENCY_REQUESTS = 2
+
+
+def serve_latency(args) -> int:
+    status = _load(args.status)
+    ns = status.get("namespaces", {}).get(status.get("root"), {})
+    lat = ns.get("latency") or {}
+    n, p50, p99 = lat.get("requests", 0), lat.get("p50_s"), lat.get("p99_s")
+    if n < MIN_LATENCY_REQUESTS or p50 is None or p99 is None \
+            or not 0 <= p50 <= p99:
+        print(f"serve-latency: namespace {status.get('root')} reports "
+              f"{lat or 'no latency'}; expected >= "
+              f"{MIN_LATENCY_REQUESTS} requests with 0 <= p50_s <= p99_s",
+              file=sys.stderr)
+        return 1
+    print(f"serve-latency ok: p50 {p50 * 1e3:.1f}ms <= p99 "
+          f"{p99 * 1e3:.1f}ms over {n} request(s)")
+    return 0
+
+
 def _diff_files(a: dict, b: dict, la: str, lb: str) -> None:
     for stem in sorted(set(a) | set(b)):
         if stem not in a or stem not in b:
@@ -412,6 +436,12 @@ def main(argv=None) -> int:
     p.add_argument("cold", help="rcd verify --json of the cold request")
     p.add_argument("warm", help="rcd verify --json of the warm request")
     p.set_defaults(func=warm_noop)
+
+    p = sub.add_parser("serve-latency",
+                       help="status reports the namespace's request "
+                            "latency percentiles")
+    p.add_argument("status", help="rcd status --json output")
+    p.set_defaults(func=serve_latency)
 
     args = ap.parse_args(argv)
     return args.func(args)

@@ -11,8 +11,9 @@ Commands:
   is given and publishes its address in the state file
   (``<root>/.rc-serve.json``), which every other command reads.
 * ``status`` — the daemon's live telemetry: uptime, queue depth and
-  waits, warm-session batches/resets, per-namespace served units and
-  function checks run (clean reuses are not checks).
+  waits, warm-session batches/resets, per-namespace served units,
+  function checks run (clean reuses are not checks) and rolling
+  request-latency p50/p99.
 * ``verify`` — verify case-study stems or ``.c`` paths through the
   daemon.  Incremental re-verification against the namespace's warm
   state is the *default* hot path; ``--full`` forces a cache-free run.
@@ -179,6 +180,11 @@ def do_status(args) -> int:
         print(f"namespace {root}: {ns['served']} unit run(s), "
               f"{ns['functions_checked']} function check(s), "
               f"{ns.get('memo_entries', 0)} memo entr(ies)")
+        lat = ns.get("latency") or {}
+        if lat.get("requests"):
+            print(f"  latency: p50 {lat['p50_s'] * 1e3:.1f}ms, p99 "
+                  f"{lat['p99_s'] * 1e3:.1f}ms over the last "
+                  f"{lat['requests']} request(s)")
     if status.get("ledger"):
         print(f"ledger: {status['ledger']} "
               f"(rcstat --kind serve for trajectories)")

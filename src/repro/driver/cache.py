@@ -27,10 +27,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from dataclasses import fields as _dc_fields
-
-from ..lithium.search import (TELEMETRY_KEYS, WALL_CLOCK_KEYS, Stats,
-                              VerificationError)
+from ..lithium.search import COUNTER_KEYS, Stats, VerificationError
 from ..refinedc.checker import FunctionResult
 
 CACHE_FORMAT_VERSION = 1
@@ -47,8 +44,10 @@ def atomic_write_json(path: Path, obj) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
+            # dumps runs the C encoder; dump streams through the pure-
+            # Python iterencode at several times the cost.
             with os.fdopen(fd, "w") as fh:
-                json.dump(obj, fh)
+                fh.write(json.dumps(obj))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -59,14 +58,11 @@ def atomic_write_json(path: Path, obj) -> None:
     except OSError:
         pass
 
-# The plain integer counters persisted per cache entry: every Stats
-# field except the telemetry/wall-clock exclusions (shared with
-# Stats.counters() via TELEMETRY_KEYS) and the two structured fields
-# serialized separately below.
-_COUNTER_FIELDS = tuple(
-    f.name for f in _dc_fields(Stats)
-    if f.name not in TELEMETRY_KEYS + WALL_CLOCK_KEYS
-    + ("rules_used", "manual_conditions"))
+# The plain integer counters persisted per cache entry: the keys of
+# Stats.counters() but the two structured fields serialized separately
+# below.
+_COUNTER_FIELDS = tuple(f for f in COUNTER_KEYS
+                        if f not in ("rules_used", "manual_conditions"))
 
 
 class CachedVerificationError(VerificationError):

@@ -152,18 +152,20 @@ class Stats:
         telemetry (:data:`TELEMETRY_KEYS`).  Two verifications of the same
         function must produce equal ``counters()`` regardless of machine
         load, process, scheduling, or pure-cache warmth — the
-        determinism tests assert exactly this."""
-        out = {}
-        for f in _dc_fields(self):
-            if f.name in TELEMETRY_KEYS or f.name in WALL_CLOCK_KEYS:
-                continue
-            value = getattr(self, f.name)
-            if f.name == "rules_used":
-                value = sorted(value)
-            elif f.name == "manual_conditions":
-                value = [list(m) for m in value]
-            out[f.name] = value
+        determinism tests assert exactly this.  Keys follow
+        :data:`COUNTER_KEYS`."""
+        out = {name: getattr(self, name) for name in COUNTER_KEYS}
+        out["rules_used"] = sorted(self.rules_used)
+        out["manual_conditions"] = [list(m) for m in self.manual_conditions]
         return out
+
+
+#: The keys of :meth:`Stats.counters`, in field order: every field but
+#: :data:`WALL_CLOCK_KEYS` and :data:`TELEMETRY_KEYS`.  The fuzz and
+#: golden fingerprints depend on this order, and the driver's result
+#: cache persists the plain integer ones.
+COUNTER_KEYS = tuple(f.name for f in _dc_fields(Stats)
+                     if f.name not in TELEMETRY_KEYS + WALL_CLOCK_KEYS)
 
 
 class SearchState:

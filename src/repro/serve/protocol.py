@@ -19,6 +19,12 @@ of the functions checked in this request; 0 when every function was
 reused clean).  A request is one driver call, so no unit has an elapsed
 time of its own.
 
+Lines are written in batches: every event the daemon produced since
+its last write goes out in one socket write, so several lines may
+arrive together.  The lines themselves and their order are exactly
+those of one write per event; a unit is still written as soon as it
+and every unit before it are checked, never held back until ``done``.
+
 Validation is strict and bounded: an unknown method, a non-object
 ``params``, or a body over :data:`MAX_BODY_BYTES` yields a structured
 error *before* any work is queued.
@@ -81,11 +87,15 @@ def event(name: str, /, **fields) -> dict:
     return ev
 
 
+#: the one encoder of every event line (``json.dumps`` with these
+#: arguments would build an equal one per call)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_event(ev: dict) -> bytes:
     """One NDJSON line.  Sorted keys keep streams byte-deterministic for
     the same payload, which the serve tests and CI comparisons rely on."""
-    return (json.dumps(ev, sort_keys=True, separators=(",", ":"))
-            + "\n").encode("utf-8")
+    return (_ENCODER.encode(ev) + "\n").encode("utf-8")
 
 
 def parse_request(body: bytes) -> Request:

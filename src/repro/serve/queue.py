@@ -14,25 +14,72 @@ request and rolled into the daemon's ledger records.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .protocol import Request
+from .protocol import Request, encode_event
+
+
+class EventStream:
+    """One response's NDJSON lines: produced on any thread, written by
+    the connection handler in batches.
+
+    :meth:`put` encodes a list of events and appends the lines to a
+    buffer; it wakes the handler with one ``call_soon_threadsafe`` only
+    when no wake-up is pending already, so a burst of puts costs one
+    wake-up.  :meth:`take` returns every line buffered by the time the
+    handler runs, joined, in put order.  Created on the event loop's
+    thread (its loop is the running one)."""
+
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._lock = threading.Lock()
+        self._lines: list[bytes] = []
+        self._closed = False
+        self._wake_pending = False
+        self._ready = asyncio.Event()
+
+    def put(self, events: list[dict]) -> None:
+        lines = [encode_event(ev) for ev in events]
+        with self._lock:
+            self._lines.extend(lines)
+            self._wake()
+
+    def close(self) -> None:
+        """End the stream after every line already put."""
+        with self._lock:
+            self._closed = True
+            self._wake()
+
+    def _wake(self) -> None:
+        # Caller holds the lock.
+        if not self._wake_pending:
+            self._wake_pending = True
+            self._loop.call_soon_threadsafe(self._ready.set)
+
+    async def take(self) -> tuple[bytes, bool]:
+        """Wait for lines; return ``(joined lines, closed)``."""
+        await self._ready.wait()
+        self._ready.clear()
+        with self._lock:
+            lines, self._lines = self._lines, []
+            self._wake_pending = False
+            return b"".join(lines), self._closed
 
 
 @dataclass
 class Ticket:
     """One admitted request travelling from the queue to its stream.
 
-    ``events`` is the per-ticket stream the connection handler reads:
-    the worker loop puts response events on it as they are produced and
-    ``None`` as the end-of-stream sentinel."""
+    ``stream`` carries the response events from the worker loop (and
+    its executor thread) to the connection handler."""
 
     seq: int
     request: Request
     enqueued_at: float = field(default_factory=time.monotonic)
-    events: asyncio.Queue = field(default_factory=asyncio.Queue)
+    stream: EventStream = field(default_factory=EventStream)
     queue_wait_s: Optional[float] = None
 
     def start(self) -> float:

@@ -18,7 +18,9 @@ Architecture (see DESIGN.md "Verification as a service"):
   the warm pool is a single shared resource, and serialization is what
   keeps multi-tenant results deterministic;
 * each request is **one driver call** over all its units, streamed
-  back unit by unit in request order as the driver finishes them;
+  back unit by unit in request order as the driver finishes them; the
+  connection handler writes every event batch that is ready when it
+  wakes in one socket write (:class:`~.queue.EventStream`);
 * each project root is a :class:`Namespace` with its own ``.rc-cache``
   result cache, ``depgraph.json`` planner state, and an in-memory memo
   of the parsed planner state and, per unit, the elaborated program and
@@ -36,16 +38,20 @@ ledger record (:mod:`repro.obs.ledger`) carrying queue wait, warm-pool
 telemetry (session batches/resets), the per-unit run counts of
 :meth:`~repro.driver.metrics.DriverMetrics.counts` and per-function
 walls — ``rcstat --kind serve`` then shows the
-daemon-vs-batch trajectory next to every other run kind.
+daemon-vs-batch trajectory next to every other run kind.  ``status``
+reports each namespace's request-latency p50/p99 over its last
+:data:`LATENCY_WINDOW` verify requests.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import multiprocessing
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -59,13 +65,17 @@ from .protocol import (E_DRAINING, E_HTTP, E_INTERNAL, E_PARAMS,
                        E_TOO_LARGE, MAX_BODY_BYTES, PROTOCOL_VERSION,
                        ProtocolError, Request, encode_event, event,
                        parse_request)
-from .queue import RequestQueue, Ticket
+from .queue import RequestQueue
 
 #: wall-clock budget for reading one request off a connection
 REQUEST_READ_TIMEOUT_S = 30.0
 
 #: default daemon state-file name, written under the serve root
 STATE_FILE_NAME = ".rc-serve.json"
+
+#: the latest requests per namespace whose latencies ``status``
+#: summarises
+LATENCY_WINDOW = 256
 
 
 @dataclass
@@ -101,13 +111,32 @@ class Namespace:
     unit from its reuse plan — no planning, no result-cache read — only
     while the planner state still holds the very object the memo
     recorded.  The memo holds at most one entry per file of the
-    namespace; ``reset`` empties it."""
+    namespace; ``reset`` empties it.
+
+    ``latencies`` holds the last :data:`LATENCY_WINDOW` verify requests'
+    latencies: queue wait plus the request's wall, admission to
+    ``done``."""
 
     root: Path
     cache_dir: Path
     state_cache: dict = field(default_factory=dict)
     served: int = 0
     functions_checked: int = 0    # checks run, clean reuses excluded
+    latencies: deque = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
+
+    def latency(self) -> dict:
+        """Nearest-rank p50/p99 of the latency window, in seconds
+        (``None`` before the first request)."""
+        window = sorted(self.latencies)
+
+        def rank(q: float):
+            if not window:
+                return None
+            return round(window[math.ceil(q * len(window)) - 1], 6)
+
+        return {"requests": len(window), "p50_s": rank(0.50),
+                "p99_s": rank(0.99)}
 
     @property
     def default_dir(self) -> Path:
@@ -123,11 +152,12 @@ class _UnitStream:
     Units arrive as the driver finishes them; each is emitted (its
     ``function`` events, then its ``unit`` event) once every unit before
     it in request order has been, so a unit that finishes early waits in
-    ``finished``.  ``parsed`` counts the units whose program is not the
-    one memoized when the request started: the front end ran for them."""
+    ``finished``.  Every unit one callback releases goes to ``emit`` as
+    one list.  ``parsed`` counts the units whose program is not the one
+    memoized when the request started: the front end ran for them."""
 
     def __init__(self, targets: list[Path], state_cache: dict,
-                 emit: Callable[[dict], None]) -> None:
+                 emit: Callable[[list[dict]], None]) -> None:
         self.order = [p.stem for p in targets]
         self.memos = {stem: memoized_program(state_cache, stem)
                       for stem in self.order}
@@ -139,11 +169,15 @@ class _UnitStream:
 
     def __call__(self, stem: str, out) -> None:
         self.finished[stem] = out
+        events: list[dict] = []
         while len(self.metrics) < len(self.order) and \
                 self.order[len(self.metrics)] in self.finished:
-            self._publish(self.finished[self.order[len(self.metrics)]])
+            self._publish(self.finished[self.order[len(self.metrics)]],
+                          events)
+        if events:
+            self.emit(events)
 
-    def _publish(self, out) -> None:
+    def _publish(self, out, events: list[dict]) -> None:
         stem, m = out.study, out.metrics
         self.parsed += out.typed_program is not self.memos[stem]
         self.metrics.append(m)
@@ -157,9 +191,9 @@ class _UnitStream:
                 stuck = getattr(fr.error, "stuck", None)
                 if stuck is not None:
                     ev["stuck"] = stuck.render()
-            self.emit(ev)
-        self.emit(event("unit", unit=stem, ok=out.ok,
-                        wall_s=round(m.wall_s, 6), **m.counts()))
+            events.append(ev)
+        events.append(event("unit", unit=stem, ok=out.ok,
+                            wall_s=round(m.wall_s, 6), **m.counts()))
         self.ok = self.ok and out.ok
 
 
@@ -363,11 +397,6 @@ class VerifyDaemon:
             return
 
     @staticmethod
-    async def _send(writer: asyncio.StreamWriter, ev: dict) -> None:
-        writer.write(encode_event(ev))
-        await writer.drain()
-
-    @staticmethod
     def _response_head(status: int) -> bytes:
         reasons = {200: "OK", 400: "Bad Request", 405: "Method Not "
                    "Allowed", 411: "Length Required",
@@ -376,11 +405,17 @@ class VerifyDaemon:
                 "Content-Type: application/x-ndjson\r\n"
                 "Connection: close\r\n\r\n").encode()
 
+    @staticmethod
+    async def _write(writer: asyncio.StreamWriter, data: bytes) -> None:
+        """The one way response bytes leave the daemon: one write, one
+        drain, however many NDJSON lines ``data`` holds."""
+        writer.write(data)
+        await writer.drain()
+
     async def _respond(self, writer: asyncio.StreamWriter,
                        events: list[dict], status: int = 200) -> None:
-        writer.write(self._response_head(status))
-        for ev in events:
-            await self._send(writer, ev)
+        await self._write(writer, self._response_head(status) + b"".join(
+            encode_event(ev) for ev in events))
 
     async def _dispatch(self, request: Request,
                         writer: asyncio.StreamWriter) -> None:
@@ -406,21 +441,20 @@ class VerifyDaemon:
             return
         position = self.queue.depth
         ticket = self.queue.admit(request)
-        writer.write(self._response_head(200))
         sendable = True
         try:
-            await self._send(writer, event("queued", position=position,
-                                           request=ticket.seq))
+            await self._respond(writer, [event("queued", position=position,
+                                               request=ticket.seq)])
         except (ConnectionError, OSError):
             sendable = False
-        while True:
-            ev = await ticket.events.get()
-            if ev is None:
-                break
-            if not sendable:
-                continue          # client went away; drain silently
+        closed = False
+        while not closed:
+            # Every batch the worker put since the last wake-up.
+            data, closed = await ticket.stream.take()
+            if not sendable or not data:
+                continue          # nothing new, or the client went away
             try:
-                await self._send(writer, ev)
+                await self._write(writer, data)
             except (ConnectionError, OSError):
                 sendable = False
 
@@ -448,25 +482,21 @@ class VerifyDaemon:
         while True:
             ticket = await self.queue.get()
             wait = ticket.start()
-
-            def emit(ev: dict, _t: Ticket = ticket) -> None:
-                loop.call_soon_threadsafe(_t.events.put_nowait, ev)
-
-            emit(event("start", queue_wait_s=round(wait, 6)))
+            emit = ticket.stream.put
+            emit([event("start", queue_wait_s=round(wait, 6))])
             try:
                 await loop.run_in_executor(
                     None, self._execute_verify, ticket.request.params,
                     wait, emit)
             except ProtocolError as exc:
-                emit(exc.to_event())
+                emit([exc.to_event()])
             except Exception as exc:   # noqa: BLE001 — daemon must live
-                emit(event("error", code=E_INTERNAL,
-                           message=f"{type(exc).__name__}: {exc}"))
+                emit([event("error", code=E_INTERNAL,
+                            message=f"{type(exc).__name__}: {exc}")])
             finally:
-                # Through the same call_soon_threadsafe FIFO as emit():
-                # the sentinel must sort *after* every event the executor
-                # thread scheduled, or trailing events would be lost.
-                loop.call_soon_threadsafe(ticket.events.put_nowait, None)
+                # The executor thread is done: every line it put is in
+                # the buffer ahead of the end of the stream.
+                ticket.stream.close()
                 self.queue.done(ticket)
                 self.requests_served += 1
 
@@ -537,7 +567,7 @@ class VerifyDaemon:
             ledger=False, on_unit=self._on_unit)
 
     def _execute_verify(self, params: dict, queue_wait_s: float,
-                        emit: Callable[[dict], None]) -> None:
+                        emit: Callable[[list[dict]], None]) -> None:
         ns = self._namespace(params.get("root"))
         targets = self._resolve_targets(ns, params.get("paths"))
         jobs = int(params.get("jobs") or self.config.jobs)
@@ -562,14 +592,14 @@ class VerifyDaemon:
                 self.pool_recoveries += 1
                 if session is not None:
                     session.reset()
-                for path in rest:
-                    emit(event("recovered", unit=path.stem,
-                               message=f"{type(exc).__name__}: {exc}",
-                               retry="serial"))
+                emit([event("recovered", unit=path.stem,
+                            message=f"{type(exc).__name__}: {exc}",
+                            retry="serial") for path in rest])
                 self._run_verify(rest, ns, 1, None, full)
         finally:
             self._on_unit = None
         wall = time.perf_counter() - t0
+        ns.latencies.append(queue_wait_s + wall)
         ns.served += len(stream.metrics)
         totals = merge_metrics(stream.metrics).counts()
         ns.functions_checked += totals["rechecked"]
@@ -584,7 +614,7 @@ class VerifyDaemon:
                                   "batches": session.batches,
                                   "tasks": session.tasks,
                                   "resets": session.resets}
-        emit(event("done", **summary))
+        emit([event("done", **summary)])
         self._ledger_record(summary, stream.metrics, jobs, wall, full)
 
     def _ledger_record(self, summary: dict, metrics: list, jobs: int,
@@ -626,7 +656,8 @@ class VerifyDaemon:
             namespaces={key: {"served": ns.served,
                               "functions_checked": ns.functions_checked,
                               "memo_entries": len(ns.state_cache),
-                              "cache_dir": str(ns.cache_dir)}
+                              "cache_dir": str(ns.cache_dir),
+                              "latency": ns.latency()}
                         for key, ns in sorted(self.namespaces.items())},
             session=session_block,
             ledger=str(self.ledger_target)

@@ -7,7 +7,8 @@ function reports the ``"clean"`` state and the key under test is
 import dataclasses
 import json
 
-from repro.driver import build_depgraph, engine_fingerprint, transitive_key
+from repro.driver import (atomic_write_json, build_depgraph,
+                          engine_fingerprint, transitive_key)
 from repro.frontend import verify_file, verify_source
 from repro.lang.elaborate import elaborate_source
 from repro.proofs.manual import LEMMAS_BY_STUDY
@@ -200,3 +201,16 @@ class TestRobustness:
         target.write_text("a file where the cache dir should be")
         out = verify_source(SRC, cache_dir=target)
         assert out.ok   # cache writes fail silently; verification runs
+
+
+class TestFiles:
+    def test_atomic_write_is_byte_identical_to_dumps(self, tmp_path):
+        verify_file(study_path("queue"), cache_dir=tmp_path)
+        state = json.loads((tmp_path / "depgraph.json").read_text())
+        obj = {"state": state, "text": "café ∀x", "wall_s": 0.1,
+               "nested": [[1, 2.5, None, True], {"b": 1, "a": 2}]}
+        for i, sample in enumerate((obj, state, [], "x")):
+            path = tmp_path / "w" / f"{i}.json"
+            atomic_write_json(path, sample)
+            assert path.read_bytes() == json.dumps(sample).encode()
+        assert not list((tmp_path / "w").glob("*.tmp"))

@@ -1,13 +1,17 @@
 """Lithium engine tests, using a small toy judgment set independent of the
 RefinedC type system (the engine is generic, §8)."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
 
+from repro.driver.cache import _COUNTER_FIELDS
 from repro.lithium import (Atom, BasicGoal, GBasic, GExists, GForall, GSep,
                            GTrue, GWand, HAtom, HExists, HPure, HSep, Rule,
                            RuleRegistry, SearchState, VerificationError, conj)
+from repro.lithium.search import (COUNTER_KEYS, TELEMETRY_KEYS,
+                                  WALL_CLOCK_KEYS, Stats)
 from repro.pure import PureSolver, Sort, Subst, terms as T
 
 
@@ -354,3 +358,53 @@ class TestDerivation:
             st.run(GSep(HPure(T.le(n, T.intlit(0))), GTrue()))
         msg = str(exc.value)
         assert "return statement" in msg and "if branch: else" in msg
+
+
+class TestCounters:
+    @staticmethod
+    def populated():
+        """A Stats with every field set to a distinct non-default value."""
+        stats = Stats()
+        for i, f in enumerate(dataclasses.fields(Stats), start=1):
+            if f.name == "rules_used":
+                stats.rules_used = {"zeta", "alpha", "mid"}
+            elif f.name == "manual_conditions":
+                stats.manual_conditions = [("f", "cond b"), ("f", "cond a")]
+            elif f.name in WALL_CLOCK_KEYS:
+                setattr(stats, f.name, 0.25 * i)
+            else:
+                setattr(stats, f.name, 10 * i)
+        return stats
+
+    @staticmethod
+    def by_field_scan(stats):
+        """counters() as a scan of the dataclass fields on every call."""
+        out = {}
+        for f in dataclasses.fields(stats):
+            if f.name in TELEMETRY_KEYS or f.name in WALL_CLOCK_KEYS:
+                continue
+            value = getattr(stats, f.name)
+            if f.name == "rules_used":
+                value = sorted(value)
+            elif f.name == "manual_conditions":
+                value = [list(m) for m in value]
+            out[f.name] = value
+        return out
+
+    def test_keys_order_and_values_match_the_field_scan(self):
+        stats = self.populated()
+        got = stats.counters()
+        assert list(got.items()) == list(self.by_field_scan(stats).items())
+        assert list(got) == list(COUNTER_KEYS) == [
+            "rule_applications", "rules_used", "evars_created",
+            "evars_instantiated", "side_conditions_auto",
+            "side_conditions_manual", "manual_conditions", "atom_matches",
+            "conj_forks", "backtracks", "solver_calls"]
+        assert got["rules_used"] == ["alpha", "mid", "zeta"]
+        assert got["manual_conditions"] == [["f", "cond b"],
+                                            ["f", "cond a"]]
+
+    def test_cache_persists_the_plain_counter_keys(self):
+        assert _COUNTER_FIELDS == tuple(
+            k for k in COUNTER_KEYS
+            if k not in ("rules_used", "manual_conditions"))

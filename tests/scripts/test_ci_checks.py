@@ -241,3 +241,34 @@ class TestWarmNoop:
                                self.cold(tmp_path, batches=1),
                                self.warm(tmp_path, 0, batches=2)]) == 1
         assert "grew session.batches (1 -> 2)" in capsys.readouterr().err
+
+
+class TestServeLatency:
+    @staticmethod
+    def status(tmp_path, latency):
+        ns = {"served": 2, "functions_checked": 1, "memo_entries": 1,
+              "cache_dir": "/p/.rc-cache"}
+        if latency is not None:
+            ns["latency"] = latency
+        return write(tmp_path / "status.json",
+                     {"event": "status", "root": "/p",
+                      "namespaces": {"/p": ns}})
+
+    def test_two_ordered_requests_pass(self, ci_checks, tmp_path, capsys):
+        path = self.status(tmp_path, {"requests": 2, "p50_s": 0.01,
+                                      "p99_s": 0.5})
+        assert ci_checks.main(["serve-latency", path]) == 0
+        assert "over 2 request(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("latency", [
+        None,
+        {"requests": 1, "p50_s": 0.01, "p99_s": 0.01},
+        {"requests": 2, "p50_s": 0.5, "p99_s": 0.01},
+        {"requests": 0, "p50_s": None, "p99_s": None},
+    ])
+    def test_missing_short_or_inverted_latency_fails(self, ci_checks,
+                                                     tmp_path, capsys,
+                                                     latency):
+        path = self.status(tmp_path, latency)
+        assert ci_checks.main(["serve-latency", path]) == 1
+        assert "serve-latency" in capsys.readouterr().err
