@@ -34,7 +34,7 @@ from repro.frontend import verify_file                         # noqa: E402
 from repro.report import casestudies_dir                       # noqa: E402
 from repro.trace.chrome import (chrome_trace,                  # noqa: E402
                                 validate_chrome_trace, write_jsonl)
-from repro.trace.profile import build_profile, render_profile  # noqa: E402
+from repro.trace.profile import render_profile                 # noqa: E402
 
 
 def resolve_path(spec: str) -> Path:
@@ -93,8 +93,7 @@ def main() -> int:
         if args.report:
             print(outcome.report())
         if want_profile:
-            print(render_profile(build_profile(trace, top_n=args.top),
-                                 top_n=args.top))
+            print(render_profile(trace.profile(), top_n=args.top))
         if args.chrome:
             out = suffixed(args.chrome, path.stem, many)
             data = chrome_trace(trace)

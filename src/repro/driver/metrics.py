@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..lithium.search import TELEMETRY_KEYS
+from ..trace.profile import SLOWEST_PROVE_N
 
 # Bumped whenever a field is added, removed or changes meaning; README.md
 # ("Metrics JSON schema") keeps the history.  Records are written, never
@@ -268,5 +269,5 @@ def _merge_trace_blocks(into: Optional[dict], block: dict) -> dict:
         6)
     merged = into["slowest_prove"] + list(block.get("slowest_prove", []))
     merged.sort(key=lambda c: -c.get("dur_s", 0.0))
-    into["slowest_prove"] = merged[:5]
+    into["slowest_prove"] = merged[:SLOWEST_PROVE_N]
     return into

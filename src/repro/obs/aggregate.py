@@ -2,9 +2,8 @@
 
 :class:`RuleCostMap` is the observability sibling of the fuzz farm's
 ``CoverageMap``: where coverage records *which* behaviours a check
-exercised, the cost map records *what each one cost*.  It streams over a
-:class:`~repro.trace.tracer.UnitTrace` (no Chrome export, no retained
-event list) and maintains, per key,
+exercised, the cost map records *what each one cost*.  It holds, per
+key, a :class:`~repro.trace.profile.CostEntry`:
 
 * ``count`` — how many spans hit the key,
 * ``total_s`` — summed wall time of those spans,
@@ -12,13 +11,17 @@ event list) and maintains, per key,
   cost separated from the solver calls it triggers),
 * ``max_s`` — the single slowest span,
 
-for two key families sharing the fuzz signature vocabulary
+for two key families of the fuzz signature vocabulary
 (:mod:`repro.trace.signature`):
 
 * ``rule:<dispatch-key>:<rule-name>`` — one entry per applied typing
   rule at its dispatch key;
 * ``solver:<outcome>[:<tactic>]`` — pure-solver ``prove`` spans, split
   by outcome and the named ``rc::tactics`` solver that discharged them.
+
+The map walks no spans itself: a unit's entries come from its
+self-profile (``UnitTrace.profile()``), the one stack replay that also
+feeds the metrics ``trace`` block and ``scripts/trace.py``.
 
 Maps **merge deterministically**: counts are schedule-independent (the
 trace determinism contract), and the merge of the wall fields is
@@ -30,68 +33,19 @@ map, so persisted blocks from a different vocabulary fail loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..trace.signature import RULE_PREFIX
-from ..trace.tracer import TraceEvent, UnitTrace
+from ..trace.profile import COST_PREFIXES, CostEntry
+from ..trace.signature import RULE_PREFIX, SOLVER_PREFIX
+from ..trace.tracer import UnitTrace
 
 #: bump when the key vocabulary or the per-key fields change incompatibly
 AGGREGATE_SCHEMA_VERSION = 1
 
-#: key-prefix for the solver-tactic dimension
-SOLVER_PREFIX = "solver:"
-
-
-@dataclass
-class CostEntry:
-    """The aggregate cost of one key."""
-
-    count: int = 0
-    total_s: float = 0.0
-    self_s: float = 0.0
-    max_s: float = 0.0
-
-    def add_span(self, dur_s: float, self_s: float) -> None:
-        self.count += 1
-        self.total_s += dur_s
-        self.self_s += self_s
-        if dur_s > self.max_s:
-            self.max_s = dur_s
-
-    def merge(self, other: "CostEntry") -> None:
-        self.count += other.count
-        self.total_s += other.total_s
-        self.self_s += other.self_s
-        self.max_s = max(self.max_s, other.max_s)
-
-    def to_dict(self) -> dict:
-        return {"count": self.count,
-                "total_s": round(self.total_s, 6),
-                "self_s": round(self.self_s, 6),
-                "max_s": round(self.max_s, 6)}
-
-
-def _span_key(ev: TraceEvent) -> Optional[str]:
-    """The cost-map key of one span event, or ``None`` for spans outside
-    the two accounted families.  Mirrors ``signature._event_keys`` so the
-    fuzz dashboards and ``rcstat`` tables name behaviours identically."""
-    if ev.cat == "rule":
-        dispatch = ev.args.get("key") or ev.args.get("goal", "")
-        return f"{RULE_PREFIX}{dispatch}:{ev.name}"
-    if ev.cat == "solver" and ev.name == "prove":
-        outcome = ev.args.get("outcome")
-        if outcome is None:
-            return None
-        tactic = ev.args.get("solver", "")
-        return (f"{SOLVER_PREFIX}{outcome}:{tactic}" if tactic
-                else f"{SOLVER_PREFIX}{outcome}")
-    return None
-
 
 class RuleCostMap:
-    """Streaming count/total/self/max accounting per rule dispatch key
-    and per solver tactic."""
+    """Count/total/self/max accounting per rule dispatch key and per
+    solver tactic."""
 
     __slots__ = ("entries",)
 
@@ -100,37 +54,13 @@ class RuleCostMap:
 
     # -- accumulation -------------------------------------------------
     def add_unit_trace(self, trace: Optional[UnitTrace]) -> None:
-        """Fold one unit's trace in.  Uses the same stack replay as
-        ``trace.profile.build_profile`` (pre-ordered span stream; an
-        event at depth *d* closes every open span at depth >= *d*), but
-        only materialises the two accounted key families."""
+        """Fold one unit's trace in: merge the rule/solver cost entries
+        of its self-profile (``trace.profile()``, replayed at most once
+        per trace)."""
         if trace is None:
             return
-        entries = self.entries
-
-        def pop(stack: list) -> None:
-            ev, child_dur = stack.pop()
-            dur = ev.dur or 0.0
-            if stack:
-                stack[-1][1] += dur
-            key = _span_key(ev)
-            if key is not None:
-                entry = entries.get(key)
-                if entry is None:
-                    entry = entries[key] = CostEntry()
-                entry.add_span(dur, max(0.0, dur - child_dur))
-
-        for buf in trace.buffers:
-            # [event, direct-child duration]
-            stack: list[list] = []
-            for ev in buf.events:
-                if ev.ph != TraceEvent.SPAN:
-                    continue
-                while stack and stack[-1][0].depth >= ev.depth:
-                    pop(stack)
-                stack.append([ev, 0.0])
-            while stack:
-                pop(stack)
+        for key, entry in trace.profile().costs.items():
+            self.entries.setdefault(key, CostEntry()).merge(entry)
 
     def add_counts(self, keys) -> None:
         """Fold in count-only coverage keys (no wall columns) — the fuzz
@@ -140,7 +70,7 @@ class RuleCostMap:
         items = keys.items() if hasattr(keys, "items") \
             else ((k, 1) for k in keys)
         for key, n in items:
-            if key.startswith(RULE_PREFIX) or key.startswith(SOLVER_PREFIX):
+            if key.startswith(COST_PREFIXES):
                 self.entries.setdefault(key, CostEntry()).count += int(n)
 
     def merge(self, other: "RuleCostMap") -> None:

@@ -25,6 +25,7 @@ error — a half-written last line must not take down ``rcstat``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -90,17 +91,23 @@ def git_sha(repo: Optional[Path] = None) -> str:
     """The current commit sha, or ``""`` when git is unavailable, the
     directory is not a repository, or the call fails for any reason —
     the ledger must work in export tarballs too.  The common layout is
-    read from the files directly: one record is written per daemon
-    request, and a ``git`` process costs milliseconds."""
-    sha = _loose_head_sha(Path(repo).resolve() if repo is not None
-                          else Path.cwd())
+    read from the files directly, and the answer is kept per resolved
+    directory for the life of the process: the loaded code does not
+    change under a running process, and one record is written per
+    daemon request, where a ``git`` process costs milliseconds."""
+    return _git_sha_at(Path(repo).resolve() if repo is not None
+                       else Path.cwd())
+
+
+@functools.cache
+def _git_sha_at(start: Path) -> str:
+    sha = _loose_head_sha(start)
     if sha:
         return sha
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(repo) if repo is not None else None,
-            capture_output=True, text=True, timeout=5)
+            cwd=str(start), capture_output=True, text=True, timeout=5)
     except (OSError, subprocess.SubprocessError):
         return ""
     return out.stdout.strip() if out.returncode == 0 else ""

@@ -13,8 +13,10 @@ stuck (§2.1's actionable error reporting).  This package provides both:
   reports the cost of the on path as ``tracing_overhead_frac``.
 * :mod:`.chrome` — Chrome trace-event JSON export (loadable in Perfetto /
   ``chrome://tracing``), a JSONL stream, and an event-schema validator.
-* :mod:`.profile` — the self-profile tree: time per rule, per solver
-  tactic, top-N slowest solver goals.
+* :mod:`.profile` — the self-profile: one stack replay per unit trace
+  giving time per span kind, per rule/solver cost key and the slowest
+  solver goals; the metrics ``trace`` block, the rule-cost ledger and
+  ``scripts/trace.py`` all read it.
 * :mod:`.stuck` — the stuck-goal report rendered on
   :class:`~repro.lithium.search.VerificationError`: the failing goal, the
   pure side condition, the Γ/Δ context snapshot and the last K trace

@@ -40,6 +40,9 @@ SIGNATURE_SCHEMA_VERSION = 1
 #: dashboards and the coverage floor filter on it
 RULE_PREFIX = "rule:"
 
+#: key-prefix for pure-solver outcomes (and their discharging tactic)
+SOLVER_PREFIX = "solver:"
+
 
 def _event_keys(ev: TraceEvent) -> Iterable[str]:
     if ev.cat == "rule":
@@ -61,8 +64,8 @@ def _event_keys(ev: TraceEvent) -> Iterable[str]:
         outcome = ev.args.get("outcome")
         if outcome is not None:
             tactic = ev.args.get("solver", "")
-            yield (f"solver:{outcome}:{tactic}" if tactic
-                   else f"solver:{outcome}")
+            yield (f"{SOLVER_PREFIX}{outcome}:{tactic}" if tactic
+                   else f"{SOLVER_PREFIX}{outcome}")
     elif ev.cat == "evar" and ev.name == "instantiate":
         yield f"evar:{ev.args.get('via', '')}"
     # memo hits/misses, context churn and frontend phases are performance

@@ -252,6 +252,8 @@ class UnitTrace:
 
     unit: str
     buffers: list[FunctionTrace] = field(default_factory=list)
+    _profile: Any = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def all_events(self) -> Iterator[tuple[FunctionTrace, TraceEvent]]:
         for buf in self.buffers:
@@ -280,8 +282,14 @@ class UnitTrace:
         return to_jsonl(self)
 
     def profile(self):
-        from .profile import build_profile
-        return build_profile(self)
+        """The self-profile (:mod:`.profile`): the trace summary, the
+        rule-cost entries and ``scripts/trace.py`` all read it.  The one
+        stack replay runs on first use and is kept, so call this only
+        once the buffers are final."""
+        if self._profile is None:
+            from .profile import build_profile
+            self._profile = build_profile(self)
+        return self._profile
 
 
 def merge_function_traces(unit: str, front: Optional[FunctionTrace],

@@ -149,3 +149,64 @@ def test_render_top_rules_timed_and_count_only():
     table = render_top_rules(count_only)
     assert "3" in table and "-" in table and "ms" not in table
     assert render_top_rules(RuleCostMap()) == "(no entries)"
+
+
+def test_cost_keys_are_the_signature_cost_families(study_path):
+    """One key vocabulary: the cost map names exactly the ``rule:`` and
+    ``solver:`` keys of the coverage signature."""
+    from repro.frontend import verify_file
+    from repro.trace.signature import signature_of
+    outcome = verify_file(study_path("mpool"), trace=True)
+    costs = costs_of_outcomes([outcome])
+    assert costs.rules() and costs.tactics()
+    assert set(costs.entries) == {
+        k for k in signature_of(outcome.trace)
+        if k.startswith((RULE_PREFIX, SOLVER_PREFIX))}
+
+
+def test_rule_costs_sum_to_the_trace_block(study_path):
+    """The two views of the one walk agree: the ``rule:`` entry counts
+    summed by rule name are the metrics ``trace`` block's rule counts."""
+    from repro.frontend import verify_file
+    outcome = verify_file(study_path("mpool"), trace=True)
+    by_name: dict[str, int] = {}
+    for key, entry in costs_of_outcomes([outcome]).rules().items():
+        name = key.rsplit(":", 1)[1]
+        by_name[name] = by_name.get(name, 0) + entry.count
+    assert by_name == {name: agg["count"] for name, agg
+                       in outcome.metrics.trace["rules"].items()}
+
+
+def test_each_unit_trace_is_replayed_once(study_path, monkeypatch):
+    """The trace summary (during the run) and the cost map (after it)
+    read one profile per unit: every buffer's events are walked once,
+    however often the trace is profiled."""
+    from repro.driver import pool
+    from repro.frontend import verify_files
+    from repro.trace.profile import trace_summary
+
+    walks = []
+
+    class CountingEvents(list):
+        def __iter__(self):
+            walks.append(id(self))
+            return super().__iter__()
+
+    merge = pool.merge_function_traces
+
+    def counting_merge(*args, **kwargs):
+        unit_trace = merge(*args, **kwargs)
+        for buf in unit_trace.buffers:
+            buf.events = CountingEvents(buf.events)
+        return unit_trace
+
+    monkeypatch.setattr(pool, "merge_function_traces", counting_merge)
+    outcomes = list(verify_files([study_path("mpool"),
+                                  study_path("binary_search")],
+                                 trace=True).values())
+    assert costs_of_outcomes(outcomes).rules()
+    for out in outcomes:
+        trace_summary(out.trace)
+    buffers = [id(buf.events) for out in outcomes
+               for buf in out.trace.buffers]
+    assert buffers and sorted(walks) == sorted(buffers)

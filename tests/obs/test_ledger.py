@@ -230,6 +230,25 @@ def test_git_sha_file_read_agrees_with_git(tmp_path):
         assert git_sha() == real.stdout.strip()
 
 
+def test_git_sha_runs_git_once_per_directory(tmp_path, monkeypatch):
+    """Without a ``.git`` to read, the ``git`` fallback runs at most once
+    per directory for the life of the process, not once per record."""
+    from repro.obs import ledger
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(ledger.subprocess, "run", counting_run)
+    monkeypatch.chdir(tmp_path)
+    first = build_record("verify")
+    second = build_record("verify")
+    assert len(calls) <= 1
+    assert first["git_sha"] == second["git_sha"]
+
+
 def test_records_are_single_lines(tmp_path):
     """One record == one line: the property concurrent interleaving and
     tolerant reads both rest on."""

@@ -68,6 +68,10 @@ def daemon_factory(tmp_path):
         except RuntimeError:
             pass          # loop already closed: daemon shut itself down
         thread.join(timeout=10)
+        if not thread.is_alive():
+            # The loop is stopped for good once its thread is gone;
+            # closing it also shuts the default executor down.
+            loop.close()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Self-profile construction: self-time attribution, rule aggregation,
 slowest-goal ranking and the metrics trace-summary block."""
 
+from repro.trace import profile
 from repro.trace.profile import build_profile, render_profile, trace_summary
 from repro.trace.tracer import FunctionTrace, TraceEvent, UnitTrace
 
@@ -53,15 +54,12 @@ class TestBuildProfile:
 
     def test_slowest_prove_ranked_and_labelled(self):
         prof = build_profile(synthetic_trace())
+        # Every prove call is kept; readers slice to their own length.
         assert [c.dur_s for c in prof.slowest_prove] == [4.0, 1.0]
         top = prof.slowest_prove[0]
         assert top.function == "f"
         assert top.goal == "le(0, n)"
         assert top.outcome == "proved"
-
-    def test_top_n_caps_slow_list(self):
-        prof = build_profile(synthetic_trace(), top_n=1)
-        assert len(prof.slowest_prove) == 1
 
     def test_unclosed_span_counts_as_zero_duration(self):
         events = [span(0, "check", "f", 0, ts=0.0, dur=None)]
@@ -78,6 +76,11 @@ class TestRenderProfile:
         assert "memo.miss" in text
         assert "slowest solver goals" in text
         assert "le(0, n)" in text
+
+    def test_top_n_caps_slow_list(self):
+        text = render_profile(build_profile(synthetic_trace()), top_n=1)
+        assert "top 1 slowest solver goals" in text
+        assert "le(0, n)" in text and "False" not in text
 
     def test_mentions_drops(self):
         trace = synthetic_trace()
@@ -97,6 +100,11 @@ class TestTraceSummary:
         assert block["solver"]["memo_hits"] == 1
         assert block["solver"]["memo_misses"] == 1
         assert [c["dur_s"] for c in block["slowest_prove"]] == [4.0, 1.0]
+
+    def test_slowest_prove_capped_at_module_length(self, monkeypatch):
+        monkeypatch.setattr(profile, "SLOWEST_PROVE_N", 1)
+        block = trace_summary(synthetic_trace())
+        assert [c["dur_s"] for c in block["slowest_prove"]] == [4.0]
 
     def test_json_compatible(self):
         import json
