@@ -31,7 +31,11 @@ unit whose source sha still matches, and :func:`plan_unit` skips
 rebuilding its graph; any other sha replaces the entry.  A unit whose
 last run reused every function keeps that reuse plan, and is served
 from it — no planning, no result-cache read — while the planner state
-still holds the very ``UnitState`` object recorded beside it.
+still holds the very ``UnitState`` object recorded beside it.  Once
+such a unit has been served from its plan, the memo also keeps the
+``(ProgramResult, DriverMetrics)`` pair that run produced; later
+untraced requests at the same width get that very pair back, and
+``run_units`` is not called for the unit at all.
 
 Degradation is always towards a *full* re-verification, never towards a
 wrong or missing outcome: a corrupted / truncated / version-mismatched
@@ -49,7 +53,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..refinedc.checker import TypedProgram, verification_targets
+from ..refinedc.checker import (ProgramResult, TypedProgram,
+                                verification_targets)
 from ..trace.tracer import Tracer
 from .cache import atomic_write_json
 from .depgraph import (DepGraph, build_depgraph, changed_nodes,
@@ -289,13 +294,21 @@ class UnitMemo:
     any reload of ``depgraph.json`` (a foreign writer, a deleted cache
     directory) and any change of the unit's own state builds new
     objects, so the unit goes back through :func:`plan_unit` and the
-    result cache."""
+    result cache.
+
+    ``outcome`` is the ``(result, metrics)`` pair an untraced run
+    produced while serving the unit from ``plan``.  It is replayed (the
+    very objects; ``run_units`` is skipped) while ``plan`` is valid, the
+    request is untraced and runs at the width that produced it.  Its
+    front-end timings are 0, since the program was memoized, so the pair
+    holds nothing a later request would compute differently."""
 
     sha: str
     program: TypedProgram
     graph: DepGraph
     state: Optional[UnitState]
     plan: Optional[UnitPlan]
+    outcome: Optional[tuple[ProgramResult, DriverMetrics]] = None
 
 
 def memoized_program(state_cache: dict, stem: str,
@@ -331,8 +344,10 @@ def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
     ``state_cache`` lets a long-lived caller (the serve daemon) skip
     re-reading an unchanged ``depgraph.json`` per request, and keeps one
     :class:`UnitMemo` per unit: an unchanged unit's graph is not
-    rebuilt, and a unit whose memoized reuse plan is still valid skips
-    planning and result-cache reads altogether.
+    rebuilt, a unit whose memoized reuse plan is still valid skips
+    planning and result-cache reads altogether, and one whose memo also
+    holds a valid outcome is handed that outcome (to ``on_unit`` before
+    ``run_units`` checks the other units) instead of being run again.
     """
     store = config.open_cache()
     if store is None:
@@ -340,11 +355,14 @@ def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
     cache_dir = store.root
     engine = engine_fingerprint()
     state = load_state_cached(cache_dir, engine, state_cache)
+    tracing = config.resolved_trace()
+    jobs = config.resolved_jobs()
 
     plans: dict[str, UnitPlan] = {}
     graphs: dict[str, DepGraph] = {}
     shas: dict[str, str] = {}
     memoized: set[str] = set()
+    replayed: dict[str, tuple[ProgramResult, DriverMetrics]] = {}
     for unit in units:
         memo = state_cache.get(_unit_slot(unit.key)) \
             if state_cache is not None else None
@@ -355,6 +373,9 @@ def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
                 and old is not None and old is memo.state:
             plan, graph = memo.plan, memo.graph
             memoized.add(unit.key)
+            if memo.outcome is not None and not tracing \
+                    and memo.outcome[1].jobs == jobs:
+                replayed[unit.key] = memo.outcome
         else:
             plan, graph = plan_unit(
                 unit, state, store, engine,
@@ -363,10 +384,17 @@ def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
         graphs[unit.key] = graph
         shas[unit.key] = memo.sha if memo is not None \
             else source_sha(unit.source)
-        if config.resolved_trace():
+        if tracing:
             _trace_plan(unit, plan)
 
-    out = run_units(units, config, plans, session=session, on_unit=on_unit)
+    out = dict(replayed)
+    if on_unit is not None:
+        for key, (result, metrics) in replayed.items():
+            on_unit(key, result, metrics)
+    rest = [unit for unit in units if unit.key not in replayed]
+    if rest:
+        out.update(run_units(rest, config, plans, session=session,
+                             on_unit=on_unit))
 
     changed = _state_stat(cache_dir) is None
     for unit in units:
@@ -395,5 +423,7 @@ def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
                          for fp in plan.functions.values())
             state_cache[_unit_slot(unit.key)] = UnitMemo(
                 shas[unit.key], unit.tp, graphs[unit.key],
-                state.units.get(unit.key), plan if reused else None)
-    return out
+                state.units.get(unit.key), plan if reused else None,
+                out[unit.key] if unit.key in memoized and not tracing
+                else None)
+    return {unit.key: out[unit.key] for unit in units}

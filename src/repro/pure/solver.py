@@ -48,6 +48,18 @@ def _app_subterms(t: Term) -> tuple[App, ...]:
     return ()
 
 
+def _head_index(pool: Sequence[App]) -> Optional[dict]:
+    """The pool's terms by ``(op, arity)``, in pool order within each
+    bucket — or ``None`` when a pool term holds an evar: unification may
+    bind it and so change what the term resolves to."""
+    heads: dict = {}
+    for t in pool:
+        if t.has_evars():
+            return None
+        heads.setdefault((t.op, len(t.args)), []).append(t)
+    return heads
+
+
 def _find_ite(t: Term) -> Optional[App]:
     """Return the first ``ite`` subterm of ``t``, if any."""
     for s in t.subterms():
@@ -347,9 +359,10 @@ class PureSolver:
                 if s not in seen:
                     seen.add(s)
                     pool.append(s)
+        heads = _head_index(pool)
         derived: list[Term] = []
         for lemma, patterns in triggered:
-            for inst in self._instantiations(lemma, patterns, pool):
+            for inst in self._instantiations(lemma, patterns, pool, heads):
                 inst_hyps = [subst_vars(h, inst) for h in lemma.hyps]
                 if any(h.has_evars() for h in inst_hyps):
                     continue
@@ -368,9 +381,16 @@ class PureSolver:
         return any(_NAMED_SOLVERS[t](hyps + derived, goal)
                    for t in self.tactics)
 
-    def _instantiations(self, lemma: Lemma, patterns, pool):
+    def _instantiations(self, lemma: Lemma, patterns, pool, heads):
         """Enumerate (boundedly many) full instantiations of the lemma
-        parameters by unifying trigger patterns with pool terms."""
+        parameters by unifying trigger patterns with pool terms.
+
+        ``heads`` is ``_head_index(pool)``: a pattern that resolves to an
+        ``App`` is tried only against the pool terms of its ``(op,
+        arity)``, in pool order; any other pattern, and every pattern
+        when ``heads`` is ``None``, scans the whole pool.  The rest of
+        the pool could never unify, so the instantiations and their
+        order are those of the full scan."""
         from .terms import Subst, fresh_evar
         from .unify import unify
 
@@ -391,7 +411,13 @@ class PureSolver:
                     yield inst
                 return
             pat = subst_vars(patterns[idx], evmap)
-            for cand in pool:
+            cands = pool
+            if heads is not None:
+                # What unify compares first: the pattern under ``subst``.
+                head = subst.resolve(pat)
+                if isinstance(head, App):
+                    cands = heads.get((head.op, len(head.args)), ())
+            for cand in cands:
                 trial = subst.copy()
                 if unify(pat, cand, trial):
                     yield from go(idx + 1, trial, evmap, budget)

@@ -1,9 +1,10 @@
 """The daemon client: stdlib HTTP, streamed NDJSON events.
 
 ``scripts/rcd.py`` is a thin shell over this module.  A request is one
-``POST /rpc``; the response body is consumed line by line as the daemon
-streams it, so ``verify`` callers can print per-function results while
-later units are still checking.  The daemon's address comes from its
+``POST /rpc``; the response body is consumed read by read as the daemon
+streams it, each read's complete lines decoded in one ``json.loads``, so
+``verify`` callers can print per-function results while later units are
+still checking.  The daemon's address comes from its
 state file (``.rc-serve.json`` under the serve root), written at bind
 time — ephemeral ports (``--port 0``) therefore need no out-of-band
 coordination.
@@ -22,6 +23,9 @@ from .server import STATE_FILE_NAME
 
 #: generous: a cold verify of every case study plus queueing
 DEFAULT_TIMEOUT_S = 600.0
+
+#: the most bytes one read of a response body takes off the socket
+READ_SIZE = 1 << 16
 
 
 class DaemonError(Exception):
@@ -60,6 +64,33 @@ def read_state(path: Path | str) -> Optional[DaemonState]:
         return None
 
 
+def decode_lines(data: bytes) -> list:
+    """The events of the NDJSON lines in ``data``, blank lines skipped.
+
+    All lines are decoded in one ``json.loads`` of a JSON array.  When
+    that fails (or yields a different number of values than there are
+    lines), they are decoded one at a time, so the error names the first
+    bad line."""
+    lines = [line for line in (raw.strip() for raw in data.split(b"\n"))
+             if line]
+    if not lines:
+        return []
+    try:
+        events = json.loads(b"[" + b",".join(lines) + b"]")
+        if len(events) == len(lines):
+            return events
+    except ValueError:
+        pass
+    events = []
+    for line in lines:
+        try:
+            events.append(json.loads(line))
+        except ValueError:
+            raise DaemonError("bad-stream",
+                              f"unparseable event line {line[:120]!r}")
+    return events
+
+
 class DaemonClient:
     """Issue requests against one daemon address."""
 
@@ -96,17 +127,19 @@ class DaemonClient:
                               f"no daemon at {self.host}:{self.port} "
                               f"({exc})") from exc
         try:
-            for raw in resp:
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except ValueError:
-                    raise DaemonError("bad-stream",
-                                      f"unparseable event line "
-                                      f"{line[:120]!r}")
+            tail = b""
+            while True:
+                chunk = resp.read1(READ_SIZE)
+                if not chunk:
+                    break
+                lines, _, tail = (tail + chunk).rpartition(b"\n")
+                yield from decode_lines(lines)
+            yield from decode_lines(tail)
         finally:
+            # The response owns the socket once the daemon announced
+            # ``Connection: close``; a stream left before its end (a bad
+            # line, a caller that stops reading) must close it too.
+            resp.close()
             conn.close()
 
     def collect(self, method: str,

@@ -16,8 +16,11 @@ A ``verify`` stream reports units in request order: each unit's
 ``function`` events, then its ``unit`` event carrying the unit's run
 counts and ``wall_s``, the unit's own live check time (the summed walls
 of the functions checked in this request; 0 when every function was
-reused clean).  A request is one driver call, so no unit has an elapsed
-time of its own.
+reused clean), whatever the request's shape — one path or many.  A
+request is one driver call, so no unit has an elapsed time of its own.
+The lines of a unit whose memoized outcome is replayed (an unchanged
+unit, served from its reuse plan) are the bytes sent for it before,
+replayed byte for byte.
 
 Lines are written in batches: every event the daemon produced since
 its last write goes out in one socket write, so several lines may

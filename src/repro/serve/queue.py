@@ -17,7 +17,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from .protocol import Request, encode_event
 
@@ -26,12 +26,13 @@ class EventStream:
     """One response's NDJSON lines: produced on any thread, written by
     the connection handler in batches.
 
-    :meth:`put` encodes a list of events and appends the lines to a
-    buffer; it wakes the handler with one ``call_soon_threadsafe`` only
-    when no wake-up is pending already, so a burst of puts costs one
-    wake-up.  :meth:`take` returns every line buffered by the time the
-    handler runs, joined, in put order.  Created on the event loop's
-    thread (its loop is the running one)."""
+    :meth:`put` appends a list of events to a buffer, encoding each
+    event dict and taking ``bytes`` items as lines already encoded; it
+    wakes the handler with one ``call_soon_threadsafe`` only when no
+    wake-up is pending already, so a burst of puts costs one wake-up.
+    :meth:`take` returns every line buffered by the time the handler
+    runs, joined, in put order.  Created on the event loop's thread (its
+    loop is the running one)."""
 
     def __init__(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -41,8 +42,9 @@ class EventStream:
         self._wake_pending = False
         self._ready = asyncio.Event()
 
-    def put(self, events: list[dict]) -> None:
-        lines = [encode_event(ev) for ev in events]
+    def put(self, events: list[Union[dict, bytes]]) -> None:
+        lines = [ev if isinstance(ev, bytes) else encode_event(ev)
+                 for ev in events]
         with self._lock:
             self._lines.extend(lines)
             self._wake()

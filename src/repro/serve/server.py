@@ -113,6 +113,13 @@ class Namespace:
     recorded.  The memo holds at most one entry per file of the
     namespace; ``reset`` empties it.
 
+    ``unit_lines`` keeps, per unit stem, the encoded ``function`` and
+    ``unit`` lines of the unit's last report, next to the
+    :class:`~repro.driver.metrics.DriverMetrics` object they were
+    encoded from.  A request whose driver call hands back that very
+    object (a memo-served unit's replayed outcome) sends the kept bytes
+    instead of encoding them again; ``reset`` drops them with the memo.
+
     ``latencies`` holds the last :data:`LATENCY_WINDOW` verify requests'
     latencies: queue wait plus the request's wall, admission to
     ``done``."""
@@ -120,6 +127,7 @@ class Namespace:
     root: Path
     cache_dir: Path
     state_cache: dict = field(default_factory=dict)
+    unit_lines: dict = field(default_factory=dict)
     served: int = 0
     functions_checked: int = 0    # checks run, clean reuses excluded
     latencies: deque = field(
@@ -153,14 +161,19 @@ class _UnitStream:
     ``function`` events, then its ``unit`` event) once every unit before
     it in request order has been, so a unit that finishes early waits in
     ``finished``.  Every unit one callback releases goes to ``emit`` as
-    one list.  ``parsed`` counts the units whose program is not the one
-    memoized when the request started: the front end ran for them."""
+    one list of encoded lines.  A unit's lines are encoded once per
+    ``DriverMetrics`` object and kept in ``lines`` (the namespace's
+    ``unit_lines``), so a replayed outcome sends the kept bytes.
+    ``parsed`` counts the units whose program is not the one memoized
+    when the request started: the front end ran for them."""
 
     def __init__(self, targets: list[Path], state_cache: dict,
-                 emit: Callable[[list[dict]], None]) -> None:
+                 lines: dict,
+                 emit: Callable[[list[bytes]], None]) -> None:
         self.order = [p.stem for p in targets]
         self.memos = {stem: memoized_program(state_cache, stem)
                       for stem in self.order}
+        self.lines = lines
         self.emit = emit
         self.finished: dict = {}
         self.metrics: list = []
@@ -169,18 +182,33 @@ class _UnitStream:
 
     def __call__(self, stem: str, out) -> None:
         self.finished[stem] = out
-        events: list[dict] = []
+        lines: list[bytes] = []
         while len(self.metrics) < len(self.order) and \
                 self.order[len(self.metrics)] in self.finished:
-            self._publish(self.finished[self.order[len(self.metrics)]],
-                          events)
-        if events:
-            self.emit(events)
+            lines.append(self._publish(
+                self.finished[self.order[len(self.metrics)]]))
+        if lines:
+            self.emit(lines)
 
-    def _publish(self, out, events: list[dict]) -> None:
+    def _publish(self, out) -> bytes:
         stem, m = out.study, out.metrics
         self.parsed += out.typed_program is not self.memos[stem]
         self.metrics.append(m)
+        self.ok = self.ok and out.ok
+        kept = self.lines.get(stem)
+        if kept is None or kept[0] is not m:
+            kept = (m, b"".join(encode_event(ev)
+                                for ev in self._events(out)))
+            self.lines[stem] = kept
+        return kept[1]
+
+    @staticmethod
+    def _events(out) -> list[dict]:
+        """The unit's ``function`` events, then its ``unit`` event.  The
+        unit's ``wall_s`` sums its live (non-clean) function walls, so a
+        unit's lines do not depend on what else the request held."""
+        stem, m = out.study, out.metrics
+        events = []
         for fm in m.functions:
             ev = event("function", unit=stem, name=fm.name, ok=fm.ok,
                        cache=fm.cache, wall_s=round(fm.wall_s, 6),
@@ -192,9 +220,10 @@ class _UnitStream:
                 if stuck is not None:
                     ev["stuck"] = stuck.render()
             events.append(ev)
+        live_s = sum(fm.wall_s for fm in m.functions if fm.cache != "clean")
         events.append(event("unit", unit=stem, ok=out.ok,
-                            wall_s=round(m.wall_s, 6), **m.counts()))
-        self.ok = self.ok and out.ok
+                            wall_s=round(live_s, 6), **m.counts()))
+        return events
 
 
 class VerifyDaemon:
@@ -471,6 +500,7 @@ class VerifyDaemon:
             self._session.reset()
         for ns in self.namespaces.values():
             ns.state_cache.clear()
+            ns.unit_lines.clear()
         return event("reset-done")
 
     # ------------------------------------------------------------
@@ -522,7 +552,10 @@ class VerifyDaemon:
     def _resolve_targets(self, ns: Namespace,
                          paths_param) -> list[Path]:
         if not paths_param:
-            targets = sorted(ns.default_dir.glob("*.c"))
+            # One directory: ordering by name is the path order, without
+            # the cost of comparing Path objects.
+            targets = sorted(ns.default_dir.glob("*.c"),
+                             key=lambda p: p.name)
             if not targets:
                 raise ProtocolError(E_PARAMS,
                                     f"no .c files under "
@@ -567,7 +600,7 @@ class VerifyDaemon:
             ledger=False, on_unit=self._on_unit)
 
     def _execute_verify(self, params: dict, queue_wait_s: float,
-                        emit: Callable[[list[dict]], None]) -> None:
+                        emit: Callable[[list], None]) -> None:
         ns = self._namespace(params.get("root"))
         targets = self._resolve_targets(ns, params.get("paths"))
         jobs = int(params.get("jobs") or self.config.jobs)
@@ -575,7 +608,7 @@ class VerifyDaemon:
         session = self.session() if jobs > 1 else None
 
         t0 = time.perf_counter()
-        stream = _UnitStream(targets, ns.state_cache, emit)
+        stream = _UnitStream(targets, ns.state_cache, ns.unit_lines, emit)
         recovered = 0
         # One driver call for the whole request: every unit is planned
         # once and the dirty functions of all units share one pool

@@ -375,3 +375,80 @@ def test_memoized_programs_recheck_like_fresh_ones(tmp_path):
         assert again[stem].metrics.phases.parse_s == 0.0
         assert set(states(again[stem]).values()) == {"dirty"}
         assert fingerprint(again[stem]) == fingerprint(fresh[stem])
+
+
+class TestOutcomeReplay:
+    """A unit served from its memoized reuse plan keeps the outcome that
+    run produced; later untraced calls at the same width hand back that
+    very pair and never pass the unit to ``run_units``."""
+
+    STEMS = ("binary_search", "queue")
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The unit keys of every ``run_units`` call, in call order."""
+        from repro.driver import incremental
+        calls = []
+        real = incremental.run_units
+
+        def recording(units, *args, **kwargs):
+            calls.append([u.key for u in units])
+            return real(units, *args, **kwargs)
+
+        monkeypatch.setattr(incremental, "run_units", recording)
+        return calls
+
+    def test_replay_skips_run_units_and_returns_the_same_pair(
+            self, tmp_path, ran):
+        paths = [study_path(stem) for stem in self.STEMS]
+        cache, memo = tmp_path / "cache", {}
+
+        def call(**kw):
+            return verify_files(paths, cache_dir=cache, state_cache=memo,
+                                ledger=False, **kw)
+
+        call()                  # cold
+        call()                  # planned: records the reuse plans
+        served = call()         # served from the plans: records outcomes
+        replayed = call()
+        assert ran == [list(self.STEMS)] * 3
+        for stem in self.STEMS:
+            assert replayed[stem].metrics is served[stem].metrics
+            assert replayed[stem].result is served[stem].result
+        assert fingerprint(replayed["queue"]) == \
+            fingerprint(verify_files([paths[1]], ledger=False)["queue"])
+
+        # A traced call runs every unit and records no outcome; the next
+        # untraced call runs them again, the one after replays.
+        del ran[:]
+        traced = call(trace=True)
+        assert ran == [list(self.STEMS)]
+        assert traced["queue"].metrics.trace is not None
+        call()
+        call()
+        assert ran == [list(self.STEMS)] * 2
+
+        # Another width does not replay an outcome recorded at jobs=1.
+        del ran[:]
+        wide = call(jobs=2)
+        assert ran == [list(self.STEMS)]
+        assert wide["queue"].metrics.jobs == 2
+
+    def test_each_unit_is_reported_once_in_any_mix(self, tmp_path, ran):
+        paths = [study_path(stem) for stem in self.STEMS]
+        cache, memo = tmp_path / "cache", {}
+        for _ in range(3):
+            verify_files(paths, cache_dir=cache, state_cache=memo,
+                         ledger=False)
+        edited = tmp_path / "queue.c"
+        shutil.copy(paths[1], edited)   # a new unit path, same stem
+        edited.write_text(edited.read_text() + "\n")
+        del ran[:]
+        seen = []
+        out = verify_files([paths[0], edited], cache_dir=cache,
+                           state_cache=memo, ledger=False,
+                           on_unit=lambda stem, o: seen.append(stem))
+        assert ran == [["queue"]]
+        assert sorted(seen) == sorted(self.STEMS)
+        assert list(out) == list(self.STEMS)
+        assert all(o.ok for o in out.values())

@@ -252,6 +252,20 @@ class TestNamespaces:
         b = client.verify(root=str(other))
         assert serve_fingerprint(a) == serve_fingerprint(b)
 
+    def test_default_targets_in_path_order(self, daemon, tmp_path):
+        """Default targets are sorted by file name; in one directory that
+        is the order of the paths themselves."""
+        d, _ = daemon
+        root = tmp_path / "names"
+        root.mkdir()
+        for name in ("b10", "B2", "b2", "b-1", "b_1", "a", "Z_", "z-",
+                     "1x", "_x", "-x"):
+            (root / f"{name}.c").write_text("")
+        ns = d._namespace(str(root))
+        got = d._resolve_targets(ns, None)
+        assert got == sorted(root.glob("*.c"))
+        assert [p.name for p in got][:3] == ["-x.c", "1x.c", "B2.c"]
+
 
 # ---------------------------------------------------------------------
 # Structured errors; the daemon must survive all of them.
