@@ -34,6 +34,12 @@ to reproduce exactly what CI enforces:
 * ``serve-latency STATUS`` — ``rcd status --json`` reports request
   latency for the daemon root's namespace over at least
   :data:`MIN_LATENCY_REQUESTS` requests, with ``p50_s <= p99_s``.
+* ``certcheck`` — verify the 14 case studies and the accept entries of
+  the fuzz corpus fresh (no result cache, on a pool of 2 so the
+  derivations cross the pickle boundary) and re-prove every side
+  condition of every accepted function's derivations with
+  ``repro.proofs.certcheck``, the pure memo caches dropped first: no
+  certificate problem and no skipped side condition.
 
 Exit code 0 when the assertion holds, 1 when it fails.
 """
@@ -369,6 +375,83 @@ def serve_latency(args) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------
+# certcheck
+# ---------------------------------------------------------------------
+
+def certcheck_inputs(workdir: Path) -> list[Path]:
+    """The case studies plus the fuzz corpus's accept entries, each
+    regenerated into ``workdir`` as ``<entry stem>.c``."""
+    from repro.fuzz.corpus import load_corpus
+    from repro.fuzz.generator import TEMPLATES
+    from repro.report import casestudies_dir
+
+    paths = sorted(casestudies_dir().glob("*.c"))
+    for path, entry in load_corpus():
+        if entry.expect.get("check") == "accept":
+            out = workdir / f"{path.stem}.c"
+            out.write_text(TEMPLATES[entry.template].build(
+                entry.params).source)
+            paths.append(out)
+    return paths
+
+
+def certify(outcomes: dict) -> dict:
+    """Re-check the certificates of every accepted function; a unit that
+    did not verify or an accepted function without a derivation is a
+    problem, since nothing of it could be re-checked."""
+    from repro.proofs.certcheck import check_outcome
+    from repro.pure.memo import clear_pure_caches
+    from repro.refinedc.rules import REGISTRY
+
+    # The solver's memo caches are process-wide: left as the search
+    # filled them, a re-check could be answered from the search's own
+    # entries instead of being re-proved.
+    clear_pure_caches()
+    summary = {"units": len(outcomes), "functions": 0, "derivations": 0,
+               "rechecked": 0, "skipped": 0, "problems": []}
+    for stem, out in outcomes.items():
+        if not out.ok:
+            summary["problems"].append(f"{stem}: did not verify")
+        for name, reports in check_outcome(out, REGISTRY).items():
+            summary["functions"] += 1
+            summary["derivations"] += len(reports)
+            if not reports:
+                summary["problems"].append(f"{stem}:{name}: accepted "
+                                           "without a derivation")
+            for report in reports:
+                summary["rechecked"] += report.side_conditions_rechecked
+                summary["skipped"] += report.side_conditions_skipped
+                summary["problems"] += [f"{stem}:{name}: {p}"
+                                        for p in report.problems]
+    return summary
+
+
+def judge_certcheck(summary: dict) -> int:
+    for problem in summary["problems"]:
+        print(f"certcheck: {problem}", file=sys.stderr)
+    if summary["skipped"]:
+        print(f"certcheck: {summary['skipped']} side condition(s) "
+              "skipped; expected 0", file=sys.stderr)
+    if summary["problems"] or summary["skipped"]:
+        return 1
+    print(f"certcheck ok: {summary['units']} unit(s), "
+          f"{summary['functions']} accepted function(s), "
+          f"{summary['derivations']} derivation(s), "
+          f"{summary['rechecked']} side condition(s) re-proved, 0 skipped")
+    return 0
+
+
+def certcheck(args) -> int:
+    from repro.frontend import verify_files
+
+    with tempfile.TemporaryDirectory() as tmp:
+        # Pooled, so the derivations checked are the unpickled ones.
+        outcomes = verify_files(certcheck_inputs(Path(tmp)), jobs=2,
+                                ledger=False)
+    return judge_certcheck(certify(outcomes))
+
+
 def _diff_files(a: dict, b: dict, la: str, lb: str) -> None:
     for stem in sorted(set(a) | set(b)):
         if stem not in a or stem not in b:
@@ -442,6 +525,11 @@ def main(argv=None) -> int:
                             "latency percentiles")
     p.add_argument("status", help="rcd status --json output")
     p.set_defaults(func=serve_latency)
+
+    p = sub.add_parser("certcheck",
+                       help="re-check the certificates of the case "
+                            "studies and the corpus accept entries")
+    p.set_defaults(func=certcheck)
 
     args = ap.parse_args(argv)
     return args.func(args)

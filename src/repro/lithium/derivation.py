@@ -11,6 +11,15 @@ The independent checker in :mod:`repro.proofs.certcheck` re-validates a
 derivation without trusting the search engine, which keeps the engine out
 of the TCB exactly as in the paper ("the Lithium interpreter ... need not
 be trusted since it generates proofs", §3).
+
+Leaves keep the hash-consed :class:`~repro.pure.terms.Term` objects search
+worked with, not their ``repr``: a ``side_condition`` is labelled with its
+goal and carries ``hypotheses``, the tuple of resolved Γ facts the solver
+was given; ``side_condition_deferred``, ``assume``, ``forall_intro`` and
+``exists_intro`` are labelled with their term.  Rule and atom-match nodes
+are labelled with the rule name and the matched subject's ``repr``.
+Terms re-intern on unpickling, so a derivation that crosses the pool
+boundary is read back as the same terms.
 """
 
 from __future__ import annotations
@@ -18,13 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from ..pure.terms import Term
+
 
 @dataclass
 class DNode:
     """A node of the derivation tree."""
 
     kind: str                      # e.g. "rule", "side_condition", "atom_match"
-    label: str = ""
+    label: str | Term = ""
     detail: dict[str, Any] = field(default_factory=dict)
     children: list["DNode"] = field(default_factory=list)
 
@@ -53,12 +64,12 @@ class DerivationBuilder:
         self.root = DNode("proof")
         self._stack: list[DNode] = [self.root]
 
-    def leaf(self, kind: str, label: str = "", **detail: Any) -> DNode:
+    def leaf(self, kind: str, label: str | Term = "", **detail: Any) -> DNode:
         node = DNode(kind, label, detail)
         self._stack[-1].children.append(node)
         return node
 
-    def push(self, kind: str, label: str = "", **detail: Any) -> DNode:
+    def push(self, kind: str, label: str | Term = "", **detail: Any) -> DNode:
         node = self.leaf(kind, label, **detail)
         self._stack.append(node)
         return node

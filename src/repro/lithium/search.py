@@ -280,22 +280,24 @@ class SearchState:
         self.deferred = []
         for phi, origin, location, gamma in pending:
             phi = simplify(self.subst.resolve(phi))
+            if isinstance(phi, Lit) and phi.value is True:
+                self.stats.side_conditions_auto += 1
+                continue
+            facts = gamma.resolved_facts(self.subst)
             if phi.has_evars():
                 raise self._error(
                     f"side condition contains evars that were never "
                     f"instantiated" + (f" (from {origin})" if origin else ""),
-                    location, phi, gamma.resolved_facts(self.subst))
-            if isinstance(phi, Lit) and phi.value is True:
-                self.stats.side_conditions_auto += 1
-                continue
-            result = self._prove_timed(gamma.resolved_facts(self.subst), phi)
+                    location, phi, facts)
+            result = self._prove_timed(facts, phi)
             if result.outcome is Outcome.FAILED:
                 raise self._error(
                     "the default solver and the registered tactics cannot "
                     f"discharge it" + (f" (from {origin})" if origin else ""),
-                    location, phi, gamma.resolved_facts(self.subst))
-            self.derivation.leaf("side_condition", repr(phi),
+                    location, phi, facts)
+            self.derivation.leaf("side_condition", phi,
                                  solver=result.solver, origin=origin,
+                                 hypotheses=tuple(facts),
                                  outcome=result.outcome.value)
             if result.outcome is Outcome.DEFAULT:
                 self.stats.side_conditions_auto += 1
@@ -339,13 +341,13 @@ class SearchState:
         # Case 3: universal quantification.
         if isinstance(goal, GForall):
             v = self.fresh_var(goal.sort, goal.hint or "x")
-            self.derivation.leaf("forall_intro", repr(v))
+            self.derivation.leaf("forall_intro", v)
             self._run(goal.body(v))
             return
         # Case 4: existential quantification — fresh sealed evar.
         if isinstance(goal, GExists):
             ev = self.fresh_sealed_evar(goal.sort, goal.hint)
-            self.derivation.leaf("exists_intro", repr(ev))
+            self.derivation.leaf("exists_intro", ev)
             self._run(goal.body(ev))
             return
         # Case 5: basic goal — unique rule selection.
@@ -361,7 +363,7 @@ class SearchState:
             loc_label = f.location_label()
             if loc_label is not None:
                 self.push_location(loc_label)
-            self.derivation.push("rule", rule.name, judgment=f.describe())
+            self.derivation.push("rule", rule.name)
             if tr is not None:
                 # Rule spans live in the "rule" category and are *named*
                 # after the typing rule, so the Chrome view and the
@@ -418,7 +420,7 @@ class SearchState:
                         self.derivation.leaf("vacuous", "False hypothesis")
                         return
                     self.gamma.add_fact(fact)
-                    self.derivation.leaf("assume", repr(fact))
+                    self.derivation.leaf("assume", fact)
                 self._run(g)
                 return
             if isinstance(h, HAtom):                             # 7d
@@ -449,8 +451,7 @@ class SearchState:
         if not have.persistent:
             self.delta.remove(have)
         self.stats.atom_matches += 1
-        self.derivation.push("atom_match", repr(subject),
-                             have=repr(have), want=repr(want))
+        self.derivation.push("atom_match", repr(subject))
         tr = _trace.CURRENT
         if tr is not None:
             tr.begin("search", "atom_match", subject=repr(subject),
@@ -480,7 +481,7 @@ class SearchState:
                 self.deferred.append(
                     (phi, origin, list(self.location),
                      self.gamma))
-                self.derivation.leaf("side_condition_deferred", repr(phi),
+                self.derivation.leaf("side_condition_deferred", phi,
                                      origin=origin)
                 tr = _trace.CURRENT
                 if tr is not None:
@@ -489,8 +490,9 @@ class SearchState:
                 return
             phi = new_phi
         if isinstance(phi, Lit) and phi.value is True:
-            self.derivation.leaf("side_condition", repr(phi),
-                                 solver="trivial", origin=origin)
+            self.derivation.leaf("side_condition", phi,
+                                 solver="trivial", origin=origin,
+                                 hypotheses=())
             self.stats.side_conditions_auto += 1
             return
         facts = self.gamma.resolved_facts(self.subst)
@@ -500,9 +502,9 @@ class SearchState:
                 f"the default solver and the registered tactics cannot "
                 f"discharge it" + (f" (from {origin})" if origin else ""),
                 side_condition=phi)
-        self.derivation.leaf("side_condition", repr(phi),
+        self.derivation.leaf("side_condition", phi,
                              solver=result.solver, origin=origin,
-                             hypotheses=[repr(f) for f in facts],
+                             hypotheses=tuple(facts),
                              outcome=result.outcome.value)
         if result.outcome is Outcome.DEFAULT:
             self.stats.side_conditions_auto += 1

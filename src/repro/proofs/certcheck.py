@@ -6,17 +6,26 @@ derivation tree (:mod:`repro.lithium.derivation`), and this module
 re-validates it *without trusting the search engine's control flow*:
 
 * every ``side_condition`` leaf is re-proved from its recorded hypotheses
-  by a **fresh** solver instance;
+  by a **fresh** solver instance.  The leaf carries the goal and
+  hypothesis :class:`~repro.pure.terms.Term` objects themselves, so they
+  go to the solver as recorded, with no printing and re-parsing in
+  between; a leaf whose goal or hypotheses are not terms is reported as
+  a problem.  The solver's memo caches are process-wide: call
+  :func:`repro.pure.memo.clear_pure_caches` first so that a re-check in
+  the process that searched is not answered from the search's entries;
 * every ``rule`` node names a rule actually registered for its judgment;
 * every ``atom_match`` has a subsumption sub-derivation;
 * the search was structurally non-backtracking (each node appears once,
   the tree only ever extends — a violated invariant would show up as
   duplicated or orphaned nodes).
 
-This is weaker than a Coq kernel (it re-checks the *pure* layer but trusts
-the statements of the typing rules, as recorded), but it is an independent
-artifact: a bug in the search engine that produced a bogus derivation is
-caught here, and the adequacy harness covers the semantic layer.
+This is weaker than a Coq kernel.  It re-checks the *pure* layer but
+trusts what the derivation records: that each side condition's
+hypotheses really were the Γ facts in scope at that point, and the
+statements of the typing rules its rule nodes name.  It is still an
+independent artifact: a bug in the search engine that produced a bogus
+derivation is caught here, and the adequacy harness covers the semantic
+layer.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..lithium.derivation import DNode
-from ..pure.parser import parse_term
 from ..pure.solver import Outcome, PureSolver
+from ..pure.terms import Term
 
 
 @dataclass
@@ -35,7 +44,7 @@ class CertificateReport:
 
     rules_checked: int = 0
     side_conditions_rechecked: int = 0
-    side_conditions_skipped: int = 0     # not re-parseable (term reprs)
+    side_conditions_skipped: int = 0     # no solver given to re-prove with
     atom_matches: int = 0
     problems: list[str] = field(default_factory=list)
 
@@ -57,8 +66,9 @@ def check_derivation(root: DNode, registry, solver: Optional[PureSolver]
     """Re-validate a derivation tree against the rule registry.
 
     ``solver`` is the solver configuration the function was entitled to
-    (its rc::tactics and rc::lemmas); side conditions recorded as solved
-    are re-run where the recorded goal can be reconstructed.
+    (its rc::tactics and rc::lemmas); every side condition recorded as
+    solved is re-run with it.  Without a solver they are counted as
+    skipped.
     """
     report = CertificateReport()
     rule_names = {r.name for r in registry.all_rules()}
@@ -87,28 +97,34 @@ def check_derivation(root: DNode, registry, solver: Optional[PureSolver]
     return report
 
 
+def check_outcome(outcome, registry) -> dict[str, list[CertificateReport]]:
+    """Re-check the derivations of every accepted function of one
+    verification outcome, each with the solver its spec entitles it to
+    (its rc::tactics and rc::lemmas); one report per derivation."""
+    reports = {}
+    for name, fr in outcome.result.functions.items():
+        if fr.ok:
+            spec = outcome.typed_program.specs[name]
+            solver = PureSolver(tactics=spec.tactics, lemmas=spec.lemmas)
+            reports[name] = [check_derivation(d, registry, solver)
+                             for d in fr.derivations]
+    return reports
+
+
 def _recheck_side_condition(node: DNode, solver: Optional[PureSolver],
                             report: CertificateReport) -> None:
-    """Re-prove a recorded side condition with a fresh solver.
-
-    The recorded goal/hypotheses are term ``repr``\\ s; they are re-parsed
-    through the term evaluator when syntactically round-trippable.  (Terms
-    containing internal symbols — skolem names with ``$``, evars — do not
-    round-trip; those are counted as skipped rather than silently passed.)
-    """
+    """Re-prove a recorded side condition with a fresh solver, from the
+    goal term and hypothesis terms the leaf carries.  A leaf whose goal or
+    hypotheses are not terms is a malformed certificate: a problem, never
+    a pass."""
+    goal = node.label
+    hyps = node.detail.get("hypotheses")
+    if not isinstance(goal, Term) or not isinstance(hyps, (tuple, list)) \
+            or not all(isinstance(h, Term) for h in hyps):
+        report.problems.append(
+            f"malformed side condition certificate: {goal!r}")
+        return
     if solver is None:
-        report.side_conditions_skipped += 1
-        return
-    goal_src = node.label
-    hyp_srcs = node.detail.get("hypotheses")
-    if hyp_srcs is None:
-        report.side_conditions_skipped += 1
-        return
-    try:
-        env = _reconstruct_env([goal_src] + list(hyp_srcs))
-        goal = parse_term(_to_ascii(goal_src), env)
-        hyps = [parse_term(_to_ascii(h), env) for h in hyp_srcs]
-    except Exception:
         report.side_conditions_skipped += 1
         return
     fresh = PureSolver(tactics=solver.tactics, lemmas=solver.lemmas)
@@ -116,105 +132,4 @@ def _recheck_side_condition(node: DNode, solver: Optional[PureSolver],
     report.side_conditions_rechecked += 1
     if result.outcome is Outcome.FAILED:
         report.problems.append(
-            f"side condition does not re-check: {goal_src}")
-
-
-_OP_WORDS = {
-    "add": "+", "sub": "-", "mul": "*", "le": "<=", "lt": "<", "eq": "=",
-}
-
-
-def _to_ascii(src: str) -> str:
-    """Term reprs are function-style (``le(a, b)``); the expression parser
-    accepts function application for unknown symbols, so most round-trip
-    once the prefix operators are rewritten infix."""
-    import re
-    out = src
-    for _ in range(64):
-        m = re.search(r"\b(add|sub|mul|le|lt|eq|not|and|or|implies|ite|div|"
-                      r"mod)\(", out)
-        if m is None:
-            return out
-        start = m.start()
-        op = m.group(1)
-        args, end = _split_args(out, m.end())
-        if args is None:
-            raise ValueError("unbalanced")
-        repl = _render(op, args)
-        out = out[:start] + repl + out[end:]
-    return out
-
-
-def _split_args(s: str, pos: int):
-    depth = 1
-    args = []
-    cur = []
-    i = pos
-    while i < len(s):
-        ch = s[i]
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth == 0:
-                args.append("".join(cur).strip())
-                return args, i + 1
-        if ch == "," and depth == 1:
-            args.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-        i += 1
-    return None, i
-
-
-def _render(op: str, args: list[str]) -> str:
-    if op in _OP_WORDS and len(args) >= 2:
-        joined = f" {_OP_WORDS[op]} ".join(f"({a})" for a in args)
-        return f"({joined})"
-    if op == "not" and len(args) == 1:
-        # ¬φ is rendered as φ → (0 = 1): the expression grammar has no
-        # prefix negation, and implication-to-False is equivalent.
-        return f"(({args[0]}) -> (0 = 1))"
-    if op == "and":
-        return "(" + " && ".join(f"({a})" for a in args) + ")"
-    if op == "or":
-        return "(" + " || ".join(f"({a})" for a in args) + ")"
-    if op == "implies" and len(args) == 2:
-        return f"(({args[0]}) -> ({args[1]}))"
-    if op == "ite" and len(args) == 3:
-        return f"(({args[0]}) ? ({args[1]}) : ({args[2]}))"
-    if op == "div" and len(args) == 2:
-        return f"(({args[0]}) / ({args[1]}))"
-    if op == "mod" and len(args) == 2:
-        return f"(({args[0]}) % ({args[1]}))"
-    raise ValueError(op)
-
-
-def _reconstruct_env(sources: list[str]) -> dict:
-    """Build a variable environment from the identifiers appearing in the
-    recorded terms (INT by default; names with list/mset hints typed
-    accordingly).  Terms with internal symbols are rejected upstream."""
-    import re
-    from ..pure.terms import Sort, var
-    env: dict = {}
-    blob = " ".join(sources)
-    if "$" in blob or "?e" in blob or "◁" in blob:
-        raise ValueError("internal symbols present")
-    for name in set(re.findall(r"\b[A-Za-z_][A-Za-z_0-9]*\b", blob)):
-        if name in ("add", "sub", "mul", "le", "lt", "eq", "not", "and",
-                    "or", "implies", "ite", "div", "mod", "len", "msize",
-                    "true", "false", "True", "False", "nil", "mempty",
-                    "msingle", "munion", "mall_ge", "mall_le", "mmember",
-                    "cons", "append", "head", "tail", "index", "store",
-                    "sorted", "min", "max", "loc_offset"):
-            continue
-        if name.startswith("fn:"):
-            continue
-        sort = Sort.INT
-        if name in ("xs", "ys", "ks", "vs", "tl", "cs"):
-            sort = Sort.LIST
-        elif name in ("s", "l", "r", "tail_", "s1", "s2"):
-            sort = Sort.MSET
-        env[name] = var(name, sort)
-    return env
+            f"side condition does not re-check: {goal!r}")

@@ -272,3 +272,92 @@ class TestServeLatency:
         path = self.status(tmp_path, latency)
         assert ci_checks.main(["serve-latency", path]) == 1
         assert "serve-latency" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------
+# certcheck
+# ---------------------------------------------------------------------
+
+def _forge_side_condition(outcomes):
+    """Claim ``1 <= 0`` was proved in the first side condition found."""
+    from repro.pure.terms import intlit, le
+    for out in outcomes.values():
+        for fr in out.result.functions.values():
+            for d in fr.derivations:
+                for node in d.walk():
+                    if node.kind == "side_condition" \
+                            and node.detail["hypotheses"]:
+                        node.label = le(intlit(1), intlit(0))
+                        return
+    raise AssertionError("no side condition to forge")
+
+
+def _drop_derivations(outcomes):
+    """Accept a function without recording its derivation."""
+    fr = next(iter(next(iter(outcomes.values())).result.functions.values()))
+    fr.derivations = []
+
+
+class TestCertcheck:
+    @pytest.fixture
+    def one_study(self, ci_checks, monkeypatch):
+        """Run the subcommand over alloc.c alone."""
+        from repro.report import casestudies_dir
+        monkeypatch.setattr(ci_checks, "certcheck_inputs",
+                            lambda _: [casestudies_dir() / "alloc.c"])
+
+    def test_inputs_are_studies_and_corpus_accepts(self, ci_checks,
+                                                   tmp_path):
+        from repro.fuzz.corpus import load_corpus
+        accepts = [e for _, e in load_corpus()
+                   if e.expect.get("check") == "accept"]
+        assert accepts
+        inputs = ci_checks.certcheck_inputs(tmp_path)
+        assert len(inputs) == 14 + len(accepts)
+        assert all(p.is_file() for p in inputs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_accepted_function_rechecks(self, ci_checks, tmp_path,
+                                              jobs):
+        """The studies and the corpus accept entries, serial and pooled
+        (derivations cross the pickle boundary): every side condition of
+        every accepted function re-proves, none is skipped."""
+        from repro.frontend import verify_files
+        inputs = ci_checks.certcheck_inputs(tmp_path)
+        summary = ci_checks.certify(verify_files(inputs, jobs=jobs,
+                                                 ledger=False))
+        assert summary["problems"] == []
+        assert summary["skipped"] == 0
+        assert summary["units"] == len(inputs)
+        assert summary["functions"] >= 32 + len(inputs) - 14
+        assert summary["rechecked"] > 0
+
+    def test_subcommand_passes(self, ci_checks, capsys, one_study):
+        assert ci_checks.main(["certcheck"]) == 0
+        assert "certcheck ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tamper, message", [
+        (_forge_side_condition, "does not re-check"),
+        (_drop_derivations, "accepted without a derivation"),
+    ])
+    def test_tampered_report_fails(self, ci_checks, capsys, monkeypatch,
+                                   one_study, tamper, message):
+        from repro import frontend
+        real = frontend.verify_files
+
+        def tampered(paths, **kwargs):
+            outcomes = real(paths, **kwargs)
+            tamper(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(frontend, "verify_files", tampered)
+        assert ci_checks.main(["certcheck"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"skipped": 1},
+                                     {"problems": ["u:f: forged"]}])
+    def test_skipped_or_problem_fails(self, ci_checks, capsys, bad):
+        summary = {"units": 1, "functions": 1, "derivations": 1,
+                   "rechecked": 1, "skipped": 0, "problems": [], **bad}
+        assert ci_checks.judge_certcheck(summary) == 1
+        assert "certcheck:" in capsys.readouterr().err
