@@ -10,13 +10,12 @@ plus the certificate re-check of the produced derivation.
 
 import pytest
 
+from repro.driver import DriverConfig, Unit, run_units
 from repro.frontend import verify_file
 from repro.lang.elaborate import elaborate_source
 from repro.lang.parser import parse
 from repro.proofs.certcheck import check_derivation
-from repro.proofs.manual import LEMMAS_BY_STUDY
 from repro.pure.solver import PureSolver
-from repro.refinedc.checker import check_program
 from repro.refinedc.rules import REGISTRY
 from repro.report import casestudies_dir
 
@@ -32,6 +31,12 @@ def test_stage_a_parse(benchmark):
 def test_stage_a_elaborate(benchmark):
     tp = benchmark(lambda: elaborate_source(SOURCE))
     assert tp.specs
+
+
+def check_program(tp):
+    """Check every function of ``tp`` on the driver's serial path."""
+    unit = Unit(key=STUDY, source=SOURCE, tp=tp)
+    return run_units([unit], DriverConfig(jobs=1))[STUDY][0]
 
 
 def test_stage_b_lithium(benchmark):

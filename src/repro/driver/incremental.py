@@ -137,8 +137,9 @@ def _topo_order(dirty: Sequence[str], graph: DepGraph,
                 spec_order: Sequence[str]) -> tuple[str, ...]:
     """Callee-before-caller order over the dirty set, spec order as the
     tiebreak; (mutual) recursion cycles are broken in spec order."""
-    remaining = [n for n in spec_order if n in set(dirty)]
-    deps = {n: {c for c in graph.callees(n) if c in set(dirty) and c != n}
+    dirty_set = set(dirty)
+    remaining = [n for n in spec_order if n in dirty_set]
+    deps = {n: {c for c in graph.callees(n) if c in dirty_set and c != n}
             for n in remaining}
     order: list[str] = []
     placed: set[str] = set()

@@ -27,8 +27,10 @@ from ..trace.profile import SLOWEST_PROVE_N
 # read back, so there is no loader.  v7: the result-cache hit, miss and
 # reuse counters, their hit rate and the ``depgraph`` effectiveness layer
 # are gone (they always equalled the clean/dirty counts), and
-# ``functions_rechecked`` counts the checks that ran in this call.
-METRICS_SCHEMA_VERSION = 7
+# ``functions_rechecked`` counts the checks that ran in this call.  v8:
+# the interned- and compiled-term counters are gone (interned terms now
+# outlive a function check, so neither counted one check's work).
+METRICS_SCHEMA_VERSION = 8
 
 
 @dataclass
@@ -60,13 +62,11 @@ class FunctionMetrics:
     wall_s: float = 0.0           # check wall time (original, if cached)
     solver_s: float = 0.0
     counters: dict = field(default_factory=dict)  # Stats.counters()
-    # Engine telemetry (schema v2).  Not part of ``counters`` — these vary
-    # with the cache configuration while counters stay byte-identical.
+    # Engine telemetry (TELEMETRY_KEYS).  Not part of ``counters`` —
+    # these vary with the cache configuration while counters stay
+    # byte-identical.
     solver_cache_hits: int = 0
-    terms_interned: int = 0
-    # Compiled hot path telemetry (schema v5) — same exclusion rationale.
     dispatch_table_hits: int = 0
-    terms_compiled: int = 0
 
 
 @dataclass
@@ -82,9 +82,7 @@ class DriverMetrics:
     cache_enabled: bool = False
     wall_s: float = 0.0           # elapsed checking time (excl. front end)
     solver_cache_hits: int = 0    # summed over live (non-"clean") functions
-    terms_interned: int = 0
     dispatch_table_hits: int = 0
-    terms_compiled: int = 0
     # Functions whose check ran in this call (counted by ``run_units``):
     # neither a clean reuse nor a spec'd function without a body.
     functions_rechecked: int = 0
@@ -199,14 +197,10 @@ class DriverMetrics:
             f"search {p.search_s * 1e3:.1f}ms, "
             f"solver {p.solver_s * 1e3:.1f}ms",
         ]
-        if self.solver_cache_hits or self.terms_interned:
+        if self.solver_cache_hits or self.dispatch_table_hits:
             lines.append(
                 f"engine: {self.solver_cache_hits} solver-cache hit(s), "
-                f"{self.terms_interned} term(s) interned")
-        if self.dispatch_table_hits or self.terms_compiled:
-            lines.append(
-                f"compiled: {self.dispatch_table_hits} dispatch-table "
-                f"hit(s), {self.terms_compiled} term(s) compiled")
+                f"{self.dispatch_table_hits} dispatch-table hit(s)")
         if self.trace is not None:
             solver = self.trace.get("solver", {})
             lines.append(

@@ -1,7 +1,7 @@
 """The verification driver: parallel, cached, metered checking.
 
-Replaces the serial loop of ``check_program`` for the toolchain entry
-points.  Spec-modular checking (§4) makes functions *independent* proof
+The one check loop of the toolchain entry points, serial and pooled
+alike.  Spec-modular checking (§4) makes functions *independent* proof
 obligations — each function is verified against the *specs* of its
 callees, never their bodies — so the work list is embarrassingly
 parallel.  The driver:
@@ -62,21 +62,16 @@ def reset_fresh_counters() -> None:
 
     Called before each function check (serial and parallel alike) so a
     function's verification is deterministic and independent of what was
-    checked before it — in this process or any other."""
+    checked before it — in this process or any other.
+
+    Only names are reset.  The interned terms and every pure memo stay:
+    they map term structure to derived data, equality is structural, and
+    the side conditions of a unit's functions repeat heavily, so what one
+    check built serves the next.  Results never depend on them; only
+    hit-rate telemetry varies with the schedule."""
     _search._FRESH_VAR_COUNTER = itertools.count(1)
     _terms._EVAR_COUNTER = itertools.count()
     _checker.FnCtx._slot_counter = itertools.count(1)
-    # Drop the term intern tables so the per-function terms_interned
-    # metric only counts this function's constructions.  The semantic
-    # memo caches (simplify/linarith/lists/sets) deliberately survive:
-    # they map term structure to term structure, equality is structural,
-    # and the checked conditions repeat heavily across the functions of a
-    # unit — cross-function hits are where most of the memo speedup
-    # comes from.  Verification results are unaffected either way; only
-    # hit-rate telemetry varies with schedule.  (The compiled forms in
-    # node slots die with the tables; the dict-level caches re-stamp
-    # them on first reuse, so this costs one lookup per node.)
-    _terms.clear_term_caches()
 
 
 @dataclass

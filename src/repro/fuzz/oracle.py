@@ -77,19 +77,15 @@ def _first_failure(result) -> str:
     return ""
 
 
+def _signature(result) -> Optional[frozenset]:
+    return signature_of(result.trace) if result.trace is not None else None
+
+
 def check_program(prog: GenProgram, coverage: bool = False) -> CheckResult:
     """Serial reference path: verify one generated program.
 
     With ``coverage=True`` the check runs under tracing and the result
     carries the distilled coverage signature."""
-    return _check_serial(prog, coverage=coverage)
-
-
-def _signature(result) -> Optional[frozenset]:
-    return signature_of(result.trace) if result.trace is not None else None
-
-
-def _check_serial(prog: GenProgram, coverage: bool = False) -> CheckResult:
     try:
         tp = elaborate_source(prog.source)
     except Exception:
@@ -162,7 +158,7 @@ def check_batch(progs: Sequence[tuple[str, GenProgram]], jobs: int = 1,
                 session.reset()
             by_key = dict(progs)
             for unit in units:
-                out[unit.key] = _check_serial(by_key[unit.key],
+                out[unit.key] = check_program(by_key[unit.key],
                                               coverage=coverage)
     return out
 

@@ -115,8 +115,7 @@ EvarRule = Callable[[Term, "SearchState"], Optional[Term]]
 #: the fuzz-corpus fingerprints and the driver's on-disk result cache).
 #: The driver metrics, the observability ledger and the tests all import
 #: this tuple instead of repeating the field names.
-TELEMETRY_KEYS = ("solver_cache_hits", "terms_interned",
-                  "dispatch_table_hits", "terms_compiled")
+TELEMETRY_KEYS = ("solver_cache_hits", "dispatch_table_hits")
 
 #: Wall-clock fields of :class:`Stats` — excluded from ``counters()``
 #: for the same reason the trace exporters strip timestamps.
@@ -142,9 +141,7 @@ class Stats:
     # Cache/engine telemetry (see TELEMETRY_KEYS above).  Deliberately
     # NOT part of counters().
     solver_cache_hits: int = 0
-    terms_interned: int = 0
     dispatch_table_hits: int = 0
-    terms_compiled: int = 0
 
     def counters(self) -> dict:
         """The deterministic portion of the statistics: every counter, but

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .memo import note_compiled, register_cache, trim_cache
+from .memo import register_cache, trim_cache
 from .terms import App, Lit, Sort, Term, Var, sub
 
 _set = object.__setattr__
@@ -29,11 +29,11 @@ _set = object.__setattr__
 LinMap = dict[Term, int]
 
 # Memoization over interned terms.  Linearisation and constraint extraction
-# are pure up to their ``atoms`` out-parameter, so each cache entry stores
+# are pure up to their ``atoms`` out-parameter, so each memo entry stores
 # the result together with the frozenset of atoms the computation would have
-# added; a hit replays the set union.  Entailment results are plain bools
+# added; a hit replays the set union.  A linear row lives in its node's
+# ``_lrow`` slot; the rest are dicts.  Entailment results are plain bools
 # keyed on (hyps tuple, goal).
-_LINEARISE_CACHE: dict = register_cache({})
 _CONSTRAINT_CACHE: dict = register_cache({})
 _IMPLIES_CACHE: dict = register_cache({})
 _AXIOM_CACHE: dict = register_cache({})
@@ -78,21 +78,14 @@ class Constraint:
 
 def linearise(t: Term, atoms: set[Term]) -> LinExpr:
     """Turn an INT term into a linear expression, collecting opaque atoms."""
-    hit = getattr(t, "_lrow", None) if isinstance(t, App) else None
+    if not isinstance(t, App):
+        return _linearise(t, atoms)
+    hit = getattr(t, "_lrow", None)
     if hit is None:
-        hit = _LINEARISE_CACHE.get(t)
-        if hit is None:
-            local: set[Term] = set()
-            e = _linearise(t, local)
-            hit = (e, frozenset(local))
-            trim_cache(_LINEARISE_CACHE)
-            _LINEARISE_CACHE[t] = hit
-        if isinstance(t, App):
-            # Compiled form attached to the interned node; the dict cache
-            # still serves structurally equal nodes from a later function
-            # check, after the intern table was cleared.
-            _set(t, "_lrow", hit)
-            note_compiled()
+        local: set[Term] = set()
+        e = _linearise(t, local)
+        hit = (e, frozenset(local))
+        _set(t, "_lrow", hit)
     atoms |= hit[1]
     # Fresh coeff dict per call: downstream arithmetic never mutates a
     # LinExpr in place, but sharing one dict across calls would make that

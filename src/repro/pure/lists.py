@@ -11,12 +11,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import linarith
-from .memo import register_cache, trim_cache
 from .simplify import _list_parts, simplify
 from .terms import App, Lit, Sort, Term, eq
-
-_LIST_CACHE: dict = register_cache({})
-_MISS = object()
 
 
 class ListSolver:
@@ -116,16 +112,5 @@ class ListSolver:
 
 
 def list_solver(hyps: Iterable[Term], goal: Term) -> bool:
-    hyps = tuple(hyps)
-    key = (hyps, goal)
-    hit = _LIST_CACHE.get(key, _MISS)
-    if hit is _MISS:
-        hit = _list_solver(hyps, goal)
-        trim_cache(_LIST_CACHE)
-        _LIST_CACHE[key] = hit
-    return hit
-
-
-def _list_solver(hyps: tuple[Term, ...], goal: Term) -> bool:
     hyps = list(hyps)
     return ListSolver(hyps).prove(simplify(goal), hyps)

@@ -7,21 +7,23 @@ entailment checking — into a candidate for *observationally pure*
 memoization: the cached result must be indistinguishable from recomputing
 it (same value, same ``Stats`` counters, same error text).
 
-This module owns the registry used to clear those caches plus the
-compiled-form telemetry counter:
+Each derived form is memoized in exactly one place.  A form of a single
+term node — its normal form, hypothesis decomposition or linear row —
+lives in a slot on the interned node; everything keyed on more than one
+term (entailments, constraint sets, solver instances) lives in a dict
+registered here.  Interned nodes and dict memos alike live for the
+process: the verification driver resets only the fresh-name counters
+between function checks, so a term one check built serves every later
+check, slots included.  Both are bounded — a dict past its cap
+(:func:`trim_cache`) or an intern table past :data:`DEFAULT_CACHE_CAP`
+is dropped wholesale.
 
-* :func:`register_cache` / :func:`register_clearer` — every cache
-  registers itself so :func:`clear_pure_caches` can drop the lot.  The
-  verification driver clears only the term *intern* tables between
-  function checks (so the per-function ``terms_interned`` metric counts
-  one function's constructions); the semantic memo caches survive across
-  functions — they are purely syntactic, so cross-function hits are free
-  speedup — and are bounded by :func:`trim_cache`.
-* :func:`note_compiled` / :func:`compiled_count` — count term nodes whose
-  compiled form (normal form, hypothesis decomposition, or linear row)
-  was computed and attached to the node.  Like ``intern_count`` this
-  feeds a per-function metric (``terms_compiled``) that is excluded from
-  ``Stats.counters()``, so fingerprints stay deterministic.
+:func:`register_cache` / :func:`register_clearer` enrol every memo so
+:func:`clear_pure_caches` can drop the lot: the dict memos and the
+intern tables.  That is how cold measurements, traced checks and the
+certificate re-check start from nothing.  Compiled forms already
+stamped on terms someone still holds survive it; they are rewrites, not
+proof results.
 
 Caches registered here must hold only *derived* data: clearing them at an
 arbitrary point may cost performance but can never change a result.  The
@@ -41,7 +43,6 @@ DEFAULT_CACHE_CAP = 1 << 18
 
 _CACHES: list[tuple[MutableMapping, int]] = []
 _CLEARERS: list[Callable[[], None]] = []
-_TERMS_COMPILED = 0
 
 
 def register_cache(cache: MutableMapping, cap: int = DEFAULT_CACHE_CAP
@@ -78,13 +79,3 @@ def trim_cache(cache: MutableMapping, cap: int = DEFAULT_CACHE_CAP) -> None:
             # dropped wholesale (derived data — safe, but a cold restart).
             tr.instant("memo", "trim", entries=entries, cap=cap)
 
-
-def note_compiled(n: int = 1) -> None:
-    """Record that a term node's compiled form was just materialised."""
-    global _TERMS_COMPILED
-    _TERMS_COMPILED += n
-
-
-def compiled_count() -> int:
-    """Total compiled-form materialisations in this process (telemetry)."""
-    return _TERMS_COMPILED

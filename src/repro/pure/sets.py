@@ -24,10 +24,6 @@ from .simplify import _mset_parts, simplify
 from .terms import App, Lit, Sort, Term, eq, le, mall_ge, mall_le
 
 _MSET_CACHE: dict = register_cache({})
-# The member-split search re-derives the same (hyps, goal, arith) subproofs
-# along different branches of the case tree; caching them turns the
-# exponential exploration into a DAG walk.
-_MSET_PROVE_CACHE: dict = register_cache({})
 # Saturation (``_ingest``) is itself deterministic in the constructor
 # arguments and solver instances are immutable afterwards, so equal
 # hypothesis tuples can share one instance.
@@ -52,10 +48,6 @@ class MultisetSolver:
 
     def __init__(self, hyps: Iterable[Term]) -> None:
         hyps = list(hyps)
-        # Instances are immutable after ``_ingest``; the constructor
-        # arguments fully determine every later ``prove`` answer, so they
-        # double as the memoization key.
-        self._memo_key = tuple(hyps)
         self.rewrites: dict[Term, Term] = {}
         self.facts: list[Term] = []
         # Per-instance normal-form cache.  Only valid once
@@ -162,16 +154,7 @@ class MultisetSolver:
 
     def prove(self, goal: Term, arith_hyps: Iterable[Term] = ()) -> bool:
         """Try to prove a (multi)set goal."""
-        extra = tuple(arith_hyps)
-        key = (self._memo_key, goal, extra)
-        hit = _MSET_PROVE_CACHE.get(key, _MISS)
-        if hit is _MISS:
-            hit = self._prove(goal, extra)
-            trim_cache(_MSET_PROVE_CACHE)
-            _MSET_PROVE_CACHE[key] = hit
-        return hit
-
-    def _prove(self, goal: Term, arith_hyps: Iterable[Term]) -> bool:
+        arith_hyps = tuple(arith_hyps)
         arith = list(arith_hyps) + self._arith_hyps()
         goal = self.normalise(goal)
         if isinstance(goal, Lit):

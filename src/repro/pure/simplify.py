@@ -21,18 +21,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .memo import note_compiled, register_cache, trim_cache
 from .terms import (App, Lit, Sort, Term, add, and_, app, eq, intlit, le,
                     mall_ge, mall_le, msize, not_, sub)
 
 _set = object.__setattr__
-
-# Memoization over interned terms: simplify is a pure function of its
-# (immutable, hash-consed) argument, so caching term -> normal form is
-# observationally invisible.  The cache is registered with the central
-# registry and cleared per function check by the driver.
-_SIMPLIFY_CACHE: dict[Term, Term] = register_cache({})
-_HYP_CACHE: dict[Term, tuple[Term, ...]] = register_cache({})
 
 
 def simplify(t: Term) -> Term:
@@ -40,18 +32,14 @@ def simplify(t: Term) -> Term:
 
     Each interned node dispatches through a flat per-operator closure
     table (:data:`_NODE_RULES`) and remembers its normal form in a slot on
-    the node itself (``_simp``) — the compiled form of the term.  The
-    node slot dies with the intern table (cleared per function check);
-    the dict cache persists across functions, so both are consulted.
+    the node itself (``_simp``) — the compiled form of the term, the
+    only memo of it.  Interned nodes live across function checks, so a
+    later check that builds the term again is answered from the slot.
     """
     if not isinstance(t, App):
         return t
     hit = getattr(t, "_simp", None)
     if hit is not None:
-        return hit
-    hit = _SIMPLIFY_CACHE.get(t)
-    if hit is not None:
-        _set(t, "_simp", hit)
         return hit
     args = tuple(simplify(a) for a in t.args)
     op = t.op
@@ -67,9 +55,6 @@ def simplify(t: Term) -> Term:
     else:
         out = t2
     _set(t, "_simp", out)
-    note_compiled()
-    trim_cache(_SIMPLIFY_CACHE)
-    _SIMPLIFY_CACHE[t] = out
     return out
 
 
@@ -349,8 +334,6 @@ def register_hyp_rule(rule: HypRule) -> None:
     """
     global _HYP_GEN
     _HYP_RULES.append(rule)
-    # Cached decompositions may be stale w.r.t. the new rule set.
-    _HYP_CACHE.clear()
     _HYP_GEN += 1
 
 
@@ -359,20 +342,13 @@ def simplify_hyp(phi: Term) -> list[Term]:
 
     An interned ``App`` keeps its decomposition in a node slot
     (``_hypx``) tagged with the rule generation it was computed under."""
-    node = isinstance(phi, App)
-    if node:
-        hit = getattr(phi, "_hypx", None)
-        if hit is not None and hit[0] == _HYP_GEN:
-            return list(hit[1])
-    hit = _HYP_CACHE.get(phi)
-    if hit is None:
-        hit = tuple(_simplify_hyp(phi))
-        if node:
-            note_compiled()
-        trim_cache(_HYP_CACHE)
-        _HYP_CACHE[phi] = hit
-    if node:
-        _set(phi, "_hypx", (_HYP_GEN, hit))
+    if not isinstance(phi, App):
+        return _simplify_hyp(phi)
+    hit = getattr(phi, "_hypx", None)
+    if hit is not None and hit[0] == _HYP_GEN:
+        return list(hit[1])
+    hit = tuple(_simplify_hyp(phi))
+    _set(phi, "_hypx", (_HYP_GEN, hit))
     return list(hit)
 
 

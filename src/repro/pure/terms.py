@@ -39,7 +39,7 @@ import enum
 import itertools
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .memo import register_clearer
+from . import memo as _memo
 
 
 class Sort(enum.Enum):
@@ -65,6 +65,12 @@ class TermError(Exception):
 # from the children's intern ids (``_iid``), which are unique for the
 # process lifetime and never reused — so clearing the tables mid-run can
 # cost identity, never correctness.
+#
+# The tables live for the process: a term built again by a later
+# function check is the very node an earlier one built, compiled forms
+# (``App._simp``/``_hypx``/``_lrow``) included.  They are bounded like
+# every pure memo — a table past ``memo.DEFAULT_CACHE_CAP`` entries drops
+# them all — and :func:`repro.pure.memo.clear_pure_caches` drops them too.
 # ------------------------------------------------------------------
 
 _set = object.__setattr__
@@ -75,26 +81,11 @@ _LIT_TABLE: dict = {}
 _APP_TABLE: dict = {}
 
 _IID_COUNTER = itertools.count(1)
-_TERMS_INTERNED = 0
-
-
-def intern_count() -> int:
-    """Total number of distinct term nodes interned so far (monotonic).
-
-    The driver snapshots this around each function check to report the
-    ``terms_interned`` metric."""
-    return _TERMS_INTERNED
-
-
-def intern_table_sizes() -> dict:
-    """Current table sizes (diagnostics / benchmarks)."""
-    return {"var": len(_VAR_TABLE), "evar": len(_EVAR_TABLE),
-            "lit": len(_LIT_TABLE), "app": len(_APP_TABLE)}
 
 
 def _intern(table: dict, key, node):
-    global _TERMS_INTERNED
-    _TERMS_INTERNED += 1
+    if len(table) > _memo.DEFAULT_CACHE_CAP:
+        clear_term_caches()
     table[key] = node
     return node
 
@@ -366,8 +357,10 @@ class App(Term):
         args = tuple(args)
         # The intern ids of the children identify them *exactly* (stricter
         # than ``==``, which conflates Lit(True)/Lit(1)), so the key can
-        # never merge Apps whose reprs or child sorts differ.
-        key = (op, tuple(a._iid for a in args), result_sort)
+        # never merge Apps whose reprs or child sorts differ.  One flat
+        # tuple: the tables outlive a function check, so every byte of
+        # a key is kept.
+        key = (op, result_sort, *[a._iid for a in args])
         cached = _APP_TABLE.get(key)
         if cached is not None:
             return cached
@@ -602,7 +595,7 @@ FALSE = Lit(False)
 ZERO = Lit(0)
 ONE = Lit(1)
 
-register_clearer(clear_term_caches)
+_memo.register_clearer(clear_term_caches)
 
 
 def intlit(n: int) -> Lit:

@@ -2,8 +2,8 @@
 expressed as Lithium rules and driven by the checker."""
 
 from .checker import (FnCtx, FunctionResult, GlobalSpec, ProgramResult,
-                      TypedProgram, check_function, check_program,
-                      missing_body_result, verification_targets)
+                      TypedProgram, check_function, missing_body_result,
+                      verification_targets)
 from .judgments import LocType, TokenAtom, ValType
 from .spec import (FunctionSpec, RawFunctionAnnotations, RawStructAnnotations,
                    ShrPtr, SpecContext, SpecError, build_function_spec,
@@ -20,6 +20,6 @@ __all__ = [
     "RawStructAnnotations", "ShrPtr", "SpecContext", "SpecError", "StructT",
     "TokenAtom", "TypeDef", "TypeTable", "TypedProgram", "UninitT",
     "ValType", "ValueT", "WandT", "build_function_spec", "check_function",
-    "check_program", "define_struct_type", "missing_body_result",
+    "define_struct_type", "missing_body_result",
     "parse_assertion", "parse_type", "verification_targets",
 ]

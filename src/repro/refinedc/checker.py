@@ -20,9 +20,8 @@ from ..caesium.syntax import Function, LoopAnnotation, Program
 from ..lithium.goals import (Atom, BasicGoal, GBasic, GExists, Goal, GSep,
                              GTrue, GWand, HAtom, HPure)
 from ..lithium.search import SearchState, Stats, VerificationError
-from ..pure.memo import compiled_count
 from ..pure.solver import PureSolver
-from ..pure.terms import Sort, Subst, Term, Var, eq, intern_count, intlit, var
+from ..pure.terms import Sort, Subst, Term, Var, eq, intlit, var
 from .judgments import (CASJ, HookJ, LocType, StmtsJ, SubsumeLocJ, SubsumeValJ,
                         TokenAtom, ValType)
 from .ownership import intro_loc_goal, locate
@@ -325,8 +324,6 @@ def check_function(tp: TypedProgram, name: str) -> FunctionResult:
         return SearchState(REGISTRY, solver, _make_subsume_factory(sigma),
                            function=name, stats=stats, subst=subst)
 
-    interned0 = intern_count()
-    compiled0 = compiled_count()
     dispatch0 = REGISTRY.dispatch_hits
     try:
         state = new_state()
@@ -340,24 +337,22 @@ def check_function(tp: TypedProgram, name: str) -> FunctionResult:
             goal2 = _with_param_facts(sigma, goal2)
             derivations.append(st2.run(goal2))
     except VerificationError as exc:
-        _record_cache_stats(stats, solver, interned0, compiled0, dispatch0)
+        _record_cache_stats(stats, solver, dispatch0)
         return FunctionResult(name, False, stats, exc, derivations)
-    _record_cache_stats(stats, solver, interned0, compiled0, dispatch0)
+    _record_cache_stats(stats, solver, dispatch0)
     return FunctionResult(name, True, stats, None, derivations)
 
 
-def _record_cache_stats(stats: Stats, solver: PureSolver, interned0: int,
-                        compiled0: int, dispatch0: int) -> None:
+def _record_cache_stats(stats: Stats, solver: PureSolver,
+                        dispatch0: int) -> None:
     """Engine telemetry (not Stats counters — see Stats.counters()).
 
     The solver instance lives for the whole function, so its cache_hits
     total also covers prove calls made outside ``_prove_timed`` (e.g. the
-    ownership layer's direct side-condition checks).  ``terms_compiled``
-    and ``dispatch_table_hits`` are deltas of the process-wide compile
-    counters over this check, mirroring ``terms_interned``."""
+    ownership layer's direct side-condition checks).
+    ``dispatch_table_hits`` is the delta of the process-wide dispatch
+    counter over this check."""
     stats.solver_cache_hits = solver.cache_hits
-    stats.terms_interned = intern_count() - interned0
-    stats.terms_compiled = compiled_count() - compiled0
     stats.dispatch_table_hits = REGISTRY.dispatch_hits - dispatch0
 
 
@@ -544,18 +539,3 @@ def missing_body_result(name: str) -> FunctionResult:
         function=name)
     return FunctionResult(name, False, Stats(), error)
 
-
-def check_program(tp: TypedProgram) -> ProgramResult:
-    """Verify every function that has a spec and a body.  Functions marked
-    ``rc::trusted`` (specs without verified bodies) are skipped, like
-    axiomatised externals; spec'd functions with *no* body and no
-    ``rc::trusted`` marker are reported as explicit failures."""
-    result = ProgramResult()
-    to_check, missing = verification_targets(tp)
-    check_set, missing_set = set(to_check), set(missing)
-    for name in tp.specs:
-        if name in missing_set:
-            result.functions[name] = missing_body_result(name)
-        elif name in check_set:
-            result.functions[name] = check_function(tp, name)
-    return result

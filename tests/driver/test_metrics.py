@@ -43,21 +43,24 @@ def test_function_metrics_match_results():
 def test_json_export_schema():
     out = verify_file(study_path("mpool"))
     data = json.loads(out.metrics.to_json())
-    assert data["schema_version"] == METRICS_SCHEMA_VERSION == 7
+    assert data["schema_version"] == METRICS_SCHEMA_VERSION == 8
     assert data["jobs"] == 1
     assert set(data["phases"]) == {"parse_s", "elaborate_s", "search_s",
                                    "solver_s"}
     assert isinstance(data["functions"], list)
     fn = data["functions"][0]
     assert {"name", "ok", "cache", "wall_s", "solver_s",
-            "counters", "solver_cache_hits", "terms_interned",
-            "dispatch_table_hits", "terms_compiled"} <= set(fn)
+            "counters", "solver_cache_hits",
+            "dispatch_table_hits"} <= set(fn)
     assert fn["counters"]["backtracks"] == 0
     # The engine telemetry must never leak into the deterministic counters
     # — the exclusion list is the single shared TELEMETRY_KEYS constant.
     for key in TELEMETRY_KEYS:
         assert key not in fn["counters"]
-    assert data["terms_interned"] > 0
+    assert data["dispatch_table_hits"] > 0
+    # v8 dropped the interned/compiled term counters.
+    for gone in ("terms_interned", "terms_compiled"):
+        assert gone not in data and gone not in fn
 
 
 def test_json_v4_incremental_counters(tmp_path):
@@ -82,21 +85,17 @@ def test_json_v4_incremental_counters(tmp_path):
 
 
 def test_json_v5_compiled_telemetry():
-    """Schema v5: dispatch-table and term-compilation telemetry is
-    populated on a cold pass, and cache warmth never changes the
-    deterministic counters (round-trips through JSON either way)."""
+    """Schema v5: dispatch-table telemetry is populated on a cold pass,
+    and cache warmth never changes the deterministic counters
+    (round-trips through JSON either way)."""
     from repro.pure.memo import clear_pure_caches
 
-    # Cold pass: the process-wide memo dicts survive across functions
-    # (by design), and a warm dict satisfies lookups before any closure
-    # needs compiling — terms_compiled would then be 0.
     clear_pure_caches()
     cold = json.loads(verify_file(study_path("mpool")).metrics.to_json())
     warm = json.loads(verify_file(study_path("mpool")).metrics.to_json())
 
     assert cold["dispatch_table_hits"] > 0
-    assert cold["terms_compiled"] > 0
-    assert warm["terms_compiled"] <= cold["terms_compiled"]
+    assert warm["dispatch_table_hits"] > 0
     for w, c in zip(warm["functions"], cold["functions"]):
         assert w["counters"] == c["counters"]
         assert w["ok"] == c["ok"]
@@ -110,7 +109,8 @@ def test_merge_metrics_sums_compiled_telemetry():
     total = merge_metrics([a, b])
     assert total.dispatch_table_hits \
         == a.dispatch_table_hits + b.dispatch_table_hits
-    assert total.terms_compiled == a.terms_compiled + b.terms_compiled
+    assert total.solver_cache_hits \
+        == a.solver_cache_hits + b.solver_cache_hits
 
 
 def test_json_v3_trace_key_absent_when_off():

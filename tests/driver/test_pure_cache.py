@@ -5,15 +5,26 @@ The driver must produce byte-identical results — per-function outcome,
 caches (and the compiled forms stamped on interned nodes) start cold,
 right after ``clear_pure_caches()``, or warm from unrelated studies;
 the caches may only surface in the (non-counter) telemetry fields
-``solver_cache_hits`` / ``terms_interned`` / ``dispatch_table_hits`` /
-``terms_compiled``."""
+``solver_cache_hits`` / ``dispatch_table_hits``.
+
+Interned terms outlive a function check: the driver resets only the
+fresh-name counters, so a later check that builds a term again gets the
+node an earlier one built, with its compiled forms."""
+
+import importlib
 
 import pytest
 
+from repro.driver import reset_fresh_counters
 from repro.frontend import verify_file, verify_source
+from repro.pure import memo, terms
 from repro.pure.memo import clear_pure_caches
+from repro.pure.terms import App, clear_term_caches
 
 from .conftest import fingerprint, study_path
+
+# ``repro.pure.simplify`` the attribute is the function; this is the module.
+simplify_mod = importlib.import_module("repro.pure.simplify")
 
 STUDIES = ["alloc", "mpool", "binary_search", "hashmap"]
 
@@ -51,9 +62,7 @@ def test_cache_telemetry_is_populated():
     clear_pure_caches()
     out = verify_file(study_path("mpool"))
     m = out.metrics
-    assert m.terms_interned > 0
     assert m.solver_cache_hits > 0
-    assert m.terms_interned == sum(f.terms_interned for f in m.functions)
     assert m.solver_cache_hits == sum(f.solver_cache_hits
                                       for f in m.functions)
 
@@ -63,7 +72,70 @@ def test_compile_telemetry_is_populated():
     out = verify_file(study_path("mpool"))
     m = out.metrics
     assert m.dispatch_table_hits > 0
-    assert m.terms_compiled > 0
     assert m.dispatch_table_hits == sum(f.dispatch_table_hits
                                         for f in m.functions)
-    assert m.terms_compiled == sum(f.terms_compiled for f in m.functions)
+
+
+def _side_condition_goals(outcome) -> list:
+    return [node.label for fr in outcome.result.functions.values()
+            for d in fr.derivations for node in d.walk()
+            if node.kind == "side_condition"]
+
+
+class _CountingRules(dict):
+    """Stands in for ``simplify._NODE_RULES``: counts the lookups, which
+    happen only when a normal form is computed, not read from a slot."""
+
+    def __init__(self, rules):
+        super().__init__(rules)
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_terms_outlive_function_checks(monkeypatch):
+    """A side condition a later check builds again, after
+    ``reset_fresh_counters()``, is the very node the earlier check built,
+    and ``simplify`` answers it from the node's slot."""
+    clear_pure_caches()
+    first = verify_file(study_path("alloc"))
+    reset_fresh_counters()
+    rules = _CountingRules(simplify_mod._NODE_RULES)
+    monkeypatch.setattr(simplify_mod, "_NODE_RULES", rules)
+    second = verify_file(study_path("alloc"))
+    before, after = _side_condition_goals(first), _side_condition_goals(second)
+    assert before and len(before) == len(after)
+    assert all(a is b for a, b in zip(before, after))
+    assert fingerprint(second) == fingerprint(first)
+    for goal in after:
+        if isinstance(goal, App):
+            assert getattr(goal, "_simp", None) is not None
+            assert simplify_mod.simplify(goal) is goal._simp
+    assert rules.lookups == 0
+
+
+@pytest.mark.parametrize("study", ["mpool", "hashmap"])
+def test_small_intern_cap_keeps_results(monkeypatch, study):
+    """Bounded intern tables: past the cap every table is dropped (the
+    singletons re-seeded), and neither verdicts nor fingerprints move."""
+    path = study_path(study)
+    clear_pure_caches()
+    reference = verify_file(path)
+    clears = []
+
+    def counting_clear():
+        clears.append(len(terms._APP_TABLE))
+        clear_term_caches()
+
+    cap = 64
+    monkeypatch.setattr(memo, "DEFAULT_CACHE_CAP", cap)
+    monkeypatch.setattr(terms, "clear_term_caches", counting_clear)
+    clear_pure_caches()
+    small = verify_file(path)
+    assert clears and max(clears) <= cap + 1
+    assert len(terms._APP_TABLE) <= cap + 1
+    assert terms.Lit(True) is terms.TRUE and terms.Lit(0) is terms.ZERO
+    assert small.ok == reference.ok
+    assert fingerprint(small) == fingerprint(reference)
