@@ -40,6 +40,11 @@ to reproduce exactly what CI enforces:
   condition of every accepted function's derivations with
   ``repro.proofs.certcheck``, the pure memo caches dropped first: no
   certificate problem and no skipped side condition.
+* ``pooled-corpus`` — verify the seed-1 generated corpus (40 programs,
+  stratified by template, plus their mutants whose UB witness fires)
+  at jobs=1 and at jobs=2: every function's verdict and
+  ``Stats.counters()`` agree between the two, and no witnessed mutant
+  is accepted.
 
 Exit code 0 when the assertion holds, 1 when it fails.
 """
@@ -452,6 +457,103 @@ def certcheck(args) -> int:
     return judge_certcheck(certify(outcomes))
 
 
+# ---------------------------------------------------------------------
+# pooled-corpus
+# ---------------------------------------------------------------------
+
+CORPUS_SEED = 1
+CORPUS_PROGRAMS = 40
+
+
+def pooled_corpus_inputs(workdir: Path, seed: int = CORPUS_SEED,
+                         programs: int = CORPUS_PROGRAMS
+                         ) -> dict[Path, bool]:
+    """The generated corpus, written into ``workdir``: ``programs``
+    programs to accept (program ``i`` uses template ``i mod 10``, so the
+    template mix is the same for every seed) and every mutant of theirs
+    whose UB witness fires on the Caesium machine, to reject.  Maps
+    each file to whether it must verify."""
+    from repro.fuzz.generator import DEFAULT_TEMPLATES, generate_program
+    from repro.fuzz.oracle import run_witness
+    from repro.lang.elaborate import elaborate_source
+
+    expected: dict[Path, bool] = {}
+    for i in range(programs):
+        template = DEFAULT_TEMPLATES[i % len(DEFAULT_TEMPLATES)]
+        prog = generate_program(seed, i, templates=[template])
+        path = workdir / f"gen{i:03d}.c"
+        path.write_text(prog.source)
+        expected[path] = True
+        for j, mutant in enumerate(prog.mutants):
+            if not mutant.has_witness:
+                continue
+            try:
+                tp = elaborate_source(mutant.source)
+            except Exception:   # noqa: BLE001 — refused by the front end:
+                continue        # then it is no input for the checker
+            if run_witness(prog.template, mutant.name, prog.params,
+                           tp) is None:
+                continue
+            path = workdir / f"gen{i:03d}_m{j}.c"
+            path.write_text(mutant.source)
+            expected[path] = False
+    return expected
+
+
+def corpus_verdicts(outcomes: dict) -> dict:
+    """``{stem: {"ok": bool, "functions": {name: [ok, counters]}}}``:
+    the deterministic part of a run's outcomes."""
+    return {stem: {"ok": out.ok,
+                   "functions": {name: [fr.ok, fr.stats.counters()]
+                                 for name, fr in
+                                 out.result.functions.items()}}
+            for stem, out in outcomes.items()}
+
+
+def judge_pooled_corpus(serial: dict, pooled: dict,
+                        expected: dict[str, bool]) -> int:
+    """``serial`` and ``pooled`` are :func:`corpus_verdicts` of the
+    jobs=1 and jobs=2 runs, ``expected`` maps each stem to whether it
+    must verify.  Fails on any difference between the runs and on an
+    accepted witnessed mutant."""
+    problems = []
+    for stem in sorted(set(serial) | set(pooled)):
+        if serial.get(stem) != pooled.get(stem):
+            problems.append(f"{stem}: jobs=1 and jobs=2 differ")
+            if stem in serial and stem in pooled:
+                _diff_files({stem: serial[stem]["functions"]},
+                            {stem: pooled[stem]["functions"]},
+                            "jobs=1", "jobs=2")
+    for stem, must_verify in sorted(expected.items()):
+        if must_verify:
+            continue
+        if any(run.get(stem, {}).get("ok") for run in (serial, pooled)):
+            problems.append(f"{stem}: witnessed mutant accepted")
+    for problem in problems:
+        print(f"pooled-corpus: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    mutants = sum(not ok for ok in expected.values())
+    functions = sum(len(u["functions"]) for u in pooled.values())
+    print(f"pooled-corpus ok: {len(expected)} unit(s) "
+          f"({mutants} witnessed mutant(s) rejected), {functions} "
+          "function(s) with equal verdicts and counters at jobs=1 and "
+          "jobs=2")
+    return 0
+
+
+def pooled_corpus(args) -> int:
+    from repro.frontend import verify_files
+
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = pooled_corpus_inputs(Path(tmp))
+        paths = list(expected)
+        serial = corpus_verdicts(verify_files(paths, jobs=1, ledger=False))
+        pooled = corpus_verdicts(verify_files(paths, jobs=2, ledger=False))
+    return judge_pooled_corpus(serial, pooled,
+                               {p.stem: ok for p, ok in expected.items()})
+
+
 def _diff_files(a: dict, b: dict, la: str, lb: str) -> None:
     for stem in sorted(set(a) | set(b)):
         if stem not in a or stem not in b:
@@ -530,6 +632,11 @@ def main(argv=None) -> int:
                        help="re-check the certificates of the case "
                             "studies and the corpus accept entries")
     p.set_defaults(func=certcheck)
+
+    p = sub.add_parser("pooled-corpus",
+                       help="the seed-1 generated corpus verifies alike "
+                            "at jobs=1 and jobs=2, mutants rejected")
+    p.set_defaults(func=pooled_corpus)
 
     args = ap.parse_args(argv)
     return args.func(args)

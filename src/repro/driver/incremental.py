@@ -51,7 +51,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from ..refinedc.checker import (ProgramResult, TypedProgram,
                                 verification_targets)
@@ -326,15 +326,16 @@ def memoized_program(state_cache: dict, stem: str,
 # The incremental entry point.
 # ---------------------------------------------------------------------
 
-def run_units_incremental(units: Sequence[Unit], config: DriverConfig,
+def run_units_incremental(units: Collection[Unit], config: DriverConfig,
                           session: Optional[PoolSession] = None,
                           state_cache: Optional[dict] = None,
                           on_unit: Optional[UnitCallback] = None
                           ) -> dict[str, tuple[object, DriverMetrics]]:
     """Drive ``run_units`` through the incremental planner.
 
-    Same result shape as :func:`repro.driver.run_units`;
-    ``config.cache_dir`` must name the directory holding the result cache
+    Same result shape as :func:`repro.driver.run_units`, but ``units``
+    is iterated more than once: every unit is planned before the first
+    check.  ``config.cache_dir`` must name the directory holding the result cache
     and the planner state.  After the run the fresh graph, per-function
     transitive keys and outcomes are persisted for the next invocation
     — only when some unit's state differs from what was loaded, or the

@@ -8,7 +8,10 @@ parallel.  The driver:
 
 1. schedules independent functions onto a **process pool** (``jobs > 1``),
    with a deterministic in-process serial path as the ``jobs = 1``
-   fallback and reference semantics;
+   fallback and reference semantics — one dispatch loop for both, which
+   consumes the units lazily and routes each unit's pending functions
+   the moment the unit arrives, so a caller's front end (parsing and
+   elaborating the next unit) overlaps the workers' checks;
 2. follows the incremental planner's per-unit plans
    (:mod:`.incremental`): a clean function's outcome comes from the
    content-addressed result cache (:mod:`.cache`) without a check, and a
@@ -28,10 +31,16 @@ that blob.  Each worker memoises unpickled programs by the blob's
 sha256, so the memo is content addressed — a unit key reused with
 different source (a daemon tenant, a fuzz round) simply misses — and a
 unit's functions share one program, warm refinement caches included.
+
+Every worker runs ``gc.freeze()`` as its initializer.  A fork worker
+inherits the parent's heap by copy-on-write; frozen, that heap is out of
+reach of the worker's collections, which would otherwise walk it in
+every full collection and so copy its pages.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import multiprocessing
@@ -41,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional
 
 from ..lithium import search as _search
 from ..pure import terms as _terms
@@ -201,9 +210,12 @@ class PoolSession:
 
     def executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # gc.freeze: a fork worker's collections must not walk (and
+            # so copy) the parent heap it inherits; see the module notes.
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                mp_context=self._mp_context or _pool_context())
+                mp_context=self._mp_context or _pool_context(),
+                initializer=gc.freeze)
         return self._pool
 
     def reset(self) -> None:
@@ -276,7 +288,13 @@ def _pool_context():
 # The driver proper.
 # ---------------------------------------------------------------------
 
-def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
+#: one collected check: ``((unit, function), (result, wall, trace))``
+Outcome = tuple[tuple[str, str],
+                tuple[FunctionResult, float, Optional[tuple]]]
+
+
+def run_units(units: Collection[Unit],
+              config: Optional[DriverConfig] = None,
               plans: Optional[dict] = None,
               session: Optional[PoolSession] = None,
               on_unit: Optional[UnitCallback] = None
@@ -286,6 +304,12 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
     Sharing the pool across units is what makes whole-evaluation runs
     scale: pool startup is paid once and the per-function tasks of all
     units load-balance together.
+
+    ``units`` is consumed lazily, once: each unit's pending functions
+    are dispatched the moment it arrives, so a caller that elaborates
+    units on the fly (``frontend.verify_files`` hands over a stream)
+    overlaps its front end with the workers' checks.  ``len(units)``
+    must still be the number of units.
 
     ``plans`` (unit key → :class:`UnitPlan`) is the incremental path:
     planned units reuse cached results for clean functions and schedule
@@ -298,23 +322,23 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
 
     ``on_unit(key, result, metrics)`` is called once per unit, as soon
     as that unit's last function is collected; a unit with no pending
-    work is reported right after planning.  Callers that stream (the
+    work is reported as soon as it arrives.  Callers that stream (the
     serve daemon) pass it; the returned map is the same either way."""
     config = config or DriverConfig()
     plans = plans or {}
     jobs = config.resolved_jobs()
     store = config.open_cache()
     tracing = config.resolved_trace()
+    lone = len(units) == 1
 
-    t_start = time.perf_counter()
+    t_start = 0.0
     metrics: dict[str, DriverMetrics] = {}
     # (unit_key, fn_name) -> bookkeeping for assembly.
     cache_keys: dict[tuple[str, str], str] = {}
     collected: dict[tuple[str, str], tuple[FunctionResult, float, str]] = {}
     traces: dict[tuple[str, str], FunctionTrace] = {}
-    pending: list[tuple[str, str]] = []
     remaining: dict[str, int] = {}
-    units_by_key = {u.key: u for u in units}
+    units_by_key: dict[str, Unit] = {}
     out: dict[str, tuple[ProgramResult, DriverMetrics]] = {}
 
     def finish(unit: Unit) -> None:
@@ -332,7 +356,7 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
         # Elapsed time is shared by every unit on the pool; a unit's own
         # checking cost is the sum of its live function walls.  "clean"
         # entries carry the *original* run's wall time.
-        m.wall_s = time.perf_counter() - t_start if len(units) == 1 else \
+        m.wall_s = time.perf_counter() - t_start if lone else \
             sum(f.wall_s for f in m.functions if f.cache != "clean")
         if tracing:
             # Deterministic merge: front end first, then the live-checked
@@ -349,19 +373,22 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
         if on_unit is not None:
             on_unit(unit.key, result, m)
 
-    for unit in units:
+    def admit(unit: Unit) -> list[str]:
+        """Set up ``unit``'s metrics and collect what needs no check;
+        return its pending functions in check order."""
         m = DriverMetrics(study=unit.key, jobs=jobs,
                           cache_enabled=store is not None)
         if unit.timings is not None:
             m.phases.parse_s = unit.timings.parse_s
             m.phases.elaborate_s = unit.timings.elaborate_s
         metrics[unit.key] = m
+        units_by_key[unit.key] = unit
         to_check, missing = verification_targets(unit.tp)
         for name in missing:
             collected[(unit.key, name)] = \
                 (missing_body_result(name), 0.0, "off")
         plan = plans.get(unit.key)
-        unit_pending: list[str] = []
+        pending: list[str] = []
         for name in to_check:
             fplan = plan.functions.get(name) if plan is not None else None
             if fplan is not None:
@@ -371,92 +398,142 @@ def run_units(units: Sequence[Unit], config: Optional[DriverConfig] = None,
                     continue
                 if store is not None and fplan.store_key is not None:
                     cache_keys[(unit.key, name)] = fplan.store_key
-            unit_pending.append(name)
+            pending.append(name)
         if plan is not None and plan.order:
             # Dependency (callee-before-caller) order: at jobs=1 a
             # caller's re-check always sees already re-validated callee
             # specs; unordered stragglers keep their spec order.
             rank = {n: i for i, n in enumerate(plan.order)}
-            unit_pending.sort(key=lambda n: (rank.get(n, len(rank)),))
-        pending.extend((unit.key, name) for name in unit_pending)
-        remaining[unit.key] = len(unit_pending)
+            pending.sort(key=lambda n: (rank.get(n, len(rank)),))
+        remaining[unit.key] = len(pending)
+        return pending
 
-    for unit in units:
-        if not remaining[unit.key]:
-            finish(unit)
+    def collect(outcomes: Iterator[Outcome]) -> None:
+        for (ukey, name), (fr, wall, trace) in outcomes:
+            plan = plans.get(ukey)
+            planned = plan is not None and name in plan.functions
+            collected[(ukey, name)] = (fr, wall,
+                                       "dirty" if planned else "off")
+            metrics[ukey].functions_rechecked += 1
+            if trace is not None:
+                events, dropped = trace
+                traces[(ukey, name)] = FunctionTrace(ukey, name, events,
+                                                     dropped)
+            if store is not None and (ukey, name) in cache_keys:
+                store.put(cache_keys[(ukey, name)], fr, wall)
+            remaining[ukey] -= 1
+            if not remaining[ukey]:
+                finish(units_by_key[ukey])
 
-    for (ukey, name), (fr, wall, trace) in _run_pending(
-            pending, units_by_key, jobs, tracing, session):
-        plan = plans.get(ukey)
-        planned = plan is not None and name in plan.functions
-        collected[(ukey, name)] = (fr, wall, "dirty" if planned else "off")
-        metrics[ukey].functions_rechecked += 1
-        if trace is not None:
-            events, dropped = trace
-            traces[(ukey, name)] = FunctionTrace(ukey, name, events, dropped)
-        if store is not None and (ukey, name) in cache_keys:
-            store.put(cache_keys[(ukey, name)], fr, wall)
-        remaining[ukey] -= 1
-        if not remaining[ukey]:
-            finish(units_by_key[ukey])
-
-    return {unit.key: out[unit.key] for unit in units}
-
-
-def _run_pending(pending: list[tuple[str, str]],
-                 units_by_key: dict[str, Unit], jobs: int, tracing: bool,
-                 session: Optional[PoolSession] = None
-                 ) -> Iterator[tuple[tuple[str, str],
-                                     tuple[FunctionResult, float,
-                                           Optional[tuple]]]]:
-    """Check every pending ``(unit, function)``, yielding each outcome as
-    it is collected: ``((unit, function), (result, wall, trace))``."""
-    if not pending:
-        return
-    if session is not None and session.jobs > 1:
-        jobs = session.jobs
-    else:
-        session = None
-    blobs = _program_blobs(pending, units_by_key) \
-        if jobs > 1 and len(pending) > 1 else None
-    if blobs is None:
-        yield from _run_serial(pending, units_by_key, tracing)
-    elif session is not None:
-        yield from _run_parallel(pending, blobs, session, tracing)
-    else:
-        with PoolSession(min(jobs, len(pending))) as temporary:
-            yield from _run_parallel(pending, blobs, temporary, tracing)
-
-
-def _program_blobs(pending, units_by_key
-                   ) -> Optional[dict[str, tuple[str, bytes]]]:
-    """Pickle each pending unit's program once: unit key -> ``(sha256,
-    blob)``.  ``None`` if a program does not pickle (an unpicklable
-    user-supplied lemma): the run then takes the deterministic serial
-    path rather than failing."""
-    blobs = {}
+    dispatch = _Dispatch(jobs, tracing, session)
     try:
-        for ukey, _name in pending:
-            if ukey not in blobs:
-                blob = pickle.dumps(units_by_key[ukey].tp)
-                blobs[ukey] = (hashlib.sha256(blob).hexdigest(), blob)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return None
-    return blobs
+        for arrived, unit in enumerate(units, 1):
+            if arrived == 1:
+                t_start = time.perf_counter()
+            pending = admit(unit)
+            if not pending:
+                finish(unit)
+            collect(dispatch.add(unit, pending, len(units) - arrived))
+        collect(dispatch.drain())
+    finally:
+        dispatch.close()
+    return {key: out[key] for key in units_by_key}
 
 
-def _run_serial(pending, units_by_key, tracing):
-    for ukey, name in pending:
-        yield (ukey, name), _traced_check(units_by_key[ukey].tp, name,
-                                          tracing)
+class _Dispatch:
+    """The one dispatch loop of :func:`run_units`, serial and pooled.
 
+    Each arriving unit's pending functions are routed at once.  At
+    width 1 they are checked in-process, in arrival order — the serial
+    reference path.  Wider, the first pending function is held back:
+    the pool starts only when a second one exists, sized
+    ``min(width, functions pending so far + units still to come)``, so
+    a lone function never pays for a pool and is checked in-process at
+    the end.  A unit whose program does not pickle (an unpicklable
+    user-supplied lemma) is checked in-process rather than failing the
+    run; the other units still go to the pool.  Every unit's program is
+    pickled at most once per call.
 
-def _run_parallel(pending, blobs, session, tracing):
-    pool = session.executor()
-    session.batches += 1
-    session.tasks += len(pending)
-    futures = [pool.submit(_worker_check, ukey, name, *blobs[ukey], tracing)
-               for ukey, name in pending]
-    for fut in as_completed(futures):
-        ukey, name, fr, wall, trace = fut.result()
-        yield (ukey, name), (fr, wall, trace)
+    ``add`` yields the outcomes of the in-process checks it ran, and
+    never waits for the pool; ``drain`` runs a held-back function and
+    yields every pool outcome as it completes."""
+
+    def __init__(self, jobs: int, tracing: bool,
+                 session: Optional[PoolSession]) -> None:
+        if session is not None and session.jobs > 1:
+            jobs = session.jobs
+        else:
+            session = None
+        self.width = jobs
+        self.tracing = tracing
+        self.session = session
+        self.temporary: Optional[PoolSession] = None
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.held: Optional[tuple[Unit, str]] = None
+        self.blobs: dict[str, Optional[tuple[str, bytes]]] = {}
+        self.futures: list = []
+
+    def add(self, unit: Unit, names: list[str],
+            units_left: int) -> Iterator[Outcome]:
+        work = [(unit, name) for name in names]
+        if self.width <= 1:
+            for item in work:
+                yield self._local(*item)
+            return
+        if self.held is not None:
+            work.insert(0, self.held)
+            self.held = None
+        if self.pool is None and len(work) == 1:
+            self.held = work[0]
+            return
+        ship, local = [], []
+        for item in work:
+            (local if self._blob(item[0]) is None else ship).append(item)
+        if self.pool is None and len(ship) == 1:
+            self.held = ship.pop()
+        if ship:
+            self._submit(ship, units_left)
+        for item in local:
+            yield self._local(*item)
+
+    def drain(self) -> Iterator[Outcome]:
+        if self.held is not None:
+            held, self.held = self.held, None
+            yield self._local(*held)
+        for fut in as_completed(self.futures):
+            ukey, name, fr, wall, trace = fut.result()
+            yield (ukey, name), (fr, wall, trace)
+
+    def close(self) -> None:
+        if self.temporary is not None:
+            self.temporary.close()
+
+    def _local(self, unit: Unit, name: str) -> Outcome:
+        return (unit.key, name), _traced_check(unit.tp, name, self.tracing)
+
+    def _blob(self, unit: Unit) -> Optional[tuple[str, bytes]]:
+        """``(sha256, pickled program)`` of ``unit``, made once per call;
+        ``None`` if the program does not pickle."""
+        if unit.key not in self.blobs:
+            try:
+                blob = pickle.dumps(unit.tp)
+            except (pickle.PicklingError, AttributeError, TypeError):
+                self.blobs[unit.key] = None
+            else:
+                self.blobs[unit.key] = (hashlib.sha256(blob).hexdigest(),
+                                        blob)
+        return self.blobs[unit.key]
+
+    def _submit(self, ship: list[tuple[Unit, str]], units_left: int) -> None:
+        session = self.session or self.temporary
+        if session is None:
+            session = self.temporary = PoolSession(
+                min(self.width, len(ship) + units_left))
+        if self.pool is None:
+            self.pool = session.executor()
+            session.batches += 1
+        session.tasks += len(ship)
+        for unit, name in ship:
+            self.futures.append(self.pool.submit(
+                _worker_check, unit.key, name, *self._blob(unit),
+                self.tracing))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .driver import (DriverConfig, DriverMetrics, PhaseTimings, Unit,
                      run_units, run_units_incremental)
@@ -180,8 +180,13 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
 
     Returns outcomes keyed by file stem, in input order.  With ``jobs>1``
     every (file, function) pair is one task on a single process pool.
-    A ``cache_dir`` re-checks only the functions whose fingerprinted
-    inputs changed since the last run against that directory.
+    Files go through the front end one at a time, inside the driver
+    call, and each file's functions are dispatched as soon as it is
+    elaborated, so parsing and elaborating later files overlaps the
+    checks of earlier ones.  A ``cache_dir`` re-checks only the
+    functions whose fingerprinted inputs changed since the last run
+    against that directory; planning needs every file, so a planned
+    run elaborates them all before the first check.
 
     A long-lived caller (the serve daemon) passes ``session`` (a warm
     :class:`repro.driver.PoolSession`) to reuse one worker pool across
@@ -197,13 +202,12 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
     soon as that unit's last function is checked (see
     :func:`repro.driver.run_units`)."""
     tracing = trace_env_enabled() if trace is None else bool(trace)
-    units = []
     tps: dict[str, TypedProgram] = {}
-    for p in paths:
-        p = Path(p)
-        study = p.stem
+
+    def front_end(path: Path) -> Unit:
+        study = path.stem
         lemmas = LEMMAS_BY_STUDY.get(study)
-        source = p.read_text()
+        source = path.read_text()
         tp = memoized_program(state_cache, study, source_sha(source)) \
             if state_cache is not None else None
         if tp is None:
@@ -213,8 +217,10 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
             front = FunctionTrace(unit=study, function="") \
                 if tracing else None
         tps[study] = tp
-        units.append(Unit(key=study, source=source, tp=tp, lemmas=lemmas,
-                          timings=timings, front_trace=front))
+        return Unit(key=study, source=source, tp=tp, lemmas=lemmas,
+                    timings=timings, front_trace=front)
+
+    units = _UnitStream(paths, front_end)
     config = DriverConfig(jobs=jobs, cache_dir=cache_dir, trace=tracing)
     report = None
     if on_unit is not None:
@@ -228,7 +234,9 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
         results = run_units_incremental(units, config, session=session,
                                         state_cache=state_cache,
                                         on_unit=report)
-    wall = time.perf_counter() - t0
+    # The front end ran inside the driver call; the check wall is the
+    # rest of it, as when every unit was elaborated before the call.
+    wall = time.perf_counter() - t0 - units.front_s
     outcomes = {study: VerificationOutcome(tps[study], result, study,
                                            metrics)
                 for study, (result, metrics) in results.items()}
@@ -236,6 +244,32 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
         _ledger_record(outcomes, jobs=config.resolved_jobs(), wall_s=wall,
                        cached=cache_dir is not None)
     return outcomes
+
+
+class _UnitStream:
+    """The units of ``paths``, each built by ``front_end`` (read, parse,
+    elaborate) only when the driver reaches it, so the driver can check
+    one unit while the next is elaborated.  Sized, and iterable again
+    without rebuilding: the built units are kept.  ``front_s`` is the
+    wall spent building."""
+
+    def __init__(self, paths: Sequence[Union[str, Path]],
+                 front_end: Callable[[Path], Unit]) -> None:
+        self.paths = [Path(p) for p in paths]
+        self.front_end = front_end
+        self.built: list[Unit] = []
+        self.front_s = 0.0
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self) -> Iterator[Unit]:
+        for i, path in enumerate(self.paths):
+            if i == len(self.built):
+                t0 = time.perf_counter()
+                self.built.append(self.front_end(path))
+                self.front_s += time.perf_counter() - t0
+            yield self.built[i]
 
 
 def _ledger_record(outcomes: dict, *, jobs: int, wall_s: float,

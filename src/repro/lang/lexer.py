@@ -42,70 +42,59 @@ _PUNCTS = [
     ">", "=", "&", "|", "^", "!", "~", "?", ":",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NUM_RE = re.compile(r"0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*")
-_STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+#: One scan per token.  Alternatives are tried in order, so this is the
+#: lexer's priority: whitespace and newlines, ``//`` comments, ``/*``,
+#: ``#`` lines, ``[[``, identifiers, numbers, strings, punctuators (the
+#: longest first, as listed in ``_PUNCTS``).
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<space>[ \t\r\n]+)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<block>/\*)",
+    # Preprocessor lines (includes/defines) are ignored; the case
+    # studies are self-contained.
+    r"(?P<directive>#[^\n]*)",
+    r"(?P<attr>\[\[)",
+    r"(?P<ident>[A-Za-z_][A-Za-z_0-9]*)",
+    r"(?P<number>0[xX][0-9a-fA-F]+[uUlL]*|\d+[uUlL]*)",
+    r'"(?P<string>(?:[^"\\]|\\.)*)"',
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCTS)) + ")",
+]))
+
+#: token kinds whose text is kept
+_KEPT = frozenset(("ident", "number", "string", "punct"))
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenise a C source file."""
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     pos = 0
     line = 1
     n = len(source)
     while pos < n:
-        ch = source[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = n if end < 0 else end
-            continue
-        if source.startswith("/*", pos):
+        m = match(source, pos)
+        if m is None:
+            raise LexError(f"line {line}: cannot lex {source[pos:pos+12]!r}")
+        kind = m.lastgroup
+        if kind in _KEPT:
+            append(Token(kind, m.group(kind), line))
+            pos = m.end()
+        elif kind == "space":
+            line += m.group().count("\n")
+            pos = m.end()
+        elif kind == "block":
             end = source.find("*/", pos)
             if end < 0:
                 raise LexError(f"line {line}: unterminated block comment")
             line += source.count("\n", pos, end)
             pos = end + 2
-            continue
-        if source.startswith("#", pos):
-            # Preprocessor lines (includes/defines) are ignored; the case
-            # studies are self-contained.
-            end = source.find("\n", pos)
-            pos = n if end < 0 else end
-            continue
-        if source.startswith("[[", pos):
+        elif kind == "attr":
             tok, pos, line = _lex_attribute(source, pos, line)
-            tokens.append(tok)
-            continue
-        m = _IDENT_RE.match(source, pos)
-        if m:
-            tokens.append(Token("ident", m.group(0), line))
+            append(tok)
+        else:                       # a // comment or a # line
             pos = m.end()
-            continue
-        m = _NUM_RE.match(source, pos)
-        if m:
-            tokens.append(Token("number", m.group(0), line))
-            pos = m.end()
-            continue
-        m = _STRING_RE.match(source, pos)
-        if m:
-            tokens.append(Token("string", m.group(1), line))
-            pos = m.end()
-            continue
-        for p in _PUNCTS:
-            if source.startswith(p, pos):
-                tokens.append(Token("punct", p, line))
-                pos += len(p)
-                break
-        else:
-            raise LexError(f"line {line}: cannot lex {source[pos:pos+12]!r}")
-    tokens.append(Token("eof", "", line))
+    append(Token("eof", "", line))
     return tokens
 
 

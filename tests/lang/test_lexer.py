@@ -88,3 +88,51 @@ class TestAttributes:
     def test_non_rc_attribute_rejected(self):
         with pytest.raises(LexError):
             tokenize("[[nodiscard]]")
+
+
+class TestScanPriority:
+    """The lexer scans each token with one pattern whose alternatives are
+    tried in priority order; these pin the choices that order makes."""
+
+    def test_longest_punctuators_win(self):
+        assert kinds("a <<= b ... c -> d >>= e") == [
+            ("ident", "a"), ("punct", "<<="), ("ident", "b"),
+            ("punct", "..."), ("ident", "c"), ("punct", "->"),
+            ("ident", "d"), ("punct", ">>="), ("ident", "e")]
+
+    def test_hex_and_suffixed_numbers(self):
+        assert kinds("0xff 0X1aUL 12u 7LL 3 12abc") == [
+            ("number", "0xff"), ("number", "0X1aUL"), ("number", "12u"),
+            ("number", "7LL"), ("number", "3"), ("number", "12"),
+            ("ident", "abc")]
+
+    def test_string_literal_text(self):
+        assert kinds('"a\\"b" c') == [("string", 'a\\"b'), ("ident", "c")]
+
+    def test_lines_after_multiline_block_comment(self):
+        toks = tokenize("a /* one\ntwo\nthree */ b\nc")
+        assert [(t.text, t.line) for t in toks] == [
+            ("a", 1), ("b", 3), ("c", 4), ("", 4)]
+
+    def test_lines_after_multiline_attribute(self):
+        toks = tokenize('x\n[[rc::args("a",\n  "b")]]\nint y;')
+        assert [(t.kind, t.line) for t in toks] == [
+            ("ident", 1), ("attr", 2), ("ident", 4), ("ident", 4),
+            ("punct", 4), ("eof", 4)]
+        assert toks[1].attr_args == ("a", "b")
+
+    def test_hash_lines_are_skipped_to_the_newline(self):
+        toks = tokenize("#define N 4\n# include <x.h>\nint n;")
+        assert [(t.text, t.line) for t in toks] == [
+            ("int", 3), ("n", 3), (";", 3), ("", 3)]
+
+    @pytest.mark.parametrize("source, message", [
+        ("a\n@", "line 2: cannot lex '@'"),
+        ('x = "abc', "line 1: cannot lex '\"abc'"),
+        ("a\n/* never\nclosed", "line 2: unterminated block comment"),
+        ('\n[[rc::args("a")', "line 2: unterminated attribute"),
+    ])
+    def test_error_text(self, source, message):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert str(err.value) == message

@@ -361,3 +361,65 @@ class TestCertcheck:
                    "rechecked": 1, "skipped": 0, "problems": [], **bad}
         assert ci_checks.judge_certcheck(summary) == 1
         assert "certcheck:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------
+# pooled-corpus
+# ---------------------------------------------------------------------
+
+def corpus_run(**overrides):
+    """Verdict summaries of one accepted program and one rejected
+    mutant, as ``corpus_verdicts`` renders them."""
+    counters = {"rule_applications": 7, "rules_used": ["a", "b"]}
+    run = {"gen000": {"ok": True, "functions": {"f": [True, counters]}},
+           "gen000_m0": {"ok": False,
+                         "functions": {"f": [False, dict(counters)]}}}
+    for stem, unit in overrides.items():
+        run[stem] = unit
+    return run
+
+
+EXPECTED = {"gen000": True, "gen000_m0": False}
+
+
+class TestPooledCorpus:
+    def test_equal_runs_pass(self, ci_checks, capsys):
+        assert ci_checks.judge_pooled_corpus(corpus_run(), corpus_run(),
+                                             EXPECTED) == 0
+        assert "1 witnessed mutant(s) rejected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pooled", [
+        # a counter differs
+        {"gen000": {"ok": True, "functions": {"f": [True, {
+            "rule_applications": 8, "rules_used": ["a", "b"]}]}}},
+        # a verdict differs
+        {"gen000": {"ok": False, "functions": {"f": [False, {
+            "rule_applications": 7, "rules_used": ["a", "b"]}]}}},
+        # a function is missing
+        {"gen000": {"ok": True, "functions": {}}},
+    ])
+    def test_a_difference_fails(self, ci_checks, capsys, pooled):
+        assert ci_checks.judge_pooled_corpus(
+            corpus_run(), corpus_run(**pooled), EXPECTED) == 1
+        assert "gen000: jobs=1 and jobs=2 differ" in capsys.readouterr().err
+
+    def test_an_accepted_mutant_fails(self, ci_checks, capsys):
+        accepted = {"gen000_m0": {"ok": True, "functions": {
+            "f": [True, {"rule_applications": 7, "rules_used": []}]}}}
+        assert ci_checks.judge_pooled_corpus(
+            corpus_run(**accepted), corpus_run(**accepted), EXPECTED) == 1
+        assert "gen000_m0: witnessed mutant accepted" \
+            in capsys.readouterr().err
+
+    def test_inputs_are_stratified_programs_and_witnessed_mutants(
+            self, ci_checks, tmp_path):
+        expected = ci_checks.pooled_corpus_inputs(tmp_path, programs=10)
+        accepts = sorted(p.name for p, ok in expected.items() if ok)
+        assert accepts == [f"gen{i:03d}.c" for i in range(10)]
+        mutants = [p for p, ok in expected.items() if not ok]
+        assert mutants and all("_m" in p.stem for p in mutants)
+        assert all(p.is_file() for p in expected)
+
+    def test_subcommand_passes(self, ci_checks, capsys):
+        assert ci_checks.main(["pooled-corpus"]) == 0
+        assert "pooled-corpus ok: 99 unit(s)" in capsys.readouterr().out
