@@ -10,13 +10,8 @@ Examples:
     PYTHONPATH=src python scripts/fuzz.py --count 200 --stats fuzz.json \\
         --verify-replay
 
-    # distributed sharding: run shard 1 of 4, then merge
-    PYTHONPATH=src python scripts/fuzz.py --count 200 --shards 4 --shard 1 \\
-        --stats shard1.json
-    PYTHONPATH=src python scripts/fuzz.py --merge shard*.json --stats all.json
-
     # coverage dashboard for a finished campaign
-    PYTHONPATH=src python scripts/fuzz.py --dashboard --stats-in all.json
+    PYTHONPATH=src python scripts/fuzz.py --dashboard --stats-in fuzz.json
 
     # enforce the pinned coverage floor
     PYTHONPATH=src python scripts/fuzz.py --count 24 --round-size 8 \\
@@ -40,15 +35,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.fuzz import (DEFAULT_TEMPLATES, CampaignConfig,  # noqa: E402
-                        CampaignStats, load_corpus, merge_shard_stats,
-                        replay_entry, run_campaign, run_shard_campaign)
+                        CampaignStats, load_corpus, replay_entry,
+                        run_campaign)
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR  # noqa: E402
 from repro.obs import RuleCostMap, record_run  # noqa: E402
 from repro.trace.signature import RULE_PREFIX  # noqa: E402
 
 
 def ledger_record(stats: CampaignStats) -> None:
-    """One run-ledger record per finished campaign/merge (no-op unless
+    """One run-ledger record per finished campaign (no-op unless
     RC_LEDGER is set).  The campaign retains coverage signatures, not
     traces, so the rules block is count-only — hit counts per rule
     dispatch key and solver outcome, no wall columns (``rcstat
@@ -77,12 +72,6 @@ def parse_args(argv):
                     help="driver process-pool width")
     ap.add_argument("--shards", type=int, default=1, metavar="N",
                     help="partition each round's seed space into N shards")
-    ap.add_argument("--shard", type=int, default=None, metavar="K",
-                    help="distributed mode: run only shard K of --shards "
-                         "and emit mergeable per-shard stats")
-    ap.add_argument("--merge", type=Path, nargs="+", default=None,
-                    metavar="JSON", help="merge per-shard stats files into "
-                    "one campaign (shrink + corpus filing run here)")
     ap.add_argument("--round-size", type=int, default=16, metavar="N",
                     help="programs per steering round")
     ap.add_argument("--no-coverage", action="store_true",
@@ -273,39 +262,6 @@ def emit_dashboard(args, stats: CampaignStats) -> None:
         print(f"dashboard JSON written to {args.dashboard_json}")
 
 
-def do_shard(args) -> int:
-    cfg = build_config(args)
-    stats = run_shard_campaign(cfg, args.shard)
-    print(f"shard {args.shard}/{cfg.shards}: {stats.summary()}")
-    write_stats(args, stats)
-    return 0 if stats.ok else 1
-
-
-def do_merge(args) -> int:
-    shards = [CampaignStats.from_dict(json.loads(p.read_text()))
-              for p in args.merge]
-    cfg = build_config(args)
-    # The merge's shrink predicates must reproduce the shard runs'
-    # conditions, so every shrink-relevant knob (seed, trials, fuel,
-    # mutant budget) comes from the shard stats, never the merge's own
-    # command line.
-    cfg = CampaignConfig(**{**cfg.__dict__, "seed": shards[0].seed,
-                            "trials": shards[0].trials,
-                            "shards": shards[0].shards,
-                            "round_size": shards[0].round_size,
-                            "mutant_limit": shards[0].mutant_limit,
-                            "fuel": shards[0].fuel})
-    merged = merge_shard_stats(shards, cfg)
-    print(f"merged {len(shards)} shards: {merged.summary()}")
-    write_stats(args, merged)
-    emit_dashboard(args, merged)
-    ledger_record(merged)
-    rc = 0 if merged.ok else 1
-    if args.check_floor:
-        rc = max(rc, check_floor(merged, args.check_floor))
-    return rc
-
-
 def do_inspect(args) -> int:
     stats = CampaignStats.from_dict(json.loads(args.stats_in.read_text()))
     emit_dashboard(args, stats)
@@ -398,14 +354,10 @@ def main(argv=None) -> int:
         return 0
     if args.replay:
         return do_replay(args)
-    if args.merge:
-        return do_merge(args)
     if args.stats_in:
         return do_inspect(args)
     if args.coverage_compare:
         return do_coverage_compare(args)
-    if args.shard is not None:
-        return do_shard(args)
     return do_campaign(args)
 
 

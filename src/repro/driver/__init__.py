@@ -12,8 +12,7 @@ from .cache import (CACHE_FORMAT_VERSION, DEFAULT_CACHE_DIR, ResultCache,
                     atomic_write_json)
 from .depgraph import (DepGraph, build_depgraph, engine_fingerprint,
                        transitive_key)
-from .incremental import (IncrementalState, plan_unit,
-                          run_units_incremental)
+from .incremental import IncrementalState, plan_unit
 from .metrics import (DriverMetrics, FunctionMetrics, PhaseTimings,
                       merge_metrics)
 from .pool import (DriverConfig, FunctionPlan, PoolSession, Unit, UnitPlan,
@@ -25,6 +24,5 @@ __all__ = [
     "IncrementalState", "PhaseTimings", "PoolSession", "ResultCache",
     "Unit", "UnitPlan", "atomic_write_json", "build_depgraph",
     "engine_fingerprint", "merge_metrics", "plan_unit",
-    "reset_fresh_counters", "run_units", "run_units_incremental",
-    "transitive_key",
+    "reset_fresh_counters", "run_units", "transitive_key",
 ]

@@ -2,8 +2,12 @@
 
 The planner persists, per translation unit, the dependency graph built
 by :mod:`.depgraph` plus one **transitive key** per function in
-``<cache-dir>/depgraph.json``.  On the next run it rebuilds the graph
-from the fresh sources and compares:
+``<cache-dir>/depgraph.json``.  A ``run_units`` call with a
+``cache_dir`` makes one :class:`Planner`, which plans each unit as the
+driver's dispatch loop reaches it — so a planned run streams like an
+unplanned one — and saves the state once the last unit is done.  To
+plan a unit it rebuilds the unit's graph from the fresh source and
+compares:
 
 * a function whose stored transitive key equals the fresh one is
   **clean** — its cached outcome is reused verbatim (never re-checked);
@@ -34,15 +38,18 @@ from it — no planning, no result-cache read — while the planner state
 still holds the very ``UnitState`` object recorded beside it.  Once
 such a unit has been served from its plan, the memo also keeps the
 ``(ProgramResult, DriverMetrics)`` pair that run produced; later
-untraced requests at the same width get that very pair back, and
-``run_units`` is not called for the unit at all.
+untraced requests at the same width get that very pair back when the
+unit arrives: no metrics are built and nothing is checked.
 
 Degradation is always towards a *full* re-verification, never towards a
 wrong or missing outcome: a corrupted / truncated / version-mismatched
 / foreign-engine ``depgraph.json`` loads as empty state, which marks
 everything dirty; an evicted result-cache entry for a clean function
-forces that function dirty.  Concurrent writers race benignly (atomic
-tempfile + rename, last writer wins).
+forces that function dirty.  A unit planned later in a run can find
+result-cache entries that earlier units of the same run wrote; that only
+turns an evicted-but-clean function into a reuse of an outcome stored
+under the same key.  Concurrent writers race benignly (atomic tempfile +
+rename, last writer wins).
 """
 
 from __future__ import annotations
@@ -51,17 +58,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from ..refinedc.checker import (ProgramResult, TypedProgram,
                                 verification_targets)
 from ..trace.tracer import Tracer
-from .cache import atomic_write_json
+from .cache import ResultCache, atomic_write_json
 from .depgraph import (DepGraph, build_depgraph, changed_nodes,
                        engine_fingerprint, transitive_key)
 from .metrics import DriverMetrics
-from .pool import (DriverConfig, FunctionPlan, PoolSession, Unit,
-                   UnitCallback, UnitPlan, run_units)
+from .pool import FunctionPlan, Unit, UnitPlan
 
 STATE_FORMAT_VERSION = 1
 STATE_FILE = "depgraph.json"
@@ -299,7 +305,7 @@ class UnitMemo:
 
     ``outcome`` is the ``(result, metrics)`` pair an untraced run
     produced while serving the unit from ``plan``.  It is replayed (the
-    very objects; ``run_units`` is skipped) while ``plan`` is valid, the
+    very objects, with no check) while ``plan`` is valid, the
     request is untraced and runs at the width that produced it.  Its
     front-end timings are 0, since the program was memoized, so the pair
     holds nothing a later request would compute differently."""
@@ -323,109 +329,98 @@ def memoized_program(state_cache: dict, stem: str,
 
 
 # ---------------------------------------------------------------------
-# The incremental entry point.
+# The planner of one planned run.
 # ---------------------------------------------------------------------
 
-def run_units_incremental(units: Collection[Unit], config: DriverConfig,
-                          session: Optional[PoolSession] = None,
-                          state_cache: Optional[dict] = None,
-                          on_unit: Optional[UnitCallback] = None
-                          ) -> dict[str, tuple[object, DriverMetrics]]:
-    """Drive ``run_units`` through the incremental planner.
+class Planner:
+    """The incremental planner of one ``run_units`` call with a
+    ``cache_dir``.
 
-    Same result shape as :func:`repro.driver.run_units`, but ``units``
-    is iterated more than once: every unit is planned before the first
-    check.  ``config.cache_dir`` must name the directory holding the result cache
-    and the planner state.  After the run the fresh graph, per-function
-    transitive keys and outcomes are persisted for the next invocation
-    — only when some unit's state differs from what was loaded, or the
-    state file is absent; an unchanged state is never rewritten.
+    Made when the call starts, it loads the planner state (through the
+    caller's ``state_cache`` memo, if any).  The driver's dispatch loop
+    hands it each unit as the unit arrives: :meth:`admit` returns the
+    unit's :class:`UnitPlan`, or the memoized ``(result, metrics)``
+    pair to replay.  Once every unit is done, :meth:`commit` saves the
+    state (only if it changed) and refreshes the :class:`UnitMemo`
+    entries.  A call that raises before its end never commits, so
+    ``depgraph.json`` keeps what the last finished run wrote."""
 
-    ``session`` reuses a caller-owned warm :class:`PoolSession` for the
-    dirty subset, and ``on_unit`` is handed to ``run_units``.
-    ``state_cache`` lets a long-lived caller (the serve daemon) skip
-    re-reading an unchanged ``depgraph.json`` per request, and keeps one
-    :class:`UnitMemo` per unit: an unchanged unit's graph is not
-    rebuilt, a unit whose memoized reuse plan is still valid skips
-    planning and result-cache reads altogether, and one whose memo also
-    holds a valid outcome is handed that outcome (to ``on_unit`` before
-    ``run_units`` checks the other units) instead of being run again.
-    """
-    store = config.open_cache()
-    if store is None:
-        raise ValueError("a planned run needs config.cache_dir")
-    cache_dir = store.root
-    engine = engine_fingerprint()
-    state = load_state_cached(cache_dir, engine, state_cache)
-    tracing = config.resolved_trace()
-    jobs = config.resolved_jobs()
+    def __init__(self, store: ResultCache, tracing: bool, jobs: int,
+                 state_cache: Optional[dict]) -> None:
+        self.store = store
+        self.tracing = tracing
+        self.jobs = jobs
+        self.state_cache = state_cache
+        self.engine = engine_fingerprint()
+        self.state = load_state_cached(store.root, self.engine, state_cache)
+        # unit key -> (unit, plan, graph, source sha, served from memo)
+        self.admitted: dict[str, tuple[Unit, UnitPlan, DepGraph, str,
+                                       bool]] = {}
 
-    plans: dict[str, UnitPlan] = {}
-    graphs: dict[str, DepGraph] = {}
-    shas: dict[str, str] = {}
-    memoized: set[str] = set()
-    replayed: dict[str, tuple[ProgramResult, DriverMetrics]] = {}
-    for unit in units:
-        memo = state_cache.get(_unit_slot(unit.key)) \
-            if state_cache is not None else None
+    def admit(self, unit: Unit
+              ) -> Union[UnitPlan, tuple[ProgramResult, DriverMetrics]]:
+        """Plan ``unit``.  A unit whose memoized reuse plan is still
+        valid — the planner state holds the very ``UnitState`` the memo
+        recorded — is served from that plan, with no planning and no
+        result-cache read; if the memo also holds an outcome and this
+        run is untraced and as wide as the one that produced it, that
+        very pair is returned instead of a plan."""
+        memo = self.state_cache.get(_unit_slot(unit.key)) \
+            if self.state_cache is not None else None
         if memo is not None and memo.program is not unit.tp:
             memo = None
-        old = state.units.get(unit.key)
-        if memo is not None and memo.plan is not None \
-                and old is not None and old is memo.state:
+        old = self.state.units.get(unit.key)
+        served = memo is not None and memo.plan is not None \
+            and old is not None and old is memo.state
+        if served:
             plan, graph = memo.plan, memo.graph
-            memoized.add(unit.key)
-            if memo.outcome is not None and not tracing \
-                    and memo.outcome[1].jobs == jobs:
-                replayed[unit.key] = memo.outcome
         else:
             plan, graph = plan_unit(
-                unit, state, store, engine,
+                unit, self.state, self.store, self.engine,
                 memo.graph if memo is not None else None)
-        plans[unit.key] = plan
-        graphs[unit.key] = graph
-        shas[unit.key] = memo.sha if memo is not None \
-            else source_sha(unit.source)
-        if tracing:
+        sha = memo.sha if memo is not None else source_sha(unit.source)
+        self.admitted[unit.key] = (unit, plan, graph, sha, served)
+        if served and memo.outcome is not None and not self.tracing \
+                and memo.outcome[1].jobs == self.jobs:
+            return memo.outcome
+        if self.tracing:
             _trace_plan(unit, plan)
+        return plan
 
-    out = dict(replayed)
-    if on_unit is not None:
-        for key, (result, metrics) in replayed.items():
-            on_unit(key, result, metrics)
-    rest = [unit for unit in units if unit.key not in replayed]
-    if rest:
-        out.update(run_units(rest, config, plans, session=session,
-                             on_unit=on_unit))
-
-    changed = _state_stat(cache_dir) is None
-    for unit in units:
-        if unit.key in memoized:
-            # Served from its memo: the state it recorded is unchanged.
-            continue
-        result, _metrics = out[unit.key]
-        functions = {
-            fn: {"key": fp.store_key, "ok": result.functions[fn].ok}
-            for fn, fp in plans[unit.key].functions.items()
-            if fn in result.functions}
-        fresh = UnitState(source_sha=shas[unit.key],
-                          graph=graphs[unit.key], functions=functions)
-        if state.units.get(unit.key) != fresh:
-            state.units[unit.key] = fresh
-            changed = True
-    if changed:
-        state.save(cache_dir)
-        if state_cache is not None:
-            state_cache[str(Path(cache_dir).resolve())] = \
-                (_state_stat(cache_dir), state)
-    if state_cache is not None:
-        for unit in units:
-            plan = plans[unit.key]
+    def commit(self, out: dict[str, tuple[ProgramResult, DriverMetrics]]
+               ) -> None:
+        """Persist the fresh graph, per-function transitive keys and
+        outcomes of every admitted unit — only when some unit's state
+        differs from what was loaded, or the state file is absent — and
+        refresh the caller's memo."""
+        cache_dir = self.store.root
+        state = self.state
+        changed = _state_stat(cache_dir) is None
+        for key, (_unit, plan, graph, sha, served) in self.admitted.items():
+            if served:
+                # Served from its memo: the state it recorded is unchanged.
+                continue
+            result = out[key][0]
+            functions = {
+                fn: {"key": fp.store_key, "ok": result.functions[fn].ok}
+                for fn, fp in plan.functions.items()
+                if fn in result.functions}
+            fresh = UnitState(source_sha=sha, graph=graph,
+                              functions=functions)
+            if state.units.get(key) != fresh:
+                state.units[key] = fresh
+                changed = True
+        if changed:
+            state.save(cache_dir)
+            if self.state_cache is not None:
+                self.state_cache[str(Path(cache_dir).resolve())] = \
+                    (_state_stat(cache_dir), state)
+        if self.state_cache is None:
+            return
+        for key, (unit, plan, graph, sha, served) in self.admitted.items():
             reused = all(fp.action == "reuse"
                          for fp in plan.functions.values())
-            state_cache[_unit_slot(unit.key)] = UnitMemo(
-                shas[unit.key], unit.tp, graphs[unit.key],
-                state.units.get(unit.key), plan if reused else None,
-                out[unit.key] if unit.key in memoized and not tracing
-                else None)
-    return {unit.key: out[unit.key] for unit in units}
+            self.state_cache[_unit_slot(key)] = UnitMemo(
+                sha, unit.tp, graph, state.units.get(key),
+                plan if reused else None,
+                out[key] if served and not self.tracing else None)

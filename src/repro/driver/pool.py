@@ -12,10 +12,10 @@ parallel.  The driver:
    consumes the units lazily and routes each unit's pending functions
    the moment the unit arrives, so a caller's front end (parsing and
    elaborating the next unit) overlaps the workers' checks;
-2. follows the incremental planner's per-unit plans
-   (:mod:`.incremental`): a clean function's outcome comes from the
-   content-addressed result cache (:mod:`.cache`) without a check, and a
-   re-checked one is written back under its transitive key;
+2. with a cache dir, has the incremental planner (:mod:`.incremental`)
+   plan each unit as it arrives: a clean function's outcome comes from
+   the content-addressed result cache (:mod:`.cache`) without a check,
+   and a re-checked one is written back under its transitive key;
 3. records **per-phase metrics** (:mod:`.metrics`).
 
 Determinism: before every function check the driver resets the global
@@ -87,7 +87,7 @@ def reset_fresh_counters() -> None:
 class DriverConfig:
     """Driver knobs, shared by ``verify_source``/``verify_file`` and the
     multi-unit entry point.  ``cache_dir`` names the result cache and
-    planner state of a planned run (``run_units_incremental``); ``None``
+    planner state of a planned run (see :func:`run_units`); ``None``
     means no cache."""
 
     jobs: int = 1                 # <=0 means "one per CPU"
@@ -146,8 +146,8 @@ class FunctionPlan:
 @dataclass
 class UnitPlan:
     """Per-unit schedule from :mod:`repro.driver.incremental`: one
-    :class:`FunctionPlan` per checkable function, plus the dependency
-    (callee-before-caller) order for the dirty subset."""
+    :class:`FunctionPlan` per checkable function, plus ``order``, the
+    ``check`` functions in dependency (callee-before-caller) order."""
 
     functions: dict[str, FunctionPlan] = dataclass_field(
         default_factory=dict)
@@ -295,9 +295,9 @@ Outcome = tuple[tuple[str, str],
 
 def run_units(units: Collection[Unit],
               config: Optional[DriverConfig] = None,
-              plans: Optional[dict] = None,
               session: Optional[PoolSession] = None,
-              on_unit: Optional[UnitCallback] = None
+              on_unit: Optional[UnitCallback] = None,
+              state_cache: Optional[dict] = None
               ) -> dict[str, tuple[ProgramResult, DriverMetrics]]:
     """Verify several translation units under one scheduler.
 
@@ -311,35 +311,48 @@ def run_units(units: Collection[Unit],
     overlaps its front end with the workers' checks.  ``len(units)``
     must still be the number of units.
 
-    ``plans`` (unit key → :class:`UnitPlan`) is the incremental path:
-    planned units reuse cached results for clean functions and schedule
-    only the dirty subset, in the plan's dependency order; re-checked
-    outcomes are written to the result cache under the plan's
-    ``store_key``.  Functions no plan mentions are checked uncached.
+    With a ``config.cache_dir`` the run is planned, one unit at a time
+    as it arrives, by an :class:`repro.driver.incremental.Planner`: a
+    clean function reuses its cached outcome, the dirty subset is
+    checked in the plan's dependency order, and each re-checked outcome
+    is written to the result cache under its transitive key.  A unit
+    the planner replays from ``state_cache`` (a long-lived caller's
+    memo) gets its memoized ``(result, metrics)`` pair back as is,
+    without a check.  The planner state is saved once, after the last
+    unit; a call that raises saves none.
 
     ``session`` reuses a caller-owned warm :class:`PoolSession` instead
     of starting (and paying for) a fresh pool for this call.
 
     ``on_unit(key, result, metrics)`` is called once per unit, as soon
-    as that unit's last function is collected; a unit with no pending
-    work is reported as soon as it arrives.  Callers that stream (the
-    serve daemon) pass it; the returned map is the same either way."""
+    as that unit's last function is collected; units with no pending
+    work are reported together, before the next unit that has some and
+    after the last arrival.  Callers that stream (the serve daemon) pass
+    it; the returned map is the same either way."""
     config = config or DriverConfig()
-    plans = plans or {}
     jobs = config.resolved_jobs()
     store = config.open_cache()
     tracing = config.resolved_trace()
     lone = len(units) == 1
+    planner = None
+    if store is not None:
+        from .incremental import Planner   # incremental imports this module
+        planner = Planner(store, tracing, jobs, state_cache)
 
     t_start = 0.0
     metrics: dict[str, DriverMetrics] = {}
-    # (unit_key, fn_name) -> bookkeeping for assembly.
-    cache_keys: dict[tuple[str, str], str] = {}
+    plans: dict[str, UnitPlan] = {}
     collected: dict[tuple[str, str], tuple[FunctionResult, float, str]] = {}
     traces: dict[tuple[str, str], FunctionTrace] = {}
     remaining: dict[str, int] = {}
     units_by_key: dict[str, Unit] = {}
     out: dict[str, tuple[ProgramResult, DriverMetrics]] = {}
+    # Units done on arrival, not yet reported.  They are reported
+    # together, before the next unit with pending work and after the
+    # last arrival: they cost nothing to hold, and a burst lets a
+    # streaming caller batch its writes (the serve daemon makes one
+    # socket write per wake-up).
+    settled: list[str] = []
 
     def finish(unit: Unit) -> None:
         result = ProgramResult()
@@ -370,60 +383,67 @@ def run_units(units: Collection[Unit],
             result.trace = unit_trace
             m.trace = trace_summary(unit_trace)
         out[unit.key] = (result, m)
+
+    def report_settled() -> None:
         if on_unit is not None:
-            on_unit(unit.key, result, m)
+            for key in settled:
+                on_unit(key, *out[key])
+        settled.clear()
 
     def admit(unit: Unit) -> list[str]:
-        """Set up ``unit``'s metrics and collect what needs no check;
-        return its pending functions in check order."""
+        """Plan ``unit``, set up its metrics and collect what needs no
+        check; return its pending functions in check order.  A unit
+        with none is done here: its outcome, replayed by the planner or
+        assembled by ``finish``, is in ``out``."""
+        units_by_key[unit.key] = unit
+        plan = planner.admit(unit) if planner is not None else None
+        if isinstance(plan, tuple):
+            out[unit.key] = plan
+            return []
         m = DriverMetrics(study=unit.key, jobs=jobs,
                           cache_enabled=store is not None)
         if unit.timings is not None:
             m.phases.parse_s = unit.timings.parse_s
             m.phases.elaborate_s = unit.timings.elaborate_s
         metrics[unit.key] = m
-        units_by_key[unit.key] = unit
         to_check, missing = verification_targets(unit.tp)
         for name in missing:
             collected[(unit.key, name)] = \
                 (missing_body_result(name), 0.0, "off")
-        plan = plans.get(unit.key)
-        pending: list[str] = []
-        for name in to_check:
-            fplan = plan.functions.get(name) if plan is not None else None
-            if fplan is not None:
-                if fplan.action == "reuse" and fplan.result is not None:
+        if plan is None:
+            pending = to_check
+        else:
+            plans[unit.key] = plan
+            for name, fplan in plan.functions.items():
+                if fplan.action == "reuse":
                     fr, wall = fplan.result
                     collected[(unit.key, name)] = (fr, wall, "clean")
-                    continue
-                if store is not None and fplan.store_key is not None:
-                    cache_keys[(unit.key, name)] = fplan.store_key
-            pending.append(name)
-        if plan is not None and plan.order:
-            # Dependency (callee-before-caller) order: at jobs=1 a
-            # caller's re-check always sees already re-validated callee
-            # specs; unordered stragglers keep their spec order.
-            rank = {n: i for i, n in enumerate(plan.order)}
-            pending.sort(key=lambda n: (rank.get(n, len(rank)),))
+            # The dirty subset in dependency (callee-before-caller)
+            # order: at jobs=1 a caller's re-check always sees already
+            # re-validated callee specs.
+            pending = list(plan.order)
         remaining[unit.key] = len(pending)
+        if not pending:
+            finish(unit)
         return pending
 
     def collect(outcomes: Iterator[Outcome]) -> None:
         for (ukey, name), (fr, wall, trace) in outcomes:
             plan = plans.get(ukey)
-            planned = plan is not None and name in plan.functions
             collected[(ukey, name)] = (fr, wall,
-                                       "dirty" if planned else "off")
+                                       "off" if plan is None else "dirty")
             metrics[ukey].functions_rechecked += 1
             if trace is not None:
                 events, dropped = trace
                 traces[(ukey, name)] = FunctionTrace(ukey, name, events,
                                                      dropped)
-            if store is not None and (ukey, name) in cache_keys:
-                store.put(cache_keys[(ukey, name)], fr, wall)
+            if plan is not None:
+                store.put(plan.functions[name].store_key, fr, wall)
             remaining[ukey] -= 1
             if not remaining[ukey]:
                 finish(units_by_key[ukey])
+                if on_unit is not None:
+                    on_unit(ukey, *out[ukey])
 
     dispatch = _Dispatch(jobs, tracing, session)
     try:
@@ -432,11 +452,16 @@ def run_units(units: Collection[Unit],
                 t_start = time.perf_counter()
             pending = admit(unit)
             if not pending:
-                finish(unit)
+                settled.append(unit.key)
+                continue
+            report_settled()
             collect(dispatch.add(unit, pending, len(units) - arrived))
+        report_settled()
         collect(dispatch.drain())
     finally:
         dispatch.close()
+    if planner is not None:
+        planner.commit(out)
     return {key: out[key] for key in units_by_key}
 
 

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .driver import (DriverConfig, DriverMetrics, PhaseTimings, Unit,
-                     run_units, run_units_incremental)
+from .driver import DriverConfig, DriverMetrics, PhaseTimings, Unit, run_units
 from .driver.incremental import memoized_program, source_sha
 from .lang.elaborate import elaborate_unit
 from .lang.parser import parse
@@ -144,8 +143,7 @@ def verify_source(source: str,
     config = DriverConfig(jobs=jobs, cache_dir=cache_dir, trace=tracing)
     unit = Unit(key=key, source=source, tp=tp, lemmas=lemmas,
                 timings=timings, front_trace=front)
-    runner = run_units if cache_dir is None else run_units_incremental
-    result, metrics = runner([unit], config)[unit.key]
+    result, metrics = run_units([unit], config)[unit.key]
     return VerificationOutcome(tp, result, study, metrics)
 
 
@@ -185,8 +183,8 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
     elaborated, so parsing and elaborating later files overlaps the
     checks of earlier ones.  A ``cache_dir`` re-checks only the
     functions whose fingerprinted inputs changed since the last run
-    against that directory; planning needs every file, so a planned
-    run elaborates them all before the first check.
+    against that directory; each file is planned as it arrives, so a
+    planned run streams the same way.
 
     A long-lived caller (the serve daemon) passes ``session`` (a warm
     :class:`repro.driver.PoolSession`) to reuse one worker pool across
@@ -228,12 +226,8 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
             on_unit(study, VerificationOutcome(tps[study], result, study,
                                                metrics))
     t0 = time.perf_counter()
-    if cache_dir is None:
-        results = run_units(units, config, session=session, on_unit=report)
-    else:
-        results = run_units_incremental(units, config, session=session,
-                                        state_cache=state_cache,
-                                        on_unit=report)
+    results = run_units(units, config, session=session, on_unit=report,
+                        state_cache=state_cache)
     # The front end ran inside the driver call; the check wall is the
     # rest of it, as when every unit was elaborated before the call.
     wall = time.perf_counter() - t0 - units.front_s

@@ -23,8 +23,7 @@ the property at scale instead — the validation stance of Flux and Verus:
 """
 
 from .campaign import (FUZZ_SCHEMA_VERSION, CampaignConfig, CampaignStats,
-                       Finding, finalize_findings, merge_shard_stats,
-                       run_campaign, run_shard_campaign)
+                       Finding, finalize_findings, run_campaign)
 from .corpus import CorpusEntry, load_corpus, replay_entry, write_entry
 from .coverage import (COVERAGE_SCHEMA_VERSION, CoverageMap, SteeringState,
                        oracle_keys, template_weights)
@@ -43,7 +42,7 @@ __all__ = [
     "MutantResult", "MutantVerdict", "SpecViolation", "SteeringState",
     "TEMPLATES", "check_batch", "check_program", "evaluate_mutants",
     "execute_program", "finalize_findings", "generate_program",
-    "load_corpus", "merge_shard_stats", "oracle_keys", "replay_entry",
-    "run_campaign", "run_shard_campaign", "run_witness", "shrink_params",
+    "load_corpus", "oracle_keys", "replay_entry", "run_campaign",
+    "run_witness", "shrink_params",
     "template_weights", "write_entry",
 ]

@@ -10,18 +10,12 @@ pure function of the seed, because rounds are a fixed partition of the
 index space.
 
 Sharding partitions each round's indices across ``shards`` shards by
-``index % shards``.  Results are always assembled in global index
-order, and shrinking plus corpus filing run centrally after the merge,
-so a campaign is **byte-identical across shard and job counts** (the
-deterministic stats view excludes the run-shape fields).  Two modes:
-
-* in-process (:func:`run_campaign`) — shard batches fan out on one warm
-  :class:`~repro.driver.PoolSession`;
-* distributed (:func:`run_shard_campaign` + :func:`merge_shard_stats`)
-  — each shard runs anywhere, writes mergeable schema-versioned stats
-  JSON, and the merge reproduces the in-process blind campaign exactly.
-  Distributed shards cannot see each other's coverage between rounds,
-  so steering is forced off there.
+``index % shards``; :func:`run_campaign` checks each shard's slice as
+one batch on a shared warm :class:`~repro.driver.PoolSession`.  Results
+are always assembled in global index order, and shrinking plus corpus
+filing run once after the last round, so a campaign is
+**byte-identical across shard and job counts** (the deterministic stats
+view excludes the run-shape fields).
 
 Two budgets:
 
@@ -39,7 +33,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from ..driver import PoolSession
 from .corpus import CorpusEntry, write_entry
@@ -54,9 +48,8 @@ from .shrink import shrink_params
 
 #: v2: ``fuzz_schema_version`` replaces v1's ``schema_version``; adds the
 #: ``coverage`` block, round/steering fields and corpus dedup counters.
-#: v3: records ``fuel`` (shard stats must carry every shrink-relevant
-#: knob so a central ``--merge`` reproduces findings without repeating
-#: the shard command line); the corpus-filing fields (``corpus_written``,
+#: v3: records ``fuel`` (stats carry every shrink-relevant knob); the
+#: corpus-filing fields (``corpus_written``,
 #: ``corpus_deduped``, per-finding ``corpus_path``) move out of the
 #: deterministic view — whether findings were persisted is a fact about
 #: the run, not the computed campaign.
@@ -146,13 +139,12 @@ class Finding:
 
 @dataclass
 class CampaignStats:
-    """Per-campaign (or per-shard) statistics, metrics-JSON house style."""
+    """Per-campaign statistics, metrics-JSON house style."""
 
     seed: int = 0
     mode: str = "count"
     jobs: int = 1
     shards: int = 1
-    shard: Optional[int] = None        # set only on distributed shard runs
     round_size: int = DEFAULT_ROUND_SIZE
     steered: bool = False
     coverage_on: bool = True
@@ -257,8 +249,6 @@ class CampaignStats:
             d["mode"] = self.mode
             d["jobs"] = self.jobs
             d["shards"] = self.shards
-            if self.shard is not None:
-                d["shard"] = self.shard
             d["corpus_written"] = self.corpus_written
             d["corpus_deduped"] = self.corpus_deduped
             d["wall_s"] = round(self.wall_s, 3)
@@ -278,7 +268,6 @@ class CampaignStats:
                 f"build speaks {FUZZ_SCHEMA_VERSION}")
         s = cls(seed=d["seed"], mode=d.get("mode", "count"),
                 jobs=d.get("jobs", 1), shards=d.get("shards", 1),
-                shard=d.get("shard"),
                 round_size=d.get("round_size", DEFAULT_ROUND_SIZE),
                 steered=d.get("steered", False),
                 coverage_on=d.get("coverage_on", True),
@@ -381,9 +370,8 @@ def finalize_findings(stats: CampaignStats, cfg: CampaignConfig) -> None:
     """Centralised post-processing: order findings deterministically,
     shrink each, and auto-file deduped corpus entries.
 
-    Runs once per campaign — after the in-process round loop, or after
-    :func:`merge_shard_stats` in the distributed flow — so shard count
-    never changes which corpus entries exist or what they contain."""
+    Runs once per campaign, after the last round, so shard count never
+    changes which corpus entries exist or what they contain."""
     stats.findings.sort(key=Finding.sort_key)
     seen: set[str] = set()
     for finding in stats.findings:
@@ -420,33 +408,21 @@ def finalize_findings(stats: CampaignStats, cfg: CampaignConfig) -> None:
 # One round: generate → shard → check → execute → mutate → observe.
 # ---------------------------------------------------------------------
 
-def _shard_indices(start: int, k: int, shards: int,
-                   shard: Optional[int]) -> list[list[int]]:
-    """Partition round indices ``start..start+k`` by ``index % shards``.
-    With ``shard`` set (distributed mode), only that slice is returned."""
+def _shard_indices(start: int, k: int, shards: int) -> list[list[int]]:
+    """Partition round indices ``start..start+k`` by ``index % shards``."""
     parts = [[] for _ in range(shards)]
     for i in range(start, start + k):
         parts[i % shards].append(i)
-    if shard is not None:
-        return [parts[shard]]
     return parts
 
 
 def _run_round(cfg: CampaignConfig, stats: CampaignStats,
                programs: list[GenProgram], round_no: int,
                steering: Optional[SteeringState],
-               session: Optional[PoolSession],
-               checks: Optional[dict] = None) -> None:
-    """Process one round's programs (already generated, any shard
-    subset) and fold the results into ``stats`` in global index order.
-
-    ``checks`` carries pre-computed shard-batch results; without it the
-    round is checked as one batch."""
-    if checks is None:
-        checks = check_batch([(f"g{p.index}", p) for p in programs],
-                             jobs=cfg.jobs, coverage=cfg.coverage,
-                             session=session)
-
+               session: Optional[PoolSession], checks: dict) -> None:
+    """Process one round's programs (already generated and checked:
+    ``checks`` holds the shard batches' results) and fold the results
+    into ``stats`` in global index order."""
     new_by_index: dict[int, int] = {p.index: 0 for p in programs}
 
     def observe(keys, index: int) -> int:
@@ -525,9 +501,7 @@ def _run_round(cfg: CampaignConfig, stats: CampaignStats,
         else:
             stats.survivors_undemonstrated += 1
 
-    # new_keys is steered-only bookkeeping: "new to the local map" is
-    # not a shard-mergeable notion, so blind (shardable) campaigns skip
-    # it and merged stats stay byte-identical to in-process ones.
+    # new_keys is steered-only bookkeeping: blind campaigns skip it.
     if steering is not None:
         for prog in programs:
             n_new = new_by_index.get(prog.index, 0)
@@ -582,10 +556,9 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> CampaignStats:
                 if steering is not None else None
             programs: dict[int, GenProgram] = {}
             checks: dict = {}
-            for part in _shard_indices(idx, k, cfg.shards, None):
+            for part in _shard_indices(idx, k, cfg.shards):
                 # Each shard's slice is checked as its own batch on the
-                # shared warm pool — the in-process analogue of the
-                # distributed fan-out.
+                # shared warm pool.
                 batch = [generate_program(cfg.seed, i, names,
                                           weights=weights) for i in part]
                 programs.update({p.index: p for p in batch})
@@ -596,7 +569,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> CampaignStats:
             # round is processed in global index order.
             _run_round(cfg, stats,
                        [programs[i] for i in sorted(programs)],
-                       round_no, steering, session, checks=checks)
+                       round_no, steering, session, checks)
             idx += k
             round_no += 1
     finally:
@@ -610,101 +583,3 @@ def run_campaign(cfg: Optional[CampaignConfig] = None) -> CampaignStats:
     finalize_findings(stats, cfg)
     stats.wall_s = time.perf_counter() - t0
     return stats
-
-
-def run_shard_campaign(cfg: CampaignConfig, shard: int) -> CampaignStats:
-    """Distributed mode: run shard ``shard`` of ``cfg.shards`` — only
-    the indices with ``index % shards == shard`` — and return mergeable
-    per-shard stats.  Shards cannot see each other's coverage between
-    rounds, so steering is forced off; findings stay raw (unshrunk,
-    unfiled) for the central merge to finalise."""
-    if not 0 <= shard < cfg.shards:
-        raise ValueError(f"shard {shard} outside 0..{cfg.shards - 1}")
-    if cfg.count is None:
-        raise ValueError("distributed shards need a count budget: a time "
-                         "budget would give each shard a different slice")
-    names = cfg.template_names()
-    stats = CampaignStats(
-        seed=cfg.seed, mode="shard", jobs=cfg.jobs, shards=cfg.shards,
-        shard=shard, round_size=cfg.round_size, steered=False,
-        coverage_on=cfg.coverage, trials=cfg.trials, templates=names,
-        mutant_limit=cfg.mutant_limit, fuel=cfg.fuel)
-    session = PoolSession(cfg.jobs) if cfg.jobs > 1 else None
-    t0 = time.perf_counter()
-    idx = round_no = 0
-    try:
-        while idx < cfg.count:
-            k = _round_plan(cfg, idx)
-            [part] = _shard_indices(idx, k, cfg.shards, shard)
-            _run_round(cfg, stats,
-                       [generate_program(cfg.seed, i, names) for i in part],
-                       round_no, None, session)
-            stats.programs += len(part)
-            idx += k
-            round_no += 1
-    finally:
-        if session is not None:
-            stats.pool_batches = session.batches
-            stats.pool_resets = session.resets
-            session.close()
-    stats.rounds = round_no
-    stats.wall_s = time.perf_counter() - t0
-    return stats
-
-
-def merge_shard_stats(shard_stats: Sequence[CampaignStats],
-                      cfg: Optional[CampaignConfig] = None) -> CampaignStats:
-    """Merge per-shard stats (the shard/merge protocol) back into one
-    campaign.  Validates that the shards agree on the campaign identity
-    and cover every shard exactly once; with ``cfg``, finalisation
-    (deterministic ordering, shrinking, corpus filing) runs centrally so
-    the merged result is byte-identical to the in-process campaign."""
-    if not shard_stats:
-        raise ValueError("nothing to merge")
-    first = shard_stats[0]
-    seen_shards: set[int] = set()
-    merged = CampaignStats(
-        seed=first.seed, mode="merged", jobs=first.jobs,
-        shards=first.shards, round_size=first.round_size, steered=False,
-        coverage_on=first.coverage_on, trials=first.trials,
-        templates=list(first.templates), mutant_limit=first.mutant_limit,
-        fuel=first.fuel)
-    for s in shard_stats:
-        ident = (s.seed, s.shards, s.round_size, tuple(s.templates),
-                 s.trials, s.mutant_limit, s.coverage_on, s.fuel)
-        want = (first.seed, first.shards, first.round_size,
-                tuple(first.templates), first.trials, first.mutant_limit,
-                first.coverage_on, first.fuel)
-        if ident != want:
-            raise ValueError(f"shard {s.shard} belongs to a different "
-                             f"campaign: {ident} != {want}")
-        if s.shard is None or s.shard in seen_shards:
-            raise ValueError(f"duplicate or missing shard id: {s.shard}")
-        if s.steered:
-            raise ValueError(f"shard {s.shard} was steered: distributed "
-                             "shards must run blind")
-        seen_shards.add(s.shard)
-        for name in ("programs", "rounds", "accepted", "rejected",
-                     "checker_crashes", "exec_trials", "exec_passes",
-                     "exec_inconclusive", "exec_errors", "ub_violations",
-                     "spec_violations", "mutants", "mutants_killed",
-                     "survivors_demonstrated", "survivors_undemonstrated",
-                     "mutant_crashes"):
-            setattr(merged, name, getattr(merged, name) + getattr(s, name))
-        for template, tallies in s.per_template.items():
-            for key, n in tallies.items():
-                _tally(merged.per_template, template, key, n)
-        merged.findings.extend(s.findings)
-        merged.coverage.merge(s.coverage)
-        merged.wall_s = max(merged.wall_s, s.wall_s)
-    if seen_shards != set(range(first.shards)):
-        missing = sorted(set(range(first.shards)) - seen_shards)
-        raise ValueError(f"incomplete merge: missing shards {missing}")
-    # Every shard ran the same number of rounds over the same index
-    # space; the campaign's round count is theirs, not the sum.
-    merged.rounds = first.rounds
-    if cfg is not None:
-        finalize_findings(merged, cfg)
-    else:
-        merged.findings.sort(key=Finding.sort_key)
-    return merged

@@ -6,9 +6,9 @@ and turns the accumulated picture into *steering* — the greybox loop
 that makes corpus-scale fuzzing beat blind sampling:
 
 * :class:`CoverageMap` — per-key hit counts plus the program index that
-  first exercised each key.  Maps merge associatively (shard → round →
-  campaign) and serialise into the schema-versioned ``coverage`` block
-  of the campaign stats JSON.
+  first exercised each key.  Maps merge associatively and serialise
+  into the schema-versioned ``coverage`` block of the campaign stats
+  JSON.
 * :func:`template_weights` — the deterministic steering policy: boost
   generator templates that are under-sampled or recently produced *new*
   coverage keys, damp templates whose signatures have been saturated
@@ -66,7 +66,7 @@ class CoverageMap:
         return new
 
     def merge(self, other: "CoverageMap") -> None:
-        """Associative merge (used by the shard/merge protocol)."""
+        """Associative, order-independent merge."""
         for key, n in other.counts.items():
             if key in self.counts:
                 self.counts[key] += n

@@ -23,12 +23,10 @@ from .memo import register_cache, trim_cache
 from .simplify import _mset_parts, simplify
 from .terms import App, Lit, Sort, Term, eq, le, mall_ge, mall_le
 
-_MSET_CACHE: dict = register_cache({})
 # Saturation (``_ingest``) is itself deterministic in the constructor
 # arguments and solver instances are immutable afterwards, so equal
 # hypothesis tuples can share one instance.
 _MSET_SOLVER_CACHE: dict = register_cache({})
-_MISS = object()
 
 
 def _get_solver(hyps: Iterable[Term]) -> "MultisetSolver":
@@ -331,17 +329,6 @@ class MultisetSolver:
 
 def multiset_solver(hyps: Iterable[Term], goal: Term) -> bool:
     """Entry point matching std++'s ``multiset_solver`` tactic."""
-    hyps = tuple(hyps)
-    key = (hyps, goal)
-    hit = _MSET_CACHE.get(key, _MISS)
-    if hit is _MISS:
-        hit = _multiset_solver(hyps, goal)
-        trim_cache(_MSET_CACHE)
-        _MSET_CACHE[key] = hit
-    return hit
-
-
-def _multiset_solver(hyps: tuple[Term, ...], goal: Term) -> bool:
     hyps = list(hyps)
     return _get_solver(hyps).prove(simplify(goal), hyps)
 

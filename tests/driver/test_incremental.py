@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from repro.driver import engine_fingerprint
+from repro.driver import ResultCache, engine_fingerprint
 from repro.driver.incremental import (STATE_FILE, IncrementalState,
                                       source_sha)
 from repro.frontend import verify_file, verify_files, verify_source
@@ -380,26 +380,40 @@ def test_memoized_programs_recheck_like_fresh_ones(tmp_path):
 class TestOutcomeReplay:
     """A unit served from its memoized reuse plan keeps the outcome that
     run produced; later untraced calls at the same width hand back that
-    very pair and never pass the unit to ``run_units``."""
+    very pair, with no planning, no result-cache read and no check."""
 
     STEMS = ("binary_search", "queue")
 
     @pytest.fixture
-    def ran(self, monkeypatch):
-        """The unit keys of every ``run_units`` call, in call order."""
-        from repro.driver import incremental
-        calls = []
-        real = incremental.run_units
+    def work(self, monkeypatch):
+        """What the driver did for each call: ``("plan", unit)`` per
+        ``plan_unit`` call, ``("get", key)`` per result-cache read and
+        ``("check", function)`` per in-process function check, in call
+        order."""
+        from repro.driver import incremental, pool
+        log = []
+        real_plan, real_get = incremental.plan_unit, ResultCache.get
+        real_check = pool._traced_check
 
-        def recording(units, *args, **kwargs):
-            calls.append([u.key for u in units])
-            return real(units, *args, **kwargs)
+        def plan_unit(unit, *args, **kwargs):
+            log.append(("plan", unit.key))
+            return real_plan(unit, *args, **kwargs)
 
-        monkeypatch.setattr(incremental, "run_units", recording)
-        return calls
+        def get(self, key):
+            log.append(("get", key))
+            return real_get(self, key)
+
+        def traced_check(tp, name, tracing):
+            log.append(("check", name))
+            return real_check(tp, name, tracing)
+
+        monkeypatch.setattr(incremental, "plan_unit", plan_unit)
+        monkeypatch.setattr(ResultCache, "get", get)
+        monkeypatch.setattr(pool, "_traced_check", traced_check)
+        return log
 
     def test_replay_skips_run_units_and_returns_the_same_pair(
-            self, tmp_path, ran):
+            self, tmp_path, work):
         paths = [study_path(stem) for stem in self.STEMS]
         cache, memo = tmp_path / "cache", {}
 
@@ -407,48 +421,67 @@ class TestOutcomeReplay:
             return verify_files(paths, cache_dir=cache, state_cache=memo,
                                 ledger=False, **kw)
 
+        def same(a, b):
+            return all(a[stem].metrics is b[stem].metrics
+                       and a[stem].result is b[stem].result
+                       for stem in self.STEMS)
+
+        def kinds():
+            done = {kind for kind, _ in work}
+            del work[:]
+            return done
+
         call()                  # cold
+        assert kinds() == {"plan", "check"}
         call()                  # planned: records the reuse plans
+        assert kinds() == {"plan", "get"}
         served = call()         # served from the plans: records outcomes
         replayed = call()
-        assert ran == [list(self.STEMS)] * 3
-        for stem in self.STEMS:
-            assert replayed[stem].metrics is served[stem].metrics
-            assert replayed[stem].result is served[stem].result
-        assert fingerprint(replayed["queue"]) == \
-            fingerprint(verify_files([paths[1]], ledger=False)["queue"])
+        assert kinds() == set()
+        assert same(replayed, served)
+        fresh = verify_files([paths[1]], ledger=False)["queue"]
+        assert fingerprint(replayed["queue"]) == fingerprint(fresh)
+        del work[:]
 
-        # A traced call runs every unit and records no outcome; the next
-        # untraced call runs them again, the one after replays.
-        del ran[:]
+        # A traced call builds a fresh pair and records no outcome; the
+        # next untraced call builds one again, the one after replays it.
         traced = call(trace=True)
-        assert ran == [list(self.STEMS)]
         assert traced["queue"].metrics.trace is not None
-        call()
-        call()
-        assert ran == [list(self.STEMS)] * 2
+        again = call()
+        assert not same(again, traced) and not same(again, replayed)
+        assert same(call(), again)
 
         # Another width does not replay an outcome recorded at jobs=1.
-        del ran[:]
         wide = call(jobs=2)
-        assert ran == [list(self.STEMS)]
+        assert not same(wide, again)
         assert wide["queue"].metrics.jobs == 2
+        assert same(call(jobs=2), wide)
+        assert work == [], "every unit stayed served from its plan"
 
-    def test_each_unit_is_reported_once_in_any_mix(self, tmp_path, ran):
+    def test_each_unit_is_reported_once_in_any_mix(self, tmp_path, work):
         paths = [study_path(stem) for stem in self.STEMS]
         cache, memo = tmp_path / "cache", {}
         for _ in range(3):
-            verify_files(paths, cache_dir=cache, state_cache=memo,
-                         ledger=False)
+            before = verify_files(paths, cache_dir=cache, state_cache=memo,
+                                  ledger=False)
         edited = tmp_path / "queue.c"
         shutil.copy(paths[1], edited)   # a new unit path, same stem
         edited.write_text(edited.read_text() + "\n")
-        del ran[:]
+        state = IncrementalState.load(cache, engine_fingerprint())
+        replayed_keys = {f["key"] for f in
+                         state.units["binary_search"].functions.values()}
+        del work[:]
         seen = []
         out = verify_files([paths[0], edited], cache_dir=cache,
                            state_cache=memo, ledger=False,
                            on_unit=lambda stem, o: seen.append(stem))
-        assert ran == [["queue"]]
+        assert [key for kind, key in work if kind == "plan"] == ["queue"]
+        assert not {key for kind, key in work if kind == "get"} \
+            & replayed_keys
+        assert not {name for kind, name in work if kind == "check"} \
+            & set(before["binary_search"].result.functions)
+        assert out["binary_search"].metrics is \
+            before["binary_search"].metrics
         assert sorted(seen) == sorted(self.STEMS)
         assert list(out) == list(self.STEMS)
         assert all(o.ok for o in out.values())

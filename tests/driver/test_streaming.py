@@ -5,19 +5,23 @@ elaborated.
 driver dispatches a unit's pending functions the moment the unit
 arrives, so the parent's front end overlaps the workers' checks.  These
 tests pin that overlap, that it changes no result, how the pool is
-sized, where an unpicklable unit goes, and that every worker freezes
-the heap it starts with."""
+sized, where an unpicklable unit goes, what a front-end failure
+mid-stream leaves behind, and that every worker freezes the heap it
+starts with."""
 
 import gc
 import multiprocessing
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import repro.frontend as frontend
 from repro.driver import DriverConfig, PoolSession, Unit, pool, run_units
+from repro.driver.incremental import STATE_FILE
 from repro.frontend import verify_file, verify_files
 from repro.lang.elaborate import elaborate_source
+from repro.lang.parser import ParseError
 from repro.proofs.manual import LEMMAS_BY_STUDY
 from repro.pure.solver import Lemma
 
@@ -73,17 +77,59 @@ def workers(monkeypatch):
     return sizes
 
 
-def test_first_submit_precedes_the_last_front_end(events):
+def test_first_submit_precedes_the_last_front_end(events, tmp_path):
+    """Unplanned and planned runs alike: a planned run (a fresh
+    ``cache_dir``) plans each unit as it arrives, so it streams too."""
     stems = ["mpool", "queue", "barrier", "spinlock"]
-    out = verify_files([study_path(s) for s in stems], jobs=2,
-                       ledger=False)
-    assert all(o.ok for o in out.values())
-    fronts = [i for i, (kind, _) in enumerate(events) if kind == "front"]
-    submits = [i for i, (kind, _) in enumerate(events) if kind == "submit"]
-    assert [events[i][1] for i in fronts] == stems
-    assert submits and submits[0] < fronts[-1]
-    # mpool's functions went out before queue was even parsed.
-    assert events[fronts[0] + 1][0] == "submit"
+    for cache_dir in (None, tmp_path / "cache"):
+        del events[:]
+        out = verify_files([study_path(s) for s in stems], jobs=2,
+                           cache_dir=cache_dir, ledger=False)
+        assert all(o.ok for o in out.values())
+        fronts = [i for i, (kind, _) in enumerate(events)
+                  if kind == "front"]
+        submits = [i for i, (kind, _) in enumerate(events)
+                   if kind == "submit"]
+        assert [events[i][1] for i in fronts] == stems
+        assert submits and submits[0] < fronts[-1], cache_dir
+        # mpool's functions went out before queue was even parsed.
+        assert events[fronts[0] + 1][0] == "submit", cache_dir
+
+
+def test_front_end_failure_mid_planned_run(events, tmp_path, monkeypatch):
+    """An unparsable third file of four in a planned pooled run: the call
+    raises the parse error after the pool started, shuts the pool down
+    and writes no planner state; once the file is fixed, the next run
+    equals a fresh serial one."""
+    stems = ["mpool", "queue", "barrier", "spinlock"]
+    paths = []
+    for stem in stems:
+        paths.append(tmp_path / f"{stem}.c")
+        shutil.copy(study_path(stem), paths[-1])
+    good = paths[2].read_text()
+    paths[2].write_text(good + "\nsize_t broken(size_t x) {\n")
+    shutdowns = []
+    real_shutdown = ProcessPoolExecutor.shutdown
+
+    def shutdown(self, *args, **kwargs):
+        shutdowns.append(self)
+        return real_shutdown(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", shutdown)
+    cache = tmp_path / "cache"
+    with pytest.raises(ParseError):
+        verify_files(paths, jobs=2, cache_dir=cache, ledger=False)
+    assert ("submit", "mpool") in events
+    assert len(shutdowns) == 1
+    assert not (cache / STATE_FILE).exists()
+
+    paths[2].write_text(good)
+    planned = verify_files(paths, jobs=2, cache_dir=cache, ledger=False)
+    fresh = verify_files(paths, jobs=1, ledger=False)
+    assert (cache / STATE_FILE).is_file()
+    for stem in stems:
+        assert planned[stem].ok
+        assert fingerprint(planned[stem]) == fingerprint(fresh[stem])
 
 
 def test_streamed_pool_equals_serial_in_input_order(tmp_path):

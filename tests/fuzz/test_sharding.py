@@ -1,15 +1,11 @@
-"""The shard/merge protocol: campaigns are byte-identical across shard
-counts, and distributed per-shard stats merge back into exactly the
-in-process campaign."""
-
-import json
-from pathlib import Path
+"""In-process sharding: campaigns are byte-identical across shard
+counts, and findings are filed once, deduplicated, whatever shard
+surfaced them."""
 
 import pytest
 
 from repro.fuzz import (CampaignConfig, CampaignStats, Finding,
-                        finalize_findings, merge_shard_stats, run_campaign,
-                        run_shard_campaign)
+                        finalize_findings, run_campaign)
 
 pytestmark = pytest.mark.fuzz
 
@@ -55,38 +51,6 @@ def test_sharding_files_identical_corpus_entries(tmp_path):
     assert one.corpus_deduped == four.corpus_deduped
 
 
-def test_distributed_merge_equals_in_process_blind():
-    cfg = _cfg(shards=4, steer=False)
-    shards = [run_shard_campaign(cfg, k) for k in range(4)]
-    assert sum(s.programs for s in shards) == cfg.count
-    merged = merge_shard_stats(shards, cfg)
-    in_process = run_campaign(cfg)
-    assert merged.to_json(deterministic=True) == \
-        in_process.to_json(deterministic=True)
-
-
-def test_shard_stats_roundtrip_through_json():
-    cfg = _cfg(shards=2, steer=False)
-    shards = [run_shard_campaign(cfg, k) for k in range(2)]
-    revived = [CampaignStats.from_dict(json.loads(s.to_json()))
-               for s in shards]
-    merged = merge_shard_stats(revived, cfg)
-    assert merged.to_json(deterministic=True) == \
-        merge_shard_stats(shards, cfg).to_json(deterministic=True)
-
-
-def test_merge_rejects_incomplete_and_mismatched_shards():
-    cfg = _cfg(shards=3, steer=False)
-    shards = [run_shard_campaign(cfg, k) for k in range(2)]  # missing 2
-    with pytest.raises(ValueError, match="missing shards"):
-        merge_shard_stats(shards, cfg)
-    with pytest.raises(ValueError, match="duplicate"):
-        merge_shard_stats([shards[0], shards[0]], cfg)
-    other = run_shard_campaign(_cfg(seed=99, shards=3, steer=False), 2)
-    with pytest.raises(ValueError, match="different campaign"):
-        merge_shard_stats(shards + [other], cfg)
-
-
 def test_finalize_dedups_corpus_by_signature_key(tmp_path):
     # two findings that reduce to the same (kind, template, mutant,
     # UB class, params) are one bug: one corpus entry, one dedup tick —
@@ -111,54 +75,3 @@ def test_finalize_dedups_corpus_by_signature_key(tmp_path):
     # the surviving entry for the duplicated bug is the lowest-index one
     filed = [f for f in stats.findings if f.corpus_path]
     assert sorted(f.index for f in filed) == [2, 5]
-
-
-def test_merge_uses_and_validates_shard_fuel(tmp_path, monkeypatch):
-    # Shrink predicates replay findings at cfg.fuel, so a central merge
-    # must take fuel from the shard stats — repeating a non-default
-    # --fuel on the merge command line must not be required.
-    cfg = _cfg(shards=2, steer=False, fuel=777)
-    shards = [run_shard_campaign(cfg, k) for k in range(2)]
-    for s in shards:
-        assert json.loads(s.to_json())["fuel"] == 777
-    merged = merge_shard_stats(shards, cfg)
-    assert merged.fuel == 777
-
-    # a shard run at a different fuel belongs to a different campaign
-    blob = json.loads(shards[1].to_json())
-    blob["fuel"] = 1_000_000
-    with pytest.raises(ValueError, match="different campaign"):
-        merge_shard_stats([shards[0], CampaignStats.from_dict(blob)], cfg)
-
-    # script-level merge: every shrink-relevant knob reaches the
-    # finalisation config from the shard stats, not the CLI defaults
-    import importlib.util
-    script = Path(__file__).resolve().parents[2] / "scripts" / "fuzz.py"
-    spec = importlib.util.spec_from_file_location("fuzz_script", script)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    paths = []
-    for k, s in enumerate(shards):
-        p = tmp_path / f"shard{k}.json"
-        p.write_text(s.to_json())
-        paths.append(str(p))
-    captured = {}
-    real_merge = mod.merge_shard_stats
-
-    def spy(shard_stats, merge_cfg):
-        captured["cfg"] = merge_cfg
-        return real_merge(shard_stats, merge_cfg)
-
-    monkeypatch.setattr(mod, "merge_shard_stats", spy)
-    out = tmp_path / "merged.json"
-    assert mod.main(["--merge", *paths, "--stats", str(out)]) == 0
-    assert captured["cfg"].fuel == 777
-    assert json.loads(out.read_text())["fuel"] == 777
-
-
-def test_shard_campaign_rejects_bad_shard_ids_and_time_budgets():
-    with pytest.raises(ValueError, match="outside"):
-        run_shard_campaign(_cfg(shards=2), 2)
-    with pytest.raises(ValueError, match="count budget"):
-        run_shard_campaign(CampaignConfig(seed=0, budget_s=1.0, shards=2),
-                           0)
