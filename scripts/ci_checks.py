@@ -28,9 +28,15 @@ to reproduce exactly what CI enforces:
 * ``warm-noop STAMP COLD WARM`` — the warm request did no redundant
   work: the planner state file still carries the stamped
   ``st_mtime_ns`` (it was not rewritten), the ``done`` summary reports
-  ``parsed == 0`` (no unit went through the front end again), and the
-  warm pool's ``session.batches`` did not grow past the cold request's
-  (a no-op never dispatches to the pool).
+  ``read == 0`` (no source file was opened) and ``parsed == 0`` (no
+  unit went through the front end again), and the warm pool's
+  ``session.batches`` did not grow past the cold request's (a no-op
+  never dispatches to the pool).
+* ``serve-touch TOUCHED EDITED`` — the daemon tells a touched source
+  from an edited one: after ``touch`` of one file the request read that
+  one source (``read == 1``), parsed none and re-checked nothing; after
+  a same-size edit of it whose mtime was set back it parsed that unit
+  again (``parsed == 1``).
 * ``serve-latency STATUS`` — ``rcd status --json`` reports request
   latency for the daemon root's namespace over at least
   :data:`MIN_LATENCY_REQUESTS` requests, with ``p50_s <= p99_s``.
@@ -343,6 +349,9 @@ def warm_noop(args) -> int:
     if mtime_ns is not None and mtime_ns != stamp["mtime_ns"]:
         failures.append(f"warm request rewrote {stamp['path']} "
                         f"(mtime_ns {stamp['mtime_ns']} -> {mtime_ns})")
+    if summary.get("read") != 0:
+        failures.append(f"warm request read {summary.get('read')} "
+                        "source(s); expected 0")
     if summary.get("parsed") != 0:
         failures.append(f"warm request parsed {summary.get('parsed')} "
                         "unit(s); expected 0")
@@ -354,8 +363,28 @@ def warm_noop(args) -> int:
         for f in failures:
             print(f"warm-noop: {f}", file=sys.stderr)
         return 1
-    print(f"warm-noop ok: {stamp['path']} untouched, 0 unit(s) parsed, "
-          f"pool batches unchanged ({_batches(summary)})")
+    print(f"warm-noop ok: {stamp['path']} untouched, 0 source(s) read, "
+          f"0 unit(s) parsed, pool batches unchanged ({_batches(summary)})")
+    return 0
+
+
+def serve_touch(args) -> int:
+    touched = _load(args.touched)["summary"]
+    edited = _load(args.edited)["summary"]
+    failures = []
+    got = {k: touched.get(k) for k in ("read", "parsed", "rechecked")}
+    if got != {"read": 1, "parsed": 0, "rechecked": 0}:
+        failures.append(f"touched request reported {got}; expected one "
+                        "source read, no unit parsed, nothing re-checked")
+    if edited.get("parsed") != 1:
+        failures.append(f"edited request parsed {edited.get('parsed')} "
+                        "unit(s); expected the edited one")
+    if failures:
+        for f in failures:
+            print(f"serve-touch: {f}", file=sys.stderr)
+        return 1
+    print("serve-touch ok: a touched source is read, not parsed; a "
+          "same-size edit with its mtime set back is parsed")
     return 0
 
 
@@ -615,12 +644,23 @@ def main(argv=None) -> int:
     p.set_defaults(func=state_stamp)
 
     p = sub.add_parser("warm-noop",
-                       help="warm request rewrote no state, parsed no "
-                            "unit and dispatched no pool batch")
+                       help="warm request rewrote no state, read no "
+                            "source, parsed no unit and dispatched no "
+                            "pool batch")
     p.add_argument("stamp", help="state-stamp JSON")
     p.add_argument("cold", help="rcd verify --json of the cold request")
     p.add_argument("warm", help="rcd verify --json of the warm request")
     p.set_defaults(func=warm_noop)
+
+    p = sub.add_parser("serve-touch",
+                       help="a touched source is read but not parsed; a "
+                            "same-size edit with its mtime set back is "
+                            "parsed")
+    p.add_argument("touched",
+                   help="rcd verify --json after touching one source")
+    p.add_argument("edited",
+                   help="rcd verify --json after editing that source")
+    p.set_defaults(func=serve_touch)
 
     p = sub.add_parser("serve-latency",
                        help="status reports the namespace's request "

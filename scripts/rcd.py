@@ -245,6 +245,7 @@ def do_verify(args) -> int:
               f"re-checked, {summary['failed']} failure(s) "
               f"[wall {summary['wall_s']:.3f}s, queue wait "
               f"{summary['queue_wait_s']:.3f}s, "
+              f"{summary.get('read', 0)} source(s) read, "
               f"{summary.get('parsed', 0)} unit(s) parsed"
               f"{', warm' if summary.get('warm') else ''}]")
     if args.json_path:

@@ -30,9 +30,11 @@ a no-op re-run costs no write at all.
 A long-lived caller (the serve daemon) also passes a ``state_cache``
 memo that holds, next to the parsed planner state, one
 :class:`UnitMemo` per unit stem.  The front end
-(:func:`repro.frontend.verify_files`) skips parse and elaborate for a
-unit whose source sha still matches, and :func:`plan_unit` skips
-rebuilding its graph; any other sha replaces the entry.  A unit whose
+(:func:`repro.frontend.verify_files`, through :func:`load_source`)
+does not even open a source whose stat signature is the one recorded
+when its text was read, skips parse and elaborate for a unit whose
+source sha still matches, and :func:`plan_unit` skips rebuilding its
+graph; any other sha replaces the entry.  A unit whose
 last run reused every function keeps that reuse plan, and is served
 from it — no planning, no result-cache read — while the planner state
 still holds the very ``UnitState`` object recorded beside it.  Once
@@ -56,6 +58,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -71,6 +75,12 @@ from .pool import FunctionPlan, Unit, UnitPlan
 
 STATE_FORMAT_VERSION = 1
 STATE_FILE = "depgraph.json"
+
+#: A source whose mtime or ctime lies within this window of the moment
+#: it was read is read again on every request: a rewrite inside one
+#: timestamp tick (a whole second on coarse filesystems) can leave its
+#: stat signature unchanged.  This is git's "racily clean" rule.
+SETTLE_NS = 1_000_000_000
 
 
 def source_sha(source: str) -> str:
@@ -308,7 +318,11 @@ class UnitMemo:
     very objects, with no check) while ``plan`` is valid, the
     request is untraced and runs at the width that produced it.  Its
     front-end timings are 0, since the program was memoized, so the pair
-    holds nothing a later request would compute differently."""
+    holds nothing a later request would compute differently.
+
+    ``source`` is the text hashing to ``sha`` and ``signature`` the stat
+    signature of the file it was read from (see :func:`load_source`),
+    ``None`` while that file was too fresh to trust its timestamps."""
 
     sha: str
     program: TypedProgram
@@ -316,6 +330,8 @@ class UnitMemo:
     state: Optional[UnitState]
     plan: Optional[UnitPlan]
     outcome: Optional[tuple[ProgramResult, DriverMetrics]] = None
+    source: str = ""
+    signature: Optional[tuple] = None
 
 
 def memoized_program(state_cache: dict, stem: str,
@@ -326,6 +342,45 @@ def memoized_program(state_cache: dict, stem: str,
     if entry is None or (sha is not None and entry.sha != sha):
         return None
     return entry.program
+
+
+def _signature(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    """The stat signature of a source file."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+            st.st_ctime_ns)
+
+
+def load_source(state_cache: dict, stem: str, path: Path
+                ) -> tuple[str, Optional[tuple], Optional[TypedProgram],
+                           bool]:
+    """``(text, signature, program, read)`` of unit ``stem``'s source
+    at ``path``, through a long-lived caller's memo.
+
+    A file whose stat signature — ``(st_dev, st_ino, st_size,
+    st_mtime_ns, st_ctime_ns)`` — equals the one the memo recorded is
+    not opened: its memoized text is returned (``read`` false).  Any
+    other file is read, the signature taken from the open file before
+    its bytes.  The memo stays keyed by content: ``program`` is the
+    memoized program only when the text hashes as the memo's does.  A
+    user can set a file's mtime back but not its ctime, so an edit that
+    restores the mtime still moves the signature.  ``signature`` is
+    ``None`` when the file's mtime or ctime lies within
+    :data:`SETTLE_NS` of the moment it was read: such a file is read
+    again on the next call, so a rewrite within one timestamp tick is
+    never missed."""
+    memo = state_cache.get(_unit_slot(stem))
+    if memo is not None and memo.signature is not None \
+            and memo.signature == _signature(os.stat(path)):
+        return memo.source, memo.signature, memo.program, False
+    read_ns = time.time_ns()
+    with open(path) as f:
+        signature = _signature(os.fstat(f.fileno()))
+        text = f.read()
+    if read_ns - max(signature[3], signature[4]) < SETTLE_NS:
+        signature = None
+    program = memo.program if memo is not None \
+        and memo.sha == source_sha(text) else None
+    return text, signature, program, True
 
 
 # ---------------------------------------------------------------------
@@ -340,10 +395,11 @@ class Planner:
     caller's ``state_cache`` memo, if any).  The driver's dispatch loop
     hands it each unit as the unit arrives: :meth:`admit` returns the
     unit's :class:`UnitPlan`, or the memoized ``(result, metrics)``
-    pair to replay.  Once every unit is done, :meth:`commit` saves the
-    state (only if it changed) and refreshes the :class:`UnitMemo`
-    entries.  A call that raises before its end never commits, so
-    ``depgraph.json`` keeps what the last finished run wrote."""
+    pair to replay, whose :class:`UnitMemo` entry then stays as it is.
+    Once every unit is done, :meth:`commit` saves the state (only if it
+    changed) and refreshes the entries of the units it planned.  A call
+    that raises before its end never commits, so ``depgraph.json``
+    keeps what the last finished run wrote."""
 
     def __init__(self, store: ResultCache, tracing: bool, jobs: int,
                  state_cache: Optional[dict]) -> None:
@@ -353,7 +409,8 @@ class Planner:
         self.state_cache = state_cache
         self.engine = engine_fingerprint()
         self.state = load_state_cached(store.root, self.engine, state_cache)
-        # unit key -> (unit, plan, graph, source sha, served from memo)
+        # planned (not replayed) unit key -> (unit, plan, graph,
+        # source sha, served from memo)
         self.admitted: dict[str, tuple[Unit, UnitPlan, DepGraph, str,
                                        bool]] = {}
 
@@ -373,6 +430,12 @@ class Planner:
         served = memo is not None and memo.plan is not None \
             and old is not None and old is memo.state
         if served:
+            if memo.outcome is not None and not self.tracing \
+                    and memo.outcome[1].jobs == self.jobs:
+                # The entry stays as it is; only the identity of the
+                # (same) source text is this call's.
+                memo.source, memo.signature = unit.source, unit.signature
+                return memo.outcome
             plan, graph = memo.plan, memo.graph
         else:
             plan, graph = plan_unit(
@@ -380,9 +443,6 @@ class Planner:
                 memo.graph if memo is not None else None)
         sha = memo.sha if memo is not None else source_sha(unit.source)
         self.admitted[unit.key] = (unit, plan, graph, sha, served)
-        if served and memo.outcome is not None and not self.tracing \
-                and memo.outcome[1].jobs == self.jobs:
-            return memo.outcome
         if self.tracing:
             _trace_plan(unit, plan)
         return plan
@@ -390,7 +450,7 @@ class Planner:
     def commit(self, out: dict[str, tuple[ProgramResult, DriverMetrics]]
                ) -> None:
         """Persist the fresh graph, per-function transitive keys and
-        outcomes of every admitted unit — only when some unit's state
+        outcomes of every planned unit — only when some unit's state
         differs from what was loaded, or the state file is absent — and
         refresh the caller's memo."""
         cache_dir = self.store.root
@@ -423,4 +483,5 @@ class Planner:
             self.state_cache[_unit_slot(key)] = UnitMemo(
                 sha, unit.tp, graph, state.units.get(key),
                 plan if reused else None,
-                out[key] if served and not self.tracing else None)
+                out[key] if served and not self.tracing else None,
+                unit.source, unit.signature)

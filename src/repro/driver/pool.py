@@ -120,6 +120,9 @@ class Unit:
     lemmas: Optional[dict] = None
     timings: Optional[PhaseTimings] = None   # parse/elaborate, if measured
     front_trace: Optional[FunctionTrace] = None  # parse/elaborate events
+    # stat signature of the file ``source`` was read from, kept in a
+    # long-lived caller's memo (see incremental.load_source)
+    signature: Optional[tuple] = None
 
 
 #: ``on_unit(key, result, metrics)`` of :func:`run_units`

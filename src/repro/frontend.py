@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .driver import DriverConfig, DriverMetrics, PhaseTimings, Unit, run_units
-from .driver.incremental import memoized_program, source_sha
+from .driver.incremental import load_source
 from .lang.elaborate import elaborate_unit
 from .lang.parser import parse
 from .proofs.manual import LEMMAS_BY_STUDY
@@ -52,6 +52,11 @@ class VerificationOutcome:
     result: ProgramResult
     study: str = ""
     metrics: Optional[DriverMetrics] = None
+    # what this call's front end did for the unit: read the source
+    # bytes, and parse and elaborate them (a long-lived caller's memo
+    # can spare both; see ``verify_files``)
+    read: bool = True
+    parsed: bool = True
 
     @property
     def ok(self) -> bool:
@@ -188,51 +193,62 @@ def verify_files(paths: Sequence[Union[str, Path]], *,
 
     A long-lived caller (the serve daemon) passes ``session`` (a warm
     :class:`repro.driver.PoolSession`) to reuse one worker pool across
-    calls and ``state_cache``, its memo of incremental planner state and
-    elaborated programs: an unchanged ``depgraph.json`` is not re-read,
-    and a unit whose source hashes as it did last time is neither
-    re-parsed nor re-elaborated (its ``PhaseTimings`` read 0, and a
-    traced run gets an empty front-end buffer for the planner's
-    events).  Batch callers pass no ``state_cache`` and always run the
-    front end.  ``ledger=False`` suppresses the per-call ``verify``
+    calls and ``state_cache``, its memo of incremental planner state,
+    elaborated programs and source identities: an unchanged
+    ``depgraph.json`` is not re-read, a source file whose stat signature
+    is the one recorded when its text was last read is not opened (see
+    :func:`repro.driver.incremental.load_source`), and a unit whose
+    source hashes as it did last time is neither re-parsed nor
+    re-elaborated (its ``PhaseTimings`` read 0, and a traced run gets an
+    empty front-end buffer for the planner's events).  Each outcome's
+    ``read`` and ``parsed`` say which of these the call did.  Batch
+    callers pass no ``state_cache`` and always read every file and run
+    the front end.  ``ledger=False`` suppresses the per-call ``verify``
     ledger record for callers that append their own richer one.
     ``on_unit(stem, outcome)`` streams: it is called once per unit, as
     soon as that unit's last function is checked (see
     :func:`repro.driver.run_units`)."""
     tracing = trace_env_enabled() if trace is None else bool(trace)
-    tps: dict[str, TypedProgram] = {}
+    # stem -> (program, source read, front end run)
+    fronts: dict[str, tuple[TypedProgram, bool, bool]] = {}
 
     def front_end(path: Path) -> Unit:
         study = path.stem
         lemmas = LEMMAS_BY_STUDY.get(study)
-        source = path.read_text()
-        tp = memoized_program(state_cache, study, source_sha(source)) \
-            if state_cache is not None else None
-        if tp is None:
+        if state_cache is None:
+            source, signature, tp, read = path.read_text(), None, None, True
+        else:
+            source, signature, tp, read = load_source(state_cache, study,
+                                                      path)
+        parsed = tp is None
+        if parsed:
             tp, timings, front = _front_end(source, lemmas, tracing, study)
         else:
             timings = PhaseTimings()
             front = FunctionTrace(unit=study, function="") \
                 if tracing else None
-        tps[study] = tp
+        fronts[study] = (tp, read, parsed)
         return Unit(key=study, source=source, tp=tp, lemmas=lemmas,
-                    timings=timings, front_trace=front)
+                    timings=timings, front_trace=front, signature=signature)
+
+    def outcome(study: str, result: ProgramResult,
+                metrics: DriverMetrics) -> VerificationOutcome:
+        tp, read, parsed = fronts[study]
+        return VerificationOutcome(tp, result, study, metrics, read, parsed)
 
     units = _UnitStream(paths, front_end)
     config = DriverConfig(jobs=jobs, cache_dir=cache_dir, trace=tracing)
     report = None
     if on_unit is not None:
         def report(study, result, metrics):
-            on_unit(study, VerificationOutcome(tps[study], result, study,
-                                               metrics))
+            on_unit(study, outcome(study, result, metrics))
     t0 = time.perf_counter()
     results = run_units(units, config, session=session, on_unit=report,
                         state_cache=state_cache)
     # The front end ran inside the driver call; the check wall is the
     # rest of it, as when every unit was elaborated before the call.
     wall = time.perf_counter() - t0 - units.front_s
-    outcomes = {study: VerificationOutcome(tps[study], result, study,
-                                           metrics)
+    outcomes = {study: outcome(study, result, metrics)
                 for study, (result, metrics) in results.items()}
     if ledger:
         _ledger_record(outcomes, jobs=config.resolved_jobs(), wall_s=wall,
@@ -249,7 +265,8 @@ class _UnitStream:
 
     def __init__(self, paths: Sequence[Union[str, Path]],
                  front_end: Callable[[Path], Unit]) -> None:
-        self.paths = [Path(p) for p in paths]
+        self.paths = [p if isinstance(p, Path) else Path(p)
+                      for p in paths]
         self.front_end = front_end
         self.built: list[Unit] = []
         self.front_s = 0.0

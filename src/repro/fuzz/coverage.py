@@ -6,16 +6,14 @@ and turns the accumulated picture into *steering* — the greybox loop
 that makes corpus-scale fuzzing beat blind sampling:
 
 * :class:`CoverageMap` — per-key hit counts plus the program index that
-  first exercised each key.  Maps merge associatively and serialise
-  into the schema-versioned ``coverage`` block of the campaign stats
-  JSON.
+  first exercised each key.  Maps serialise into the schema-versioned
+  ``coverage`` block of the campaign stats JSON.
 * :func:`template_weights` — the deterministic steering policy: boost
   generator templates that are under-sampled or recently produced *new*
   coverage keys, damp templates whose signatures have been saturated
-  for several rounds.  Weights are a pure function of the merged
-  coverage history of *completed* rounds, which is what keeps a sharded
-  campaign byte-identical across shard counts: every shard derives the
-  same weights from the same round barrier.
+  for several rounds.  Weights are a pure function of the coverage
+  history of *completed* rounds, which keeps a campaign's program
+  stream deterministic.
 
 Beyond the trace-derived keys, campaigns record two oracle-side
 dimensions in the same vocabulary: ``exec:<status>`` for the
@@ -45,7 +43,7 @@ SATURATED_MIN_RUNS = 8   # never damp a template sampled fewer times than this
 
 @dataclass
 class CoverageMap:
-    """Cumulative coverage over a campaign (or one shard of one)."""
+    """Cumulative coverage over a campaign."""
 
     counts: dict[str, int] = field(default_factory=dict)
     first_seen: dict[str, int] = field(default_factory=dict)
@@ -64,17 +62,6 @@ class CoverageMap:
                 self.first_seen[key] = index
                 new.append(key)
         return new
-
-    def merge(self, other: "CoverageMap") -> None:
-        """Associative, order-independent merge."""
-        for key, n in other.counts.items():
-            if key in self.counts:
-                self.counts[key] += n
-                self.first_seen[key] = min(self.first_seen[key],
-                                           other.first_seen[key])
-            else:
-                self.counts[key] = n
-                self.first_seen[key] = other.first_seen[key]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -147,7 +134,7 @@ class SteeringState:
 
 def template_weights(names: list[str], state: SteeringState,
                      round_no: int) -> dict[str, float]:
-    """The steering policy, a pure function of the merged history.
+    """The steering policy, a pure function of the steering history.
 
     * never-sampled templates get the full exploration bonus;
     * templates that found new keys within :data:`STALE_ROUNDS` rounds

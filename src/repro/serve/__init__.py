@@ -5,9 +5,10 @@ daemon so the edit-annotate-recheck loop the paper promises (§1, §8:
 *interactive-speed* foundational verification) never pays pool
 cold-start, re-interning, or planner-state re-parsing between requests.
 A warm request costs what changed: planner state is written only when
-it changed, and a unit whose source text is unchanged is neither
-re-parsed nor re-elaborated (its program and dependency graph come from
-the namespace's memo):
+it changed, a source whose stat signature is unchanged (and settled)
+is not even opened, and a unit whose source text is unchanged is
+neither re-parsed nor re-elaborated (its program and dependency graph
+come from the namespace's memo):
 
 * :mod:`.protocol` — the JSON-RPC-over-HTTP request schema and the
   NDJSON response event stream, with structured errors;

@@ -56,8 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..driver.incremental import memoized_program
-from ..driver.metrics import merge_metrics
+from ..driver.metrics import DriverMetrics
 from ..driver.pool import PoolSession
 from ..frontend import verify_files
 from ..obs.ledger import ledger_env_path, record_run
@@ -102,11 +101,13 @@ class Namespace:
 
     ``state_cache`` memoises the parsed incremental planner state
     (:func:`repro.driver.incremental.load_state_cached`) and, per unit
-    stem, a :class:`~repro.driver.incremental.UnitMemo`: source sha,
-    program, dependency graph, the unit's planner-state object and,
-    when every function was reused clean, the reuse plan.  A warm
-    request re-reads ``depgraph.json`` only when some other process
-    moved it, writes it only when some unit's state changed, re-parses
+    stem, a :class:`~repro.driver.incremental.UnitMemo`: source text,
+    sha and stat signature, program, dependency graph, the unit's
+    planner-state object and, when every function was reused clean, the
+    reuse plan.  A warm request opens only the sources whose stat
+    signature moved (or that were too fresh to trust it), re-reads
+    ``depgraph.json`` only when some other process moved it, writes it
+    only when some unit's state changed, re-parses
     and re-elaborates only the units whose text changed, and serves a
     unit from its reuse plan — no planning, no result-cache read — only
     while the planner state still holds the very object the memo
@@ -114,8 +115,8 @@ class Namespace:
     namespace; ``reset`` empties it.
 
     ``unit_lines`` keeps, per unit stem, the encoded ``function`` and
-    ``unit`` lines of the unit's last report, next to the
-    :class:`~repro.driver.metrics.DriverMetrics` object they were
+    ``unit`` lines of the unit's last report and its run counts, next to
+    the :class:`~repro.driver.metrics.DriverMetrics` object they were
     encoded from.  A request whose driver call hands back that very
     object (a memo-served unit's replayed outcome) sends the kept bytes
     instead of encoding them again; ``reset`` drops them with the memo.
@@ -128,6 +129,8 @@ class Namespace:
     cache_dir: Path
     state_cache: dict = field(default_factory=dict)
     unit_lines: dict = field(default_factory=dict)
+    # (directory, file names, their Paths) of the last default request
+    default_targets: tuple = (None, None, None)
     served: int = 0
     functions_checked: int = 0    # checks run, clean reuses excluded
     latencies: deque = field(
@@ -163,21 +166,22 @@ class _UnitStream:
     ``finished``.  Every unit one callback releases goes to ``emit`` as
     one list of encoded lines.  A unit's lines are encoded once per
     ``DriverMetrics`` object and kept in ``lines`` (the namespace's
-    ``unit_lines``), so a replayed outcome sends the kept bytes.
-    ``parsed`` counts the units whose program is not the one memoized
-    when the request started: the front end ran for them."""
+    ``unit_lines``) with the unit's counts, so a replayed outcome sends
+    the kept bytes and adds the kept counts to ``totals``.  ``read``
+    counts the units whose source bytes were read and ``parsed`` those
+    that went through the front end again (each outcome's own ``read``
+    and ``parsed``)."""
 
-    def __init__(self, targets: list[Path], state_cache: dict,
-                 lines: dict,
+    def __init__(self, targets: list[Path], lines: dict,
                  emit: Callable[[list[bytes]], None]) -> None:
         self.order = [p.stem for p in targets]
-        self.memos = {stem: memoized_program(state_cache, stem)
-                      for stem in self.order}
         self.lines = lines
         self.emit = emit
         self.finished: dict = {}
         self.metrics: list = []
+        self.totals = DriverMetrics().counts()
         self.ok = True
+        self.read = 0
         self.parsed = 0
 
     def __call__(self, stem: str, out) -> None:
@@ -192,18 +196,23 @@ class _UnitStream:
 
     def _publish(self, out) -> bytes:
         stem, m = out.study, out.metrics
-        self.parsed += out.typed_program is not self.memos[stem]
+        self.read += out.read
+        self.parsed += out.parsed
         self.metrics.append(m)
         self.ok = self.ok and out.ok
         kept = self.lines.get(stem)
         if kept is None or kept[0] is not m:
+            counts = m.counts()
             kept = (m, b"".join(encode_event(ev)
-                                for ev in self._events(out)))
+                                for ev in self._events(out, counts)),
+                    counts)
             self.lines[stem] = kept
+        for key, n in kept[2].items():
+            self.totals[key] += n
         return kept[1]
 
     @staticmethod
-    def _events(out) -> list[dict]:
+    def _events(out, counts: dict) -> list[dict]:
         """The unit's ``function`` events, then its ``unit`` event.  The
         unit's ``wall_s`` sums its live (non-clean) function walls, so a
         unit's lines do not depend on what else the request held."""
@@ -222,7 +231,7 @@ class _UnitStream:
             events.append(ev)
         live_s = sum(fm.wall_s for fm in m.functions if fm.cache != "clean")
         events.append(event("unit", unit=stem, ok=out.ok,
-                            wall_s=round(live_s, 6), **m.counts()))
+                            wall_s=round(live_s, 6), **counts))
         return events
 
 
@@ -535,8 +544,9 @@ class VerifyDaemon:
     # ------------------------------------------------------------
 
     def _namespace(self, root_param: Optional[str]) -> Namespace:
-        root = (Path(root_param) if root_param
-                else self.config.root).resolve()
+        # The daemon root was resolved at start-up.
+        root = Path(root_param).resolve() if root_param \
+            else self.config.root
         if not root.is_dir():
             raise ProtocolError(E_PARAMS,
                                 f"namespace root {root} is not a "
@@ -552,16 +562,22 @@ class VerifyDaemon:
     def _resolve_targets(self, ns: Namespace,
                          paths_param) -> list[Path]:
         if not paths_param:
-            # One directory: ordering by name is the path order, without
-            # the cost of comparing Path objects.
-            targets = sorted(ns.default_dir.glob("*.c"),
-                             key=lambda p: p.name)
-            if not targets:
+            # One scandir pass.  In one directory, ordering by name is
+            # the path order, without the cost of comparing Path objects;
+            # the last request's Paths serve while the names are the same.
+            where = ns.default_dir
+            with os.scandir(where) as entries:
+                names = sorted(e.name for e in entries
+                               if e.name.endswith(".c") and e.is_file())
+            if not names:
                 raise ProtocolError(E_PARAMS,
-                                    f"no .c files under "
-                                    f"{ns.default_dir}")
-            return targets
-        out: list[Path] = []
+                                    f"no .c files under {where}")
+            if ns.default_targets[:2] != (where, names):
+                ns.default_targets = (where, names,
+                                      [where / name for name in names])
+            return ns.default_targets[2]
+        # A unit is named by its stem in the one driver call.
+        out: dict[str, Path] = {}
         for raw in paths_param:
             p = Path(raw)
             if p.suffix != ".c":
@@ -578,15 +594,12 @@ class VerifyDaemon:
                                     f"namespace root {ns.root}")
             if not cand.is_file():
                 raise ProtocolError(E_PARAMS, f"no such file: {cand}")
-            # A unit is named by its stem in the one driver call.
-            other = next((q for q in out if q.stem == cand.stem), None)
-            if other is None:
-                out.append(cand)
-            elif other != cand:
+            other = out.setdefault(cand.stem, cand)
+            if other != cand:
                 raise ProtocolError(E_PARAMS,
                                     f"{other} and {cand} share the unit "
                                     f"name {cand.stem!r}")
-        return out
+        return list(out.values())
 
     def _run_verify(self, paths: list[Path], ns: Namespace, jobs: int,
                     session: Optional[PoolSession], full: bool) -> dict:
@@ -608,7 +621,7 @@ class VerifyDaemon:
         session = self.session() if jobs > 1 else None
 
         t0 = time.perf_counter()
-        stream = _UnitStream(targets, ns.state_cache, ns.unit_lines, emit)
+        stream = _UnitStream(targets, ns.unit_lines, emit)
         recovered = 0
         # One driver call for the whole request: every unit is planned
         # once and the dirty functions of all units share one pool
@@ -634,13 +647,14 @@ class VerifyDaemon:
         wall = time.perf_counter() - t0
         ns.latencies.append(queue_wait_s + wall)
         ns.served += len(stream.metrics)
-        totals = merge_metrics(stream.metrics).counts()
+        totals = stream.totals
         ns.functions_checked += totals["rechecked"]
         warm = totals["functions"] > 0 and totals["rechecked"] == 0
         summary = dict(ok=stream.ok, wall_s=round(wall, 6),
                        queue_wait_s=round(queue_wait_s, 6), warm=warm,
                        namespace=str(ns.root), jobs=jobs,
-                       recovered=recovered, parsed=stream.parsed,
+                       recovered=recovered, read=stream.read,
+                       parsed=stream.parsed,
                        files=len(stream.metrics), **totals)
         if session is not None:
             summary["session"] = {"jobs": session.jobs,

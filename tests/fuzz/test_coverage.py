@@ -66,24 +66,6 @@ class TestCoverageMap:
         m.observe(["k"], 2)
         assert m.first_seen["k"] == 2
 
-    def test_merge_is_associative_and_order_independent(self):
-        def build(obs):
-            m = CoverageMap()
-            for keys, idx in obs:
-                m.observe(keys, idx)
-            return m
-
-        a = build([(["x", "y"], 1), (["x"], 4)])
-        b = build([(["y", "z"], 0)])
-        ab = build([])
-        ab.merge(a)
-        ab.merge(b)
-        ba = build([])
-        ba.merge(b)
-        ba.merge(a)
-        assert ab.counts == ba.counts == {"x": 2, "y": 2, "z": 1}
-        assert ab.first_seen == ba.first_seen == {"x": 1, "y": 0, "z": 0}
-
     def test_missing_lists_unexercised_baseline_keys(self):
         m = CoverageMap()
         m.observe(["rule:a", "rule:b"], 0)

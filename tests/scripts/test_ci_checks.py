@@ -192,10 +192,12 @@ class TestWarmNoop:
         return write(path, {"files": {}, "summary": fields})
 
     def cold(self, tmp_path, batches=None):
-        return self.summary(tmp_path / "cold.json", batches, parsed=54)
+        return self.summary(tmp_path / "cold.json", batches, read=54,
+                            parsed=54)
 
-    def warm(self, tmp_path, parsed, batches=None):
-        return self.summary(tmp_path / "warm.json", batches, parsed=parsed)
+    def warm(self, tmp_path, parsed, batches=None, read=0):
+        return self.summary(tmp_path / "warm.json", batches, read=read,
+                            parsed=parsed)
 
     def test_untouched_state_and_no_parse_pass(self, ci_checks, stamped,
                                                tmp_path, capsys):
@@ -241,6 +243,60 @@ class TestWarmNoop:
                                self.cold(tmp_path, batches=1),
                                self.warm(tmp_path, 0, batches=2)]) == 1
         assert "grew session.batches (1 -> 2)" in capsys.readouterr().err
+
+
+    def test_read_source_fails(self, ci_checks, stamped, tmp_path,
+                               capsys):
+        _, stamp = stamped
+        assert ci_checks.main(["warm-noop", stamp, self.cold(tmp_path),
+                               self.warm(tmp_path, 0, read=1)]) == 1
+        assert "read 1 source(s)" in capsys.readouterr().err
+
+    def test_missing_read_field_fails(self, ci_checks, stamped, tmp_path):
+        _, stamp = stamped
+        path = write(tmp_path / "warm.json",
+                     {"files": {}, "summary": {"parsed": 0}})
+        assert ci_checks.main(["warm-noop", stamp, self.cold(tmp_path),
+                               path]) == 1
+
+
+# ---------------------------------------------------------------------
+# serve-touch
+# ---------------------------------------------------------------------
+
+class TestServeTouch:
+    @staticmethod
+    def run(ci_checks, tmp_path, touched, edited):
+        return ci_checks.main([
+            "serve-touch",
+            write(tmp_path / "touch.json", {"files": {}, "summary": touched}),
+            write(tmp_path / "edit.json", {"files": {}, "summary": edited})])
+
+    TOUCHED = {"read": 1, "parsed": 0, "rechecked": 0}
+
+    def test_read_touched_and_parsed_edit_pass(self, ci_checks, tmp_path,
+                                               capsys):
+        assert self.run(ci_checks, tmp_path, self.TOUCHED,
+                        {"read": 1, "parsed": 1, "rechecked": 3}) == 0
+        assert "serve-touch ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("touched", [
+        {"read": 0, "parsed": 0, "rechecked": 0},   # signature trusted
+        {"read": 54, "parsed": 0, "rechecked": 0},  # every source read
+        {"read": 1, "parsed": 1, "rechecked": 0},   # re-parsed the same text
+        {"read": 1, "parsed": 0, "rechecked": 2},   # re-checked
+        {"parsed": 0, "rechecked": 0},              # no read count
+    ])
+    def test_touch_not_seen_as_one_read_fails(self, ci_checks, tmp_path,
+                                              capsys, touched):
+        assert self.run(ci_checks, tmp_path, touched,
+                        {"read": 1, "parsed": 1}) == 1
+        assert "touched request" in capsys.readouterr().err
+
+    def test_unparsed_edit_fails(self, ci_checks, tmp_path, capsys):
+        assert self.run(ci_checks, tmp_path, self.TOUCHED,
+                        {"read": 0, "parsed": 0}) == 1
+        assert "edited request parsed 0" in capsys.readouterr().err
 
 
 class TestServeLatency:

@@ -266,6 +266,24 @@ class TestNamespaces:
         assert got == sorted(root.glob("*.c"))
         assert [p.name for p in got][:3] == ["-x.c", "1x.c", "B2.c"]
 
+    def test_default_targets_follow_the_directory(self, daemon, tmp_path):
+        """Only files are targets, and a file added or removed between
+        two requests is seen by the next one."""
+        d, _ = daemon
+        root = tmp_path / "names"
+        root.mkdir()
+        for name in ("b", "a"):
+            (root / f"{name}.c").write_text("")
+        (root / "dir.c").mkdir()
+        (root / "notes.txt").write_text("")
+        ns = d._namespace(str(root))
+        assert d._resolve_targets(ns, None) == [root / "a.c", root / "b.c"]
+        (root / "c.c").write_text("")
+        assert d._resolve_targets(ns, None) == \
+            [root / "a.c", root / "b.c", root / "c.c"]
+        (root / "a.c").unlink()
+        assert d._resolve_targets(ns, None) == [root / "b.c", root / "c.c"]
+
 
 # ---------------------------------------------------------------------
 # Structured errors; the daemon must survive all of them.
