@@ -51,6 +51,12 @@ to reproduce exactly what CI enforces:
   at jobs=1 and at jobs=2: every function's verdict and
   ``Stats.counters()`` agree between the two, and no witnessed mutant
   is accepted.
+* ``gc-budget`` — one cold serial Figure-7 pass in this process under
+  ``gc.callbacks``: prints, per generation, the collections, the
+  objects collected and the milliseconds spent, and fails when the
+  gen0 collections exceed :data:`MAX_GEN0_COLLECTIONS` (guards the
+  driver's collector policy against a silent revert, or a Python whose
+  thresholds mean something else).
 
 Exit code 0 when the assertion holds, 1 when it fails.
 """
@@ -583,6 +589,74 @@ def pooled_corpus(args) -> int:
                                {p.stem: ok for p, ok in expected.items()})
 
 
+# ---------------------------------------------------------------------
+# gc-budget
+# ---------------------------------------------------------------------
+
+#: young (gen0) collections allowed in one cold serial Figure-7 pass:
+#: twice the 4 measured under the driver's collector policy
+#: (``repro.driver.pool.GC_THRESHOLD0``) on CPython 3.11.  CPython's
+#: default threshold of 700 reads 106.  Collection counts follow
+#: allocations, not the runner's speed.
+MAX_GEN0_COLLECTIONS = 8
+
+
+def measure_gc() -> list[dict]:
+    """Collector activity during one cold serial pass over the Figure-7
+    suite, in this process: per generation, the collections, the
+    objects they collected and the milliseconds they took."""
+    import gc
+
+    from repro.frontend import verify_files
+    from repro.pure.memo import clear_pure_caches
+    from repro.report import FIGURE7_STUDIES, casestudies_dir
+
+    base = casestudies_dir()
+    paths = [base / f"{stem}.c" for stem, _cls in FIGURE7_STUDIES]
+    gens = [{"collections": 0, "collected": 0, "ms": 0.0}
+            for _ in range(len(gc.get_count()))]
+    started = 0.0
+
+    def on_gc(phase, info):
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+            return
+        gen = gens[info["generation"]]
+        gen["collections"] += 1
+        gen["collected"] += info["collected"]
+        gen["ms"] += (time.perf_counter() - started) * 1e3
+
+    clear_pure_caches()
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        verify_files(paths, jobs=1, ledger=False)
+    finally:
+        gc.callbacks.remove(on_gc)
+    return gens
+
+
+def judge_gc_budget(gens: list[dict]) -> int:
+    for i, gen in enumerate(gens):
+        print(f"gen{i}: {gen['collections']} collection(s), "
+              f"{gen['collected']} object(s) collected, "
+              f"{gen['ms']:.1f} ms")
+    young = gens[0]["collections"]
+    if young > MAX_GEN0_COLLECTIONS:
+        print(f"gc-budget: {young} gen0 collection(s) in one cold serial "
+              f"Figure-7 pass; at most {MAX_GEN0_COLLECTIONS} allowed",
+              file=sys.stderr)
+        return 1
+    print(f"gc-budget ok: {young} gen0 collection(s) "
+          f"<= {MAX_GEN0_COLLECTIONS}")
+    return 0
+
+
+def gc_budget(args) -> int:
+    return judge_gc_budget(measure_gc())
+
+
 def _diff_files(a: dict, b: dict, la: str, lb: str) -> None:
     for stem in sorted(set(a) | set(b)):
         if stem not in a or stem not in b:
@@ -677,6 +751,11 @@ def main(argv=None) -> int:
                        help="the seed-1 generated corpus verifies alike "
                             "at jobs=1 and jobs=2, mutants rejected")
     p.set_defaults(func=pooled_corpus)
+
+    p = sub.add_parser("gc-budget",
+                       help="collections of one cold serial Figure-7 "
+                            "pass, per generation; bounded gen0 count")
+    p.set_defaults(func=gc_budget)
 
     args = ap.parse_args(argv)
     return args.func(args)

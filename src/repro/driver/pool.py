@@ -32,10 +32,23 @@ sha256, so the memo is content addressed — a unit key reused with
 different source (a daemon tenant, a fuzz round) simply misses — and a
 unit's functions share one program, warm refinement caches included.
 
-Every worker runs ``gc.freeze()`` as its initializer.  A fork worker
-inherits the parent's heap by copy-on-write; frozen, that heap is out of
-reach of the worker's collections, which would otherwise walk it in
-every full collection and so copy its pages.
+Collector policy.  Proof search allocates many short-lived container
+objects (terms, tuples, continuation closures, search states).  At
+CPython's default young-generation threshold of 700 the cyclic
+collector ran 106 young and 9 middle collections per cold Figure-7
+pass, and in a long-lived process the occasional full one, freeing
+little: terms keep no reference to themselves, so what a check drops is
+mostly freed by reference counting.  :func:`run_units` therefore runs
+its whole body (the front end ``verify_files`` streams into it
+included) under the threshold :data:`GC_THRESHOLD0` and restores the
+caller's thresholds on exit; a lock-guarded depth count lets nested and
+concurrent calls (several daemons in one process) share it without
+leaving it raised.  Every pool worker applies it in its initializer,
+after ``gc.freeze()``: a fork worker inherits the parent's heap by
+copy-on-write, and frozen, that heap is out of reach of the worker's
+collections, which would otherwise walk it in every full collection
+and so copy its pages.  Forkserver workers (the daemon's) inherit no
+threshold from the parent, hence the initializer sets it.
 """
 
 from __future__ import annotations
@@ -45,8 +58,10 @@ import hashlib
 import itertools
 import multiprocessing
 import pickle
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from pathlib import Path
@@ -64,6 +79,35 @@ from ..trace.tracer import (FunctionTrace, Tracer, merge_function_traces,
                             set_current, trace_env_enabled)
 from .cache import ResultCache
 from .metrics import DriverMetrics, PhaseTimings
+
+#: The cyclic collector's young-generation threshold while the driver
+#: checks functions (CPython's default is 700); see the module notes.
+GC_THRESHOLD0 = 20_000
+
+# The collector's thresholds are process-wide, so the state that guards
+# them is too: the number of policy holders and what the first one found.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_saved = gc.get_threshold()
+
+
+@contextmanager
+def _collector_policy() -> Iterator[None]:
+    """Run the body under :data:`GC_THRESHOLD0`; the outermost exit
+    restores the thresholds found on the outermost entry."""
+    global _gc_depth, _gc_saved
+    with _gc_lock:
+        if not _gc_depth:
+            _gc_saved = gc.get_threshold()
+            gc.set_threshold(GC_THRESHOLD0, *_gc_saved[1:])
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if not _gc_depth:
+                gc.set_threshold(*_gc_saved)
 
 
 def reset_fresh_counters() -> None:
@@ -169,6 +213,13 @@ _PROGRAM_MEMO_CAP = 64
 _PROGRAMS: dict[str, TypedProgram] = {}
 
 
+def _init_worker() -> None:
+    """Pool initializer: freeze the inherited heap, then apply the
+    collector policy (see the module notes)."""
+    gc.freeze()
+    gc.set_threshold(GC_THRESHOLD0, *gc.get_threshold()[1:])
+
+
 def _worker_check(unit_key: str, fn_name: str, digest: str, blob: bytes,
                   tracing: bool):
     """The one pool task: check ``fn_name`` of the pickled program
@@ -213,12 +264,10 @@ class PoolSession:
 
     def executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # gc.freeze: a fork worker's collections must not walk (and
-            # so copy) the parent heap it inherits; see the module notes.
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=self._mp_context or _pool_context(),
-                initializer=gc.freeze)
+                initializer=_init_worker)
         return self._pool
 
     def reset(self) -> None:
@@ -296,6 +345,7 @@ Outcome = tuple[tuple[str, str],
                 tuple[FunctionResult, float, Optional[tuple]]]
 
 
+@_collector_policy()
 def run_units(units: Collection[Unit],
               config: Optional[DriverConfig] = None,
               session: Optional[PoolSession] = None,
@@ -331,7 +381,10 @@ def run_units(units: Collection[Unit],
     as that unit's last function is collected; units with no pending
     work are reported together, before the next unit that has some and
     after the last arrival.  Callers that stream (the serve daemon) pass
-    it; the returned map is the same either way."""
+    it; the returned map is the same either way.
+
+    The whole call, a streamed front end included, runs under the
+    driver's collector policy (see the module notes)."""
     config = config or DriverConfig()
     jobs = config.resolved_jobs()
     store = config.open_cache()

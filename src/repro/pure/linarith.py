@@ -45,6 +45,7 @@ _FM_CACHE: dict = register_cache({})
 # implication of a prove call.
 _HYPROWS_CACHE: dict = register_cache({})
 _MISS = object()
+_OPAQUE = object()   # the ``_lrow`` of an opaque atom; see linearise
 
 
 @dataclass
@@ -84,8 +85,14 @@ def linearise(t: Term, atoms: set[Term]) -> LinExpr:
     if hit is None:
         local: set[Term] = set()
         e = _linearise(t, local)
-        hit = (e, frozenset(local))
+        # An opaque atom's row is the node itself with coefficient 1;
+        # a marker stands for it, since a row holding its own node would
+        # be a reference cycle.
+        hit = _OPAQUE if t in local else (e, frozenset(local))
         _set(t, "_lrow", hit)
+    if hit is _OPAQUE:
+        atoms.add(t)
+        return LinExpr({t: 1}, 0)
     atoms |= hit[1]
     # Fresh coeff dict per call: downstream arithmetic never mutates a
     # LinExpr in place, but sharing one dict across calls would make that

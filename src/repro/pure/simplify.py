@@ -25,6 +25,9 @@ from .terms import (App, Lit, Sort, Term, add, and_, app, eq, intlit, le,
                     mall_ge, mall_le, msize, not_, sub)
 
 _set = object.__setattr__
+# The compiled form of a node that is its own result (its normal form,
+# its hypothesis decomposition); see ``simplify``.
+_NORMAL = object()
 
 
 def simplify(t: Term) -> Term:
@@ -40,7 +43,7 @@ def simplify(t: Term) -> Term:
         return t
     hit = getattr(t, "_simp", None)
     if hit is not None:
-        return hit
+        return t if hit is _NORMAL else hit
     args = tuple(simplify(a) for a in t.args)
     op = t.op
     if op.startswith("fn:") or op == "list_lit":
@@ -54,7 +57,10 @@ def simplify(t: Term) -> Term:
             out = simplify(out)
     else:
         out = t2
-    _set(t, "_simp", out)
+    # A node already in normal form records a marker, not itself: a slot
+    # holding its own node is a reference cycle, which would keep a
+    # dropped term alive until the cyclic collector ran.
+    _set(t, "_simp", _NORMAL if out is t else out)
     return out
 
 
@@ -346,10 +352,13 @@ def simplify_hyp(phi: Term) -> list[Term]:
         return _simplify_hyp(phi)
     hit = getattr(phi, "_hypx", None)
     if hit is not None and hit[0] == _HYP_GEN:
-        return list(hit[1])
-    hit = tuple(_simplify_hyp(phi))
-    _set(phi, "_hypx", (_HYP_GEN, hit))
-    return list(hit)
+        return [phi] if hit[1] is _NORMAL else list(hit[1])
+    out = _simplify_hyp(phi)
+    # As in ``simplify``: a hypothesis that is its own decomposition
+    # records the marker rather than a tuple holding the node.
+    own = len(out) == 1 and out[0] is phi
+    _set(phi, "_hypx", (_HYP_GEN, _NORMAL if own else tuple(out)))
+    return out
 
 
 def _simplify_hyp(phi: Term) -> list[Term]:

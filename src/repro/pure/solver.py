@@ -30,22 +30,58 @@ from .memo import register_cache, trim_cache
 from .sets import multiset_solver, set_solver
 from .simplify import simplify, simplify_hyp
 from .terms import App, Lit, Sort, Term, Var, subst_vars
+from .unify import unify
 
 
 def _app_subterms(t: Term) -> tuple[App, ...]:
-    """All ``App`` subterms of ``t``, pre-order, duplicates included.
+    """The proper ``App`` subterms of ``t`` (``t`` itself excluded),
+    pre-order, duplicates included.
 
     The tuple is cached on the (interned) node so repeated
     forward-chaining passes over the same hypotheses skip the generator
-    walk.
+    walk.  It leaves ``t`` out so the slot never refers back to its own
+    node: that would be a reference cycle.
     """
     if isinstance(t, App):
         subs = getattr(t, "_subs", None)
         if subs is None:
-            subs = tuple(s for s in t.subterms() if isinstance(s, App))
+            subs = tuple(s for a in t.args for s in a.subterms()
+                         if isinstance(s, App))
             object.__setattr__(t, "_subs", subs)
         return subs
     return ()
+
+
+def _instantiate(idx: int, subst, evmap: dict, budget: list[int],
+                 patterns, pool, heads):
+    """The search of :meth:`PureSolver._instantiations` from pattern
+    ``idx`` on.  A module-level generator, not a closure: a recursive
+    closure refers to itself through its cell, a reference cycle that
+    would keep the pool's terms alive until the cyclic collector ran."""
+    if budget[0] <= 0:
+        return
+    if idx == len(patterns):
+        inst = {}
+        for p, ev in evmap.items():
+            bound = subst.resolve(ev)
+            if bound.has_evars():
+                return
+            inst[p] = bound
+        budget[0] -= 1
+        yield inst
+        return
+    pat = subst_vars(patterns[idx], evmap)
+    cands = pool
+    if heads is not None:
+        # What unify compares first: the pattern under ``subst``.
+        head = subst.resolve(pat)
+        if isinstance(head, App):
+            cands = heads.get((head.op, len(head.args)), ())
+    for cand in cands:
+        trial = subst.copy()
+        if unify(pat, cand, trial):
+            yield from _instantiate(idx + 1, trial, evmap, budget, patterns,
+                                    pool, heads)
 
 
 def _head_index(pool: Sequence[App]) -> Optional[dict]:
@@ -355,7 +391,8 @@ class PureSolver:
         pool: list[Term] = []
         seen: set[Term] = set()
         for t in hyps + [goal]:
-            for s in _app_subterms(t):
+            subs = _app_subterms(t)
+            for s in (t, *subs) if isinstance(t, App) else subs:
                 if s not in seen:
                     seen.add(s)
                     pool.append(s)
@@ -392,39 +429,10 @@ class PureSolver:
         the pool could never unify, so the instantiations and their
         order are those of the full scan."""
         from .terms import Subst, fresh_evar
-        from .unify import unify
-
-        def go(idx: int, subst: Subst, evmap, budget: list[int]):
-            if budget[0] <= 0:
-                return
-            if idx == len(patterns):
-                inst = {}
-                complete = True
-                for p, ev in evmap.items():
-                    bound = subst.resolve(ev)
-                    if bound.has_evars():
-                        complete = False
-                        break
-                    inst[p] = bound
-                if complete:
-                    budget[0] -= 1
-                    yield inst
-                return
-            pat = subst_vars(patterns[idx], evmap)
-            cands = pool
-            if heads is not None:
-                # What unify compares first: the pattern under ``subst``.
-                head = subst.resolve(pat)
-                if isinstance(head, App):
-                    cands = heads.get((head.op, len(head.args)), ())
-            for cand in cands:
-                trial = subst.copy()
-                if unify(pat, cand, trial):
-                    yield from go(idx + 1, trial, evmap, budget)
-
         evmap = {p: fresh_evar(p.sort, p.name) for p in lemma.params}
         budget = [self._FORWARD_ATTEMPTS]
-        yield from go(0, Subst(), evmap, budget)
+        yield from _instantiate(0, Subst(), evmap, budget, patterns, pool,
+                                heads)
 
     def _by_lemma(self, hyps: list[Term], goal: Term) -> bool:
         from .terms import Subst, fresh_evar

@@ -145,7 +145,7 @@ class Var(Term):
     """A universally quantified (rigid) variable, e.g. a ``rc::parameters``
     entry or a loop-invariant ``rc::exists`` binder after introduction."""
 
-    __slots__ = ("name", "var_sort", "_hash", "_iid", "_fvs")
+    __slots__ = ("name", "var_sort", "_hash", "_iid")
 
     def __new__(cls, name: str, var_sort: Sort) -> "Var":
         key = (name, var_sort)
@@ -157,7 +157,6 @@ class Var(Term):
         _set(self, "var_sort", var_sort)
         _set(self, "_hash", hash(key))
         _set(self, "_iid", next(_IID_COUNTER))
-        _set(self, "_fvs", None)
         return _intern(_VAR_TABLE, key, self)
 
     @property
@@ -165,11 +164,10 @@ class Var(Term):
         return self.var_sort
 
     def free_vars(self) -> frozenset["Var"]:
-        fvs = self._fvs
-        if fvs is None:
-            fvs = frozenset((self,))
-            _set(self, "_fvs", fvs)
-        return fvs
+        # Not cached on the node: a set holding its own node is a
+        # reference cycle, so a dropped Var would wait for the cyclic
+        # collector instead of being freed by its reference count.
+        return frozenset((self,))
 
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is Var
@@ -197,7 +195,7 @@ class EVar(Term):
     which tracks the set of currently sealed evar ids.
     """
 
-    __slots__ = ("eid", "var_sort", "hint", "_hash", "_iid", "_evs")
+    __slots__ = ("eid", "var_sort", "hint", "_hash", "_iid")
 
     def __new__(cls, eid: int, var_sort: Sort, hint: str = "") -> "EVar":
         key = (eid, var_sort, hint)
@@ -210,7 +208,6 @@ class EVar(Term):
         _set(self, "hint", hint)
         _set(self, "_hash", hash(key))
         _set(self, "_iid", next(_IID_COUNTER))
-        _set(self, "_evs", None)
         return _intern(_EVAR_TABLE, key, self)
 
     @property
@@ -218,11 +215,7 @@ class EVar(Term):
         return self.var_sort
 
     def evars(self) -> frozenset["EVar"]:
-        evs = self._evs
-        if evs is None:
-            evs = frozenset((self,))
-            _set(self, "_evs", evs)
-        return evs
+        return frozenset((self,))   # uncached, as in Var.free_vars
 
     def has_evars(self) -> bool:
         return True
@@ -347,7 +340,10 @@ class App(Term):
     # the hyp-rule generation) and the linear row of the node.  They are
     # left unset until first use — reads go through ``getattr(t, s, None)``
     # and writes through ``object.__setattr__`` — so construction pays
-    # nothing for them.
+    # nothing for them.  None of them refers back to its own node (a
+    # marker stands for "the node itself"), so no term is part of a
+    # reference cycle: a term the intern tables drop is freed by its
+    # reference count, without waiting for the cyclic collector.
     __slots__ = ("op", "args", "result_sort", "_hash", "_iid",
                  "_hevars", "_size", "_fvs", "_evs",
                  "_simp", "_hypx", "_lrow", "_subs")

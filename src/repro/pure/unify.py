@@ -31,51 +31,61 @@ def unify(a: Term, b: Term, subst: Subst, frozen: Iterable[int] = ()) -> bool:
     """
     frozen_set = set(frozen)
     trail: dict[int, Term] = {}
-
-    def walk(t: Term) -> Term:
-        t = subst.resolve(t)
-        while isinstance(t, EVar) and t.eid in trail:
-            t = trail[t.eid]
-        return t
-
-    def occurs(ev: EVar, t: Term) -> bool:
-        return any(isinstance(s, EVar) and s.eid == ev.eid
-                   for s in walk_deep(t))
-
-    def walk_deep(t: Term):
-        t = walk(t)
-        yield t
-        if isinstance(t, App):
-            for arg in t.args:
-                yield from walk_deep(arg)
-
-    def go(x: Term, y: Term) -> bool:
-        x, y = walk(x), walk(y)
-        if x == y:
-            return True
-        if isinstance(x, EVar) and x.eid not in frozen_set:
-            if x.sort is not y.sort or occurs(x, y):
-                return False
-            trail[x.eid] = y
-            return True
-        if isinstance(y, EVar) and y.eid not in frozen_set:
-            if y.sort is not x.sort or occurs(y, x):
-                return False
-            trail[y.eid] = x
-            return True
-        if isinstance(x, App) and isinstance(y, App):
-            if x.op != y.op or len(x.args) != len(y.args):
-                return False
-            return all(go(xa, ya) for xa, ya in zip(x.args, y.args))
-        return False
-
-    if not go(a, b):
+    if not _go(a, b, subst, trail, frozen_set):
         return False
     for eid, t in trail.items():
         # Resolve through the rest of the trail before committing.
         resolved = _resolve_trail(t, trail, subst)
         subst.bind_evar(EVar(eid, resolved.sort), resolved)
     return True
+
+
+# Module-level functions that thread (subst, trail), not closures inside
+# ``unify``: a recursive closure refers to itself through its cell, so
+# each call would leave a reference cycle, holding the terms on the
+# trail, for the cyclic collector to find.
+
+def _walk(t: Term, subst: Subst, trail: dict[int, Term]) -> Term:
+    t = subst.resolve(t)
+    while isinstance(t, EVar) and t.eid in trail:
+        t = trail[t.eid]
+    return t
+
+
+def _walk_deep(t: Term, subst: Subst, trail: dict[int, Term]):
+    t = _walk(t, subst, trail)
+    yield t
+    if isinstance(t, App):
+        for arg in t.args:
+            yield from _walk_deep(arg, subst, trail)
+
+
+def _occurs(ev: EVar, t: Term, subst: Subst, trail: dict[int, Term]) -> bool:
+    return any(isinstance(s, EVar) and s.eid == ev.eid
+               for s in _walk_deep(t, subst, trail))
+
+
+def _go(x: Term, y: Term, subst: Subst, trail: dict[int, Term],
+        frozen: set[int]) -> bool:
+    x, y = _walk(x, subst, trail), _walk(y, subst, trail)
+    if x == y:
+        return True
+    if isinstance(x, EVar) and x.eid not in frozen:
+        if x.sort is not y.sort or _occurs(x, y, subst, trail):
+            return False
+        trail[x.eid] = y
+        return True
+    if isinstance(y, EVar) and y.eid not in frozen:
+        if y.sort is not x.sort or _occurs(y, x, subst, trail):
+            return False
+        trail[y.eid] = x
+        return True
+    if isinstance(x, App) and isinstance(y, App):
+        if x.op != y.op or len(x.args) != len(y.args):
+            return False
+        return all(_go(xa, ya, subst, trail, frozen)
+                   for xa, ya in zip(x.args, y.args))
+    return False
 
 
 def _resolve_trail(t: Term, trail: dict[int, Term], subst: Subst) -> Term:

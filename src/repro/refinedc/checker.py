@@ -338,9 +338,23 @@ def check_function(tp: TypedProgram, name: str) -> FunctionResult:
             derivations.append(st2.run(goal2))
     except VerificationError as exc:
         _record_cache_stats(stats, solver, dispatch0)
-        return FunctionResult(name, False, stats, exc, derivations)
+        return FunctionResult(name, False, stats, _detached(exc),
+                              derivations)
     _record_cache_stats(stats, solver, dispatch0)
     return FunctionResult(name, True, stats, None, derivations)
+
+
+def _detached(exc: VerificationError) -> VerificationError:
+    """``exc`` with its traceback (and that of every exception in its
+    ``__context__`` chain) cleared.  A kept result must not hold the
+    failed search's frames — its state, Γ and partial derivations —
+    alive; the diagnostics live in the error's own fields.  A pooled
+    result arrives this way already: pickling drops the traceback."""
+    link: Optional[BaseException] = exc
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__context__
+    return exc
 
 
 def _record_cache_stats(stats: Stats, solver: PureSolver,

@@ -7,7 +7,7 @@ arrives, so the parent's front end overlaps the workers' checks.  These
 tests pin that overlap, that it changes no result, how the pool is
 sized, where an unpicklable unit goes, what a front-end failure
 mid-stream leaves behind, and that every worker freezes the heap it
-starts with."""
+starts with and runs under the driver's collector policy."""
 
 import gc
 import multiprocessing
@@ -193,16 +193,22 @@ def test_unpicklable_unit_between_picklable_ones(events):
                 for n, fr in serial.result.functions.items()]
 
 
+def _worker_gc(executor):
+    """A worker's young-generation threshold and freeze count."""
+    return (executor.submit(gc.get_threshold).result()[0],
+            executor.submit(gc.get_freeze_count).result())
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the temporary pool forks its workers")
 def test_temporary_fork_pool_workers_freeze_their_heap(monkeypatch):
     assert gc.get_freeze_count() == 0, "the parent must not be frozen"
-    counts = []
+    states = []
     real = PoolSession.executor
 
     def executor(self):
         pool_ = real(self)
-        counts.append(pool_.submit(gc.get_freeze_count).result())
+        states.append(_worker_gc(pool_))
         return pool_
 
     monkeypatch.setattr(PoolSession, "executor", executor)
@@ -211,13 +217,18 @@ def test_temporary_fork_pool_workers_freeze_their_heap(monkeypatch):
     result, _metrics = run_units([_unit("mpool")],
                                  DriverConfig(jobs=2))["mpool"]
     assert result.ok
-    assert len(counts) == 1 and counts[0] > 0
+    assert len(states) == 1
+    threshold, frozen = states[0]
+    assert threshold == pool.GC_THRESHOLD0 and frozen > 0
 
 
 @pytest.mark.parametrize("method", ["fork", "forkserver"])
 def test_session_workers_freeze_their_heap(method):
+    """Outside ``run_units`` too: a forkserver worker inherits nothing
+    from the parent, so its initializer applies the policy."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method")
     context = multiprocessing.get_context(method)
     with PoolSession(2, mp_context=context) as session:
-        assert session.executor().submit(gc.get_freeze_count).result() > 0
+        threshold, frozen = _worker_gc(session.executor())
+    assert threshold == pool.GC_THRESHOLD0 and frozen > 0

@@ -77,7 +77,9 @@ def ground_pool():
                             else T.var(f"{p.name.lower()}{i}", p.sort))
                         for p in lemma.params}
                 for t in (lemma.conclusion,) + lemma.hyps:
-                    for s in _app_subterms(T.subst_vars(t, inst)):
+                    u = T.subst_vars(t, inst)
+                    subs = _app_subterms(u)
+                    for s in (u, *subs) if isinstance(u, T.App) else subs:
                         if s not in seen:
                             seen.add(s)
                             pool.append(s)

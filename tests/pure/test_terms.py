@@ -147,3 +147,59 @@ class TestSubst:
         a, b = T.var("a"), T.var("b")
         t = T.subst_vars(T.le(a, b), {a: T.intlit(1), b: T.intlit(2)})
         assert t == T.TRUE
+
+
+class TestRefcountFreed:
+    """A term keeps no reference to itself — not through its free-var
+    or evar set, its subterm list, its linear row, its normal form or
+    its hypothesis decomposition — and the solver's recursive searches
+    leave no cycles behind, so a term the pure caches drop is freed by
+    reference counting, not left for the cyclic collector."""
+
+    @staticmethod
+    def _work():
+        from repro.pure import Lemma, PureSolver, simplify, simplify_hyp
+        from repro.pure.linarith import implies_linear
+        a, b, c, n, k = (T.var(f"rc_{x}") for x in "abcnk")
+        xs = T.var("rc_xs", Sort.LIST)
+        s = T.var("rc_s", Sort.MSET)
+        e = fresh_evar(Sort.INT, "rc_e")
+
+        def f(t):
+            return T.fn_app("rc_f", [t], Sort.INT)
+
+        hyps = [T.le(T.intlit(0), n), T.le(n, a), T.lt(a, b),
+                T.eq(c, T.mul(a, b)), T.le(T.app("len", xs), n)]
+        goals = [T.le(T.sub(a, n), a), T.lt(n, b),
+                 T.le(T.ite(T.le(n, a), T.sub(a, n), a), a),
+                 T.le(T.intlit(0), T.app("len", xs)),
+                 T.eq(T.munion(s, T.mempty()), s),
+                 T.lt(T.intlit(0), T.add(f(a), T.intlit(1))),
+                 T.eq(e, T.add(a, T.intlit(1)))]
+        lemma = Lemma("rc_pos", (k,), (T.le(T.intlit(0), k),),
+                      T.le(T.intlit(0), f(k)))
+        solver = PureSolver(lemmas=[lemma])
+        for goal in goals:
+            solver.prove(hyps, goal)
+            implies_linear(hyps, goal)
+            simplify_hyp(simplify(goal))
+            goal.free_vars(), goal.evars()
+        for hyp in hyps:
+            simplify_hyp(hyp)
+
+    def test_dropped_terms_leave_no_cyclic_garbage(self):
+        import gc
+
+        from repro.pure.memo import clear_pure_caches
+        gc.collect()
+        saved = gc.get_debug()
+        gc.set_debug(saved | gc.DEBUG_SAVEALL)
+        try:
+            self._work()
+            clear_pure_caches()
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, T.Term)]
+        finally:
+            gc.set_debug(saved)
+            gc.garbage.clear()
+        assert not leaked, leaked[:10]

@@ -292,3 +292,24 @@ class TestStatistics:
         assert fr.stats.rule_applications > 0
         assert len(fr.stats.rules_used) > 0
         assert fr.stats.rule_applications >= len(fr.stats.rules_used)
+
+
+class TestFailedResult:
+    def test_a_rejected_mutant_keeps_no_traceback(self):
+        """A failed function's result holds its error, not the frames of
+        the search that raised it: a serial result matches a pooled one,
+        which pickling already stripped."""
+        from repro.fuzz.generator import generate_program
+        mutant = generate_program(1, 0).mutants[0]
+        serial = verify_source(mutant.source, jobs=1, trace=True)
+        pooled = verify_source(mutant.source, jobs=2, trace=True)
+        assert not serial.ok
+        failed = [n for n, fr in serial.result.functions.items()
+                  if not fr.ok]
+        assert failed
+        for name in failed:
+            error = serial.result.functions[name].error
+            other = pooled.result.functions[name].error
+            assert error.__traceback__ is None
+            assert error.format() == other.format()
+            assert error.stuck.render() == other.stuck.render()

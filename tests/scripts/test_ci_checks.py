@@ -479,3 +479,38 @@ class TestPooledCorpus:
     def test_subcommand_passes(self, ci_checks, capsys):
         assert ci_checks.main(["pooled-corpus"]) == 0
         assert "pooled-corpus ok: 99 unit(s)" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------
+# gc-budget
+# ---------------------------------------------------------------------
+
+def generations(young, collected=100, ms=1.5):
+    return [{"collections": young, "collected": collected, "ms": ms},
+            {"collections": 0, "collected": 0, "ms": 0.0},
+            {"collections": 0, "collected": 0, "ms": 0.0}]
+
+
+class TestGcBudget:
+    def test_within_budget_passes_and_prints_each_generation(
+            self, ci_checks, capsys):
+        assert ci_checks.judge_gc_budget(
+            generations(ci_checks.MAX_GEN0_COLLECTIONS)) == 0
+        out = capsys.readouterr().out
+        assert "gen0: 8 collection(s), 100 object(s) collected, 1.5 ms" \
+            in out
+        assert "gen1: 0 collection(s)" in out and "gen2:" in out
+        assert "gc-budget ok" in out
+
+    def test_over_budget_fails(self, ci_checks, capsys):
+        # The count CPython's default threshold of 700 reads.
+        assert ci_checks.judge_gc_budget(generations(106)) == 1
+        assert "106 gen0 collection(s)" in capsys.readouterr().err
+
+    def test_subcommand_passes_and_restores_the_callbacks(self, ci_checks,
+                                                          capsys):
+        import gc
+        callbacks = list(gc.callbacks)
+        assert ci_checks.main(["gc-budget"]) == 0
+        assert gc.callbacks == callbacks
+        assert "gc-budget ok" in capsys.readouterr().out
