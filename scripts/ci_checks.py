@@ -57,6 +57,11 @@ to reproduce exactly what CI enforces:
   gen0 collections exceed :data:`MAX_GEN0_COLLECTIONS` (guards the
   driver's collector policy against a silent revert, or a Python whose
   thresholds mean something else).
+* ``memo-census`` — one cold serial Figure-7 pass in this process with
+  every dict memo registered in ``repro.pure.memo`` swapped for a
+  counting dict: prints hits and misses per memo, and fails when more
+  than :data:`MAX_MEMOS` dicts are registered or any of them never hits
+  (a memo stays only while it earns its keep).
 
 Exit code 0 when the assertion holds, 1 when it fails.
 """
@@ -589,6 +594,12 @@ def pooled_corpus(args) -> int:
                                {p.stem: ok for p, ok in expected.items()})
 
 
+def _figure7_paths() -> list[Path]:
+    from repro.report import FIGURE7_STUDIES, casestudies_dir
+    base = casestudies_dir()
+    return [base / f"{stem}.c" for stem, _cls in FIGURE7_STUDIES]
+
+
 # ---------------------------------------------------------------------
 # gc-budget
 # ---------------------------------------------------------------------
@@ -609,10 +620,8 @@ def measure_gc() -> list[dict]:
 
     from repro.frontend import verify_files
     from repro.pure.memo import clear_pure_caches
-    from repro.report import FIGURE7_STUDIES, casestudies_dir
 
-    base = casestudies_dir()
-    paths = [base / f"{stem}.c" for stem, _cls in FIGURE7_STUDIES]
+    paths = _figure7_paths()
     gens = [{"collections": 0, "collected": 0, "ms": 0.0}
             for _ in range(len(gc.get_count()))]
     started = 0.0
@@ -655,6 +664,92 @@ def judge_gc_budget(gens: list[dict]) -> int:
 
 def gc_budget(args) -> int:
     return judge_gc_budget(measure_gc())
+
+
+# ---------------------------------------------------------------------
+# memo-census
+# ---------------------------------------------------------------------
+
+#: process-wide dict memos the pure solver may register.
+MAX_MEMOS = 4
+
+
+class CountingDict(dict):
+    """A memo dict that counts its reads, which go through ``get``: a
+    present key is a hit, an absent one a miss."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hits = self.misses = 0
+
+    def get(self, key, default=None):
+        if key in self:
+            self.hits += 1
+            return self[key]
+        self.misses += 1
+        return default
+
+
+def measure_memos() -> dict[str, CountingDict]:
+    """Hits and misses of every dict registered in ``repro.pure.memo``
+    over one cold serial Figure-7 pass, in this process, keyed
+    ``module.NAME``.  Each dict is found by identity among the
+    ``repro.pure.*`` module globals and swapped for a
+    :class:`CountingDict` for the pass; one found under no name cannot
+    be counted and reads 0 hits.  The registry and the globals are
+    restored afterwards."""
+    from repro.frontend import verify_files
+    from repro.pure import memo
+
+    memo.clear_pure_caches()
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("repro.pure.") and m is not None]
+    saved = list(memo._CACHES)
+    counters: dict[str, CountingDict] = {}
+    swapped = []
+    try:
+        for i, (cache, cap) in enumerate(saved):
+            counting = CountingDict()
+            where = next(((m, k) for m in modules
+                          for k, v in vars(m).items() if v is cache), None)
+            if where is None:
+                counters[f"<unnamed memo {i}>"] = counting
+                continue
+            module, attr = where
+            setattr(module, attr, counting)
+            swapped.append((module, attr, cache))
+            memo._CACHES[i] = (counting, cap)
+            counters[f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"] = \
+                counting
+        verify_files(_figure7_paths(), jobs=1, ledger=False)
+    finally:
+        for module, attr, cache in swapped:
+            setattr(module, attr, cache)
+        memo._CACHES[:] = saved
+    return counters
+
+
+def judge_memo_census(counters: dict[str, CountingDict]) -> int:
+    problems = []
+    for name, c in counters.items():
+        print(f"{name}: {c.hits} hit(s), {c.misses} miss(es)")
+        if c.hits == 0:
+            problems.append(f"{name}: 0 hits in one cold serial Figure-7 "
+                            "pass")
+    if len(counters) > MAX_MEMOS:
+        problems.append(f"{len(counters)} dict memos registered; at most "
+                        f"{MAX_MEMOS} allowed")
+    for p in problems:
+        print(f"memo-census: {p}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"memo-census ok: {len(counters)} memo(s) <= {MAX_MEMOS}, "
+          "each hit")
+    return 0
+
+
+def memo_census(args) -> int:
+    return judge_memo_census(measure_memos())
 
 
 def _diff_files(a: dict, b: dict, la: str, lb: str) -> None:
@@ -756,6 +851,11 @@ def main(argv=None) -> int:
                        help="collections of one cold serial Figure-7 "
                             "pass, per generation; bounded gen0 count")
     p.set_defaults(func=gc_budget)
+
+    p = sub.add_parser("memo-census",
+                       help="hits and misses of each pure-solver dict "
+                            "memo over one cold serial Figure-7 pass")
+    p.set_defaults(func=memo_census)
 
     args = ap.parse_args(argv)
     return args.func(args)

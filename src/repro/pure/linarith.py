@@ -20,7 +20,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .memo import register_cache, trim_cache
-from .terms import App, Lit, Sort, Term, Var, sub
+from .terms import App, Lit, Sort, Term
 
 _set = object.__setattr__
 
@@ -28,22 +28,12 @@ _set = object.__setattr__
 # a constant; it denotes  sum(coeff * atom) + const.
 LinMap = dict[Term, int]
 
-# Memoization over interned terms.  Linearisation and constraint extraction
-# are pure up to their ``atoms`` out-parameter, so each memo entry stores
-# the result together with the frozenset of atoms the computation would have
-# added; a hit replays the set union.  A linear row lives in its node's
-# ``_lrow`` slot; the rest are dicts.  Entailment results are plain bools
-# keyed on (hyps tuple, goal).
-_CONSTRAINT_CACHE: dict = register_cache({})
+# Linearisation and constraint extraction are functions of one interned
+# node, pure up to their ``atoms`` out-parameter: each stamps its result,
+# with the frozenset of atoms it adds, on the node (``_lrow``, ``_lcon``),
+# and a read replays the set union.  Entailment results are plain bools
+# in the one dict memo, keyed on (hyps tuple, goal).
 _IMPLIES_CACHE: dict = register_cache({})
-_AXIOM_CACHE: dict = register_cache({})
-_FM_CACHE: dict = register_cache({})
-# Hypothesis-context snapshot — hyps tuple -> (constraints,
-# integer rows, per-hyp atom sets).  Consecutive entailment queries under
-# one Γ (and every conjunct of an `and` goal) share their hypotheses, so
-# the matrix is assembled once per context and reused for every goal
-# implication of a prove call.
-_HYPROWS_CACHE: dict = register_cache({})
 _MISS = object()
 _OPAQUE = object()   # the ``_lrow`` of an opaque atom; see linearise
 
@@ -169,13 +159,16 @@ def _to_constraints(prop: Term, atoms: set[Term]) -> Optional[list[Constraint]]:
     Returns ``None`` if the proposition is not (a conjunction of) linear
     atoms -- such hypotheses are simply not visible to this solver.
     """
-    hit = _CONSTRAINT_CACHE.get(prop, _MISS)
-    if hit is _MISS:
+    if not isinstance(prop, App):
+        return _to_constraints_impl(prop, atoms)
+    hit = getattr(prop, "_lcon", None)
+    if hit is None:
+        # Every atom is a proper subterm of the node, so the slot never
+        # refers back to its own node.
         local: set[Term] = set()
         cs = _to_constraints_impl(prop, local)
-        trim_cache(_CONSTRAINT_CACHE)
         hit = (tuple(cs) if cs is not None else None, frozenset(local))
-        _CONSTRAINT_CACHE[prop] = hit
+        _set(prop, "_lcon", hit)
     atoms |= hit[1]
     return list(hit[0]) if hit[0] is not None else None
 
@@ -362,16 +355,6 @@ def _fm_int(rows: list[IntRow]) -> bool:
     Complete over the rationals; with the integer tightening performed
     during translation this is a sound (if incomplete) integer unsat
     check."""
-    key = tuple((tuple(coeffs.items()), const) for coeffs, const in rows)
-    hit = _FM_CACHE.get(key)
-    if hit is None:
-        hit = _fm_int_impl(rows)
-        trim_cache(_FM_CACHE)
-        _FM_CACHE[key] = hit
-    return hit
-
-
-def _fm_int_impl(rows: list[IntRow]) -> bool:
     work = [_norm_int_row(r) for r in rows]
     for _round in range(_FM_VAR_LIMIT):
         if any(const > 0 for coeffs, const in work if not coeffs):
@@ -415,25 +398,6 @@ def _fm_int_impl(rows: list[IntRow]) -> bool:
             return False  # give up (incomplete, but sound: "not proved")
         work = new
     return False
-
-
-def _hyp_rows(hyps: tuple) -> tuple:
-    """Snapshot of a hypothesis context: (constraints, integer rows,
-    atom set), assembled once per distinct ``hyps`` tuple."""
-    hit = _HYPROWS_CACHE.get(hyps)
-    if hit is not None:
-        return hit
-    atoms: set[Term] = set()
-    constraints: list[Constraint] = []
-    for h in hyps:
-        cs = _to_constraints(h, atoms)
-        if cs is not None:
-            constraints.extend(cs)
-    rows = tuple(_row(c) for c in constraints)
-    hit = (tuple(constraints), rows, frozenset(atoms))
-    trim_cache(_HYPROWS_CACHE)
-    _HYPROWS_CACHE[hyps] = hit
-    return hit
 
 
 def _div_axioms(atoms: set[Term], entailed: Callable[[LinExpr], bool]
@@ -491,25 +455,6 @@ def _entailed_by(hyp_constraints: list[Constraint]
     return entailed
 
 
-def _axioms_for(hyps: tuple[Term, ...], hyp_constraints: list[Constraint],
-                atoms: set[Term]) -> list[Constraint]:
-    """Bounding axioms for every opaque atom (mutates ``atoms``), memoized
-    on (hyps, atoms) — ``hyp_constraints`` is a function of ``hyps``."""
-    key = (tuple(hyps), frozenset(atoms))
-    hit = _AXIOM_CACHE.get(key)
-    if hit is None:
-        local = set(atoms)
-        axioms: list[Constraint] = []
-        for a in list(local):
-            axioms.extend(_atom_axioms(a, local))
-        axioms.extend(_div_axioms(local, _entailed_by(hyp_constraints)))
-        trim_cache(_AXIOM_CACHE)
-        hit = (tuple(axioms), frozenset(local - atoms))
-        _AXIOM_CACHE[key] = hit
-    atoms |= hit[1]
-    return list(hit[0])
-
-
 def implies_linear(hyps: Iterable[Term], goal: Term) -> bool:
     """Decide whether the linear fragment of ``hyps`` entails ``goal``."""
     hyps = tuple(hyps)
@@ -542,19 +487,23 @@ def _implies_linear(hyps: tuple[Term, ...], goal: Term) -> bool:
                                        goal)
                         and implies_linear(rest + [App("lt", (b, a),
                                                        Sort.BOOL)], goal))
-    # The hypothesis matrix is assembled once per context (shared across
-    # every goal implication of a prove call, including all conjuncts of
-    # an `and` goal) and the whole refutation runs on integer rows.  The
-    # lazy axioms for every opaque atom — including the nested entailment
-    # queries of _div_axioms — depend only on (hyps, atoms), so they are
-    # memoized too.
-    constraints, rows, hyp_atoms = _hyp_rows(tuple(hyps))
-    atoms = set(hyp_atoms)
+    atoms: set[Term] = set()
+    constraints: list[Constraint] = []
+    for h in hyps:
+        cs = _to_constraints(h, atoms)
+        if cs is not None:
+            constraints.extend(cs)
     neg_sets = _negate_to_constraint_sets(goal, atoms)
     if neg_sets is None:
         return False
-    axioms = _axioms_for(hyps, list(constraints), atoms)
-    hyp_ax = list(rows) + [_row(c) for c in axioms]
+    # Lazy bounding axioms for every opaque atom, the goal's included;
+    # the conditional ones ask nested entailment queries of the
+    # hypotheses.  The whole refutation runs on integer rows.
+    axioms: list[Constraint] = []
+    for a in list(atoms):
+        axioms.extend(_atom_axioms(a, atoms))
+    axioms.extend(_div_axioms(atoms, _entailed_by(constraints)))
+    hyp_ax = [_row(c) for c in constraints + axioms]
     for neg in neg_sets:
         remaining = _gauss_int(hyp_ax + [_row(c) for c in neg])
         if remaining is None:

@@ -8,15 +8,20 @@ memoization: the cached result must be indistinguishable from recomputing
 it (same value, same ``Stats`` counters, same error text).
 
 Each derived form is memoized in exactly one place.  A form of a single
-term node — its normal form, hypothesis decomposition or linear row —
-lives in a slot on the interned node; everything keyed on more than one
-term (entailments, constraint sets, solver instances) lives in a dict
-registered here.  Interned nodes and dict memos alike live for the
-process: the verification driver resets only the fresh-name counters
-between function checks, so a term one check built serves every later
-check, slots included.  Both are bounded — a dict past its cap
-(:func:`trim_cache`) or an intern table past :data:`DEFAULT_CACHE_CAP`
-is dropped wholesale.
+term node — its normal form, hypothesis decomposition, linear row or
+linear constraints — lives in a slot on the interned node; a result keyed
+on more than one term lives in a dict registered here.  There are three:
+linear entailments (``linarith._IMPLIES_CACHE``), default-solver
+subproblems (``solver._DEFAULT_CACHE``) and full ``prove`` results
+(``solver._PROVE_CACHE``).  A dict stays only while it hits: ``python
+scripts/ci_checks.py memo-census`` counts each one's hits over a cold
+Figure-7 pass and fails on a memo that never hits, or on more than four.
+
+Interned nodes and dict memos alike live for the process: the
+verification driver resets only the fresh-name counters between function
+checks, so a term one check built serves every later check, slots
+included.  Both are bounded — a dict past its cap (:func:`trim_cache`)
+or an intern table past :data:`DEFAULT_CACHE_CAP` is dropped wholesale.
 
 :func:`register_cache` / :func:`register_clearer` enrol every memo so
 :func:`clear_pure_caches` can drop the lot: the dict memos and the

@@ -19,24 +19,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import linarith
-from .memo import register_cache, trim_cache
 from .simplify import _mset_parts, simplify
-from .terms import App, Lit, Sort, Term, eq, le, mall_ge, mall_le
-
-# Saturation (``_ingest``) is itself deterministic in the constructor
-# arguments and solver instances are immutable afterwards, so equal
-# hypothesis tuples can share one instance.
-_MSET_SOLVER_CACHE: dict = register_cache({})
-
-
-def _get_solver(hyps: Iterable[Term]) -> "MultisetSolver":
-    hyps = tuple(hyps)
-    s = _MSET_SOLVER_CACHE.get(hyps)
-    if s is None:
-        s = MultisetSolver(hyps)
-        trim_cache(_MSET_SOLVER_CACHE)
-        _MSET_SOLVER_CACHE[hyps] = s
-    return s
+from .terms import App, Lit, Sort, Term, eq, le
 
 _SATURATION_ROUNDS = 4
 
@@ -166,7 +150,7 @@ class MultisetSolver:
                 return True
             return self._prove_by_member_split(goal, arith)
         if isinstance(goal, App) and goal.op == "implies":
-            return _get_solver(list(self.facts) + [goal.args[0]]).prove(
+            return MultisetSolver(list(self.facts) + [goal.args[0]]).prove(
                 goal.args[1], arith + [goal.args[0]])
         if isinstance(goal, App) and goal.op == "eq" \
                 and goal.args[0].sort is Sort.BOOL:
@@ -301,7 +285,7 @@ class MultisetSolver:
             ok = True
             for case_hyp in cases:
                 sub_hyps = [h for h in self.facts if h != f] + [case_hyp]
-                sub = _get_solver(sub_hyps)
+                sub = MultisetSolver(sub_hyps)
                 sub_arith = [h for h in arith if h != f] + [case_hyp]
                 if sub.prove(goal, sub_arith):
                     continue
@@ -330,7 +314,7 @@ class MultisetSolver:
 def multiset_solver(hyps: Iterable[Term], goal: Term) -> bool:
     """Entry point matching std++'s ``multiset_solver`` tactic."""
     hyps = list(hyps)
-    return _get_solver(hyps).prove(simplify(goal), hyps)
+    return MultisetSolver(hyps).prove(simplify(goal), hyps)
 
 
 def set_solver(hyps: Iterable[Term], goal: Term) -> bool:

@@ -29,7 +29,7 @@ from .lists import ListSolver
 from .memo import register_cache, trim_cache
 from .sets import multiset_solver, set_solver
 from .simplify import simplify, simplify_hyp
-from .terms import App, Lit, Sort, Term, Var, subst_vars
+from .terms import App, Lit, Sort, Subst, Term, Var, app, fresh_evar, subst_vars
 from .unify import unify
 
 
@@ -113,7 +113,6 @@ def _replace(t: Term, target: Term, replacement: Term) -> Term:
         if new_args != t.args:
             if t.op.startswith("fn:") or t.op == "list_lit":
                 return App(t.op, new_args, t.result_sort)
-            from .terms import app
             return app(t.op, *new_args, sort=t.result_sort)
     return t
 
@@ -173,12 +172,11 @@ _NAMED_SOLVERS = {
 # The default solver uses no per-function state (no lemmas, no tactics),
 # so its memo lives at module level and persists across function checks.
 _DEFAULT_CACHE: dict = register_cache({})
-# Full prove() results and hypothesis expansion are likewise module-level:
-# a query's answer is determined by (tactics, lemmas, hyps, goal) — Lemma
-# is a frozen dataclass of terms, so the configuration is hashable — and
-# the functions of a unit share many side conditions verbatim.
+# Full prove() results are likewise module-level: a query's answer is
+# determined by (tactics, lemmas, hyps, goal) — Lemma is a frozen
+# dataclass of terms, so the configuration is hashable — and the
+# functions of a unit share many side conditions verbatim.
 _PROVE_CACHE: dict = register_cache({})
-_EXPAND_CACHE: dict = register_cache({})
 
 
 class PureSolver:
@@ -187,10 +185,10 @@ class PureSolver:
     ``prove`` results are memoized on the *resolved, expanded*
     ``(tactics, lemmas, frozenset(hyps), goal)`` query (evar instantiation
     changes the resolved terms and hence the key, so entries can never go
-    stale), and hypothesis expansion is memoized on the raw hypothesis
-    tuple.  ``cache_hits`` counts prove-cache hits observed by *this*
-    instance; the Lithium search layer surfaces it as the
-    ``solver_cache_hits`` metric (deliberately *not* a ``Stats`` counter —
+    stale); hypothesis expansion reads each fact's decomposition from its
+    node (``simplify_hyp``).  ``cache_hits`` counts prove-cache hits
+    observed by *this* instance; the Lithium search layer surfaces it as
+    the ``solver_cache_hits`` metric (deliberately *not* a ``Stats`` counter —
     those stay byte-identical whether the caches start cold or warm).
     """
 
@@ -251,10 +249,6 @@ class PureSolver:
 
     # -----------------------------------------------------------------
     def _expand_hyps(self, hyps: Iterable[Term]) -> list[Term]:
-        hyps = tuple(hyps)
-        hit = _EXPAND_CACHE.get(hyps)
-        if hit is not None:
-            return list(hit)
         out: list[Term] = []
         seen: set[Term] = set()
         for h in hyps:
@@ -265,8 +259,6 @@ class PureSolver:
                 if s not in seen:
                     seen.add(s)
                     out.append(s)
-        trim_cache(_EXPAND_CACHE)
-        _EXPAND_CACHE[hyps] = tuple(out)
         return out
 
     def _default(self, hyps: list[Term], goal: Term) -> bool:
@@ -381,8 +373,6 @@ class PureSolver:
         """Forward chaining: instantiate lemma triggers against subterms of
         the context/goal, discharge the lemma hypotheses, add the
         conclusions, and retry the default solver."""
-        from .terms import Subst, fresh_evar
-        from .unify import unify
         triggered = [(lemma, lemma.trigger_patterns())
                      for lemma in self.lemmas]
         triggered = [(lemma, pats) for lemma, pats in triggered if pats]
@@ -428,15 +418,12 @@ class PureSolver:
         when ``heads`` is ``None``, scans the whole pool.  The rest of
         the pool could never unify, so the instantiations and their
         order are those of the full scan."""
-        from .terms import Subst, fresh_evar
         evmap = {p: fresh_evar(p.sort, p.name) for p in lemma.params}
         budget = [self._FORWARD_ATTEMPTS]
         yield from _instantiate(0, Subst(), evmap, budget, patterns, pool,
                                 heads)
 
     def _by_lemma(self, hyps: list[Term], goal: Term) -> bool:
-        from .terms import Subst, fresh_evar
-        from .unify import unify
         for lemma in self.lemmas:
             subst = Subst()
             evars = {p: fresh_evar(p.sort, p.name) for p in lemma.params}

@@ -68,9 +68,10 @@ class TermError(Exception):
 #
 # The tables live for the process: a term built again by a later
 # function check is the very node an earlier one built, compiled forms
-# (``App._simp``/``_hypx``/``_lrow``) included.  They are bounded like
-# every pure memo — a table past ``memo.DEFAULT_CACHE_CAP`` entries drops
-# them all — and :func:`repro.pure.memo.clear_pure_caches` drops them too.
+# (``App._simp``/``_hypx``/``_lrow``/``_lcon``) included.  They are
+# bounded like every pure memo — a table past ``memo.DEFAULT_CACHE_CAP``
+# entries drops them all — and :func:`repro.pure.memo.clear_pure_caches`
+# drops them too.
 # ------------------------------------------------------------------
 
 _set = object.__setattr__
@@ -335,18 +336,18 @@ class App(Term):
     have ``op`` of the form ``"fn:<name>"`` and carry their result sort.
     """
 
-    # The trailing slots hold *compiled forms*: the
-    # simplified normal form, the hypothesis decomposition (stamped with
-    # the hyp-rule generation) and the linear row of the node.  They are
-    # left unset until first use — reads go through ``getattr(t, s, None)``
-    # and writes through ``object.__setattr__`` — so construction pays
-    # nothing for them.  None of them refers back to its own node (a
-    # marker stands for "the node itself"), so no term is part of a
-    # reference cycle: a term the intern tables drop is freed by its
-    # reference count, without waiting for the cyclic collector.
+    # The trailing slots hold *compiled forms*: the simplified normal
+    # form, the hypothesis decomposition (stamped with the hyp-rule
+    # generation), the linear row and the linear constraints of the node.
+    # They are left unset until first use — reads go through
+    # ``getattr(t, s, None)`` and writes through ``object.__setattr__`` —
+    # so construction pays nothing for them.  None of them refers back to
+    # its own node (a marker stands for "the node itself"), so no term is
+    # part of a reference cycle: a term the intern tables drop is freed by
+    # its reference count, without waiting for the cyclic collector.
     __slots__ = ("op", "args", "result_sort", "_hash", "_iid",
                  "_hevars", "_size", "_fvs", "_evs",
-                 "_simp", "_hypx", "_lrow", "_subs")
+                 "_simp", "_hypx", "_lrow", "_lcon", "_subs")
 
     def __new__(cls, op: str, args: Sequence[Term],
                 result_sort: Sort) -> "App":

@@ -17,7 +17,7 @@ import pytest
 
 from repro.driver import reset_fresh_counters
 from repro.frontend import verify_file, verify_source
-from repro.pure import memo, terms
+from repro.pure import linarith, memo, terms
 from repro.pure.memo import clear_pure_caches
 from repro.pure.terms import App, clear_term_caches
 
@@ -76,10 +76,14 @@ def test_compile_telemetry_is_populated():
                                         for f in m.functions)
 
 
-def _side_condition_goals(outcome) -> list:
-    return [node.label for fr in outcome.result.functions.values()
+def _side_conditions(outcome) -> list:
+    return [node for fr in outcome.result.functions.values()
             for d in fr.derivations for node in d.walk()
             if node.kind == "side_condition"]
+
+
+def _side_condition_goals(outcome) -> list:
+    return [node.label for node in _side_conditions(outcome)]
 
 
 class _CountingRules(dict):
@@ -98,7 +102,8 @@ class _CountingRules(dict):
 def test_terms_outlive_function_checks(monkeypatch):
     """A side condition a later check builds again, after
     ``reset_fresh_counters()``, is the very node the earlier check built,
-    and ``simplify`` answers it from the node's slot."""
+    and ``simplify`` answers it from the node's slot; so does constraint
+    extraction for the facts of its context."""
     clear_pure_caches()
     first = verify_file(study_path("alloc"))
     reset_fresh_counters()
@@ -117,6 +122,20 @@ def test_terms_outlive_function_checks(monkeypatch):
             assert simplify_mod.simplify(goal) is \
                 (goal if slot is simplify_mod._NORMAL else slot)
     assert rules.lookups == 0
+    facts = {s for node in _side_conditions(second)
+             for h in node.detail["hypotheses"]
+             for s in simplify_mod.simplify_hyp(h)}
+    stamped = [f for f in facts if getattr(f, "_lcon", None) is not None]
+    assert stamped
+    computed = []
+    monkeypatch.setattr(linarith, "_to_constraints_impl",
+                        lambda prop, atoms: computed.append(prop))
+    for fact in stamped:
+        atoms = set()
+        cs = linarith._to_constraints(fact, atoms)
+        assert cs == (None if fact._lcon[0] is None else list(fact._lcon[0]))
+        assert atoms == fact._lcon[1] and fact not in atoms
+    assert not computed
 
 
 @pytest.mark.parametrize("study", ["mpool", "hashmap"])

@@ -151,10 +151,11 @@ class TestSubst:
 
 class TestRefcountFreed:
     """A term keeps no reference to itself — not through its free-var
-    or evar set, its subterm list, its linear row, its normal form or
-    its hypothesis decomposition — and the solver's recursive searches
-    leave no cycles behind, so a term the pure caches drop is freed by
-    reference counting, not left for the cyclic collector."""
+    or evar set, its subterm list, its linear row, its linear
+    constraints, its normal form or its hypothesis decomposition — and
+    the solver's recursive searches leave no cycles behind, so a term
+    the pure caches drop is freed by reference counting, not left for
+    the cyclic collector."""
 
     @staticmethod
     def _work():
@@ -186,6 +187,13 @@ class TestRefcountFreed:
             goal.free_vars(), goal.evars()
         for hyp in hyps:
             simplify_hyp(hyp)
+        # Constraint extraction through a conjunction, a negated `le`
+        # (translated via a fresh `lt` node) and a strict `lt`.
+        linear = [T.and_(T.le(T.intlit(0), n), T.lt(n, a)),
+                  T.not_(T.le(b, n)), T.lt(a, T.add(b, c))]
+        for goal in goals[:4]:
+            implies_linear(linear, goal)
+        assert all(getattr(h, "_lcon", None) is not None for h in linear)
 
     def test_dropped_terms_leave_no_cyclic_garbage(self):
         import gc

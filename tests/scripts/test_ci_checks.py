@@ -514,3 +514,61 @@ class TestGcBudget:
         assert ci_checks.main(["gc-budget"]) == 0
         assert gc.callbacks == callbacks
         assert "gc-budget ok" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------
+# memo-census
+# ---------------------------------------------------------------------
+
+def counting(ci_checks, hits, misses=1):
+    c = ci_checks.CountingDict()
+    c.hits, c.misses = hits, misses
+    return c
+
+
+class TestMemoCensus:
+    def test_counting_dict_counts_gets(self, ci_checks):
+        c = ci_checks.CountingDict()
+        c["k"] = False
+        assert c.get("k", "miss") is False and c.get("x", "miss") == "miss"
+        assert c.get("x") is None
+        assert (c.hits, c.misses) == (1, 2)
+
+    def test_hit_memos_within_the_cap_pass(self, ci_checks, capsys):
+        counters = {f"m.M{i}": counting(ci_checks, hits=i + 1)
+                    for i in range(ci_checks.MAX_MEMOS)}
+        assert ci_checks.judge_memo_census(counters) == 0
+        out = capsys.readouterr().out
+        assert "m.M0: 1 hit(s), 1 miss(es)" in out
+        assert "memo-census ok: 4 memo(s)" in out
+
+    def test_a_memo_that_never_hits_fails(self, ci_checks, capsys):
+        counters = {"m.A": counting(ci_checks, hits=3),
+                    "m.B": counting(ci_checks, hits=0, misses=9)}
+        assert ci_checks.judge_memo_census(counters) == 1
+        assert "m.B: 0 hits" in capsys.readouterr().err
+
+    def test_too_many_memos_fail(self, ci_checks, capsys):
+        counters = {f"m.M{i}": counting(ci_checks, hits=1)
+                    for i in range(ci_checks.MAX_MEMOS + 1)}
+        assert ci_checks.judge_memo_census(counters) == 1
+        assert "5 dict memos registered" in capsys.readouterr().err
+
+    def test_subcommand_passes_and_restores_the_memos(self, ci_checks,
+                                                      capsys):
+        from repro.pure import linarith, memo, solver
+        registry = list(memo._CACHES)
+        memos = (linarith._IMPLIES_CACHE, solver._DEFAULT_CACHE,
+                 solver._PROVE_CACHE)
+        assert ci_checks.main(["memo-census"]) == 0
+        assert len(memo._CACHES) == len(registry)
+        assert all(a is b for (a, _), (b, _) in zip(memo._CACHES, registry))
+        assert all(now is then for now, then in zip(
+            (linarith._IMPLIES_CACHE, solver._DEFAULT_CACHE,
+             solver._PROVE_CACHE), memos))
+        assert all(type(m) is dict for m in memos)
+        out = capsys.readouterr().out
+        for name in ("linarith._IMPLIES_CACHE", "solver._DEFAULT_CACHE",
+                     "solver._PROVE_CACHE"):
+            assert f"{name}: " in out
+        assert "memo-census ok: 3 memo(s)" in out
