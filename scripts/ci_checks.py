@@ -61,7 +61,10 @@ to reproduce exactly what CI enforces:
   every dict memo registered in ``repro.pure.memo`` swapped for a
   counting dict: prints hits and misses per memo, and fails when more
   than :data:`MAX_MEMOS` dicts are registered or any of them never hits
-  (a memo stays only while it earns its keep).
+  (a memo stays only while it earns its keep); it also counts the
+  Fourier--Motzkin runs (``linarith._fm_int``) of the pass and fails
+  above :data:`MAX_FM_RUNS` (one elimination per distinct linear
+  system).
 
 Exit code 0 when the assertion holds, 1 when it fails.
 """
@@ -673,6 +676,12 @@ def gc_budget(args) -> int:
 #: process-wide dict memos the pure solver may register.
 MAX_MEMOS = 4
 
+#: Fourier--Motzkin runs allowed in one cold serial Figure-7 pass.
+#: Keying linear entailment on the facts linarith uses reads 438 on
+#: CPython 3.11; keyed on the raw hypothesis tuple it read 708.  Run
+#: counts follow the queries, not the runner's speed.
+MAX_FM_RUNS = 550
+
 
 class CountingDict(dict):
     """A memo dict that counts its reads, which go through ``get``: a
@@ -690,16 +699,17 @@ class CountingDict(dict):
         return default
 
 
-def measure_memos() -> dict[str, CountingDict]:
+def measure_memos() -> tuple[dict[str, CountingDict], int]:
     """Hits and misses of every dict registered in ``repro.pure.memo``
     over one cold serial Figure-7 pass, in this process, keyed
-    ``module.NAME``.  Each dict is found by identity among the
-    ``repro.pure.*`` module globals and swapped for a
-    :class:`CountingDict` for the pass; one found under no name cannot
+    ``module.NAME``, and the number of Fourier--Motzkin runs
+    (``linarith._fm_int`` calls) of the pass.  Each dict is found by
+    identity among the ``repro.pure.*`` module globals and swapped for
+    a :class:`CountingDict` for the pass; one found under no name cannot
     be counted and reads 0 hits.  The registry and the globals are
     restored afterwards."""
     from repro.frontend import verify_files
-    from repro.pure import memo
+    from repro.pure import linarith, memo
 
     memo.clear_pure_caches()
     modules = [m for name, m in sorted(sys.modules.items())
@@ -707,6 +717,14 @@ def measure_memos() -> dict[str, CountingDict]:
     saved = list(memo._CACHES)
     counters: dict[str, CountingDict] = {}
     swapped = []
+    fm_int = linarith._fm_int
+    fm_runs = 0
+
+    def counting_fm_int(rows):
+        nonlocal fm_runs
+        fm_runs += 1
+        return fm_int(rows)
+
     try:
         for i, (cache, cap) in enumerate(saved):
             counting = CountingDict()
@@ -721,15 +739,18 @@ def measure_memos() -> dict[str, CountingDict]:
             memo._CACHES[i] = (counting, cap)
             counters[f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"] = \
                 counting
+        linarith._fm_int = counting_fm_int
         verify_files(_figure7_paths(), jobs=1, ledger=False)
     finally:
+        linarith._fm_int = fm_int
         for module, attr, cache in swapped:
             setattr(module, attr, cache)
         memo._CACHES[:] = saved
-    return counters
+    return counters, fm_runs
 
 
-def judge_memo_census(counters: dict[str, CountingDict]) -> int:
+def judge_memo_census(counters: dict[str, CountingDict],
+                      fm_runs: int) -> int:
     problems = []
     for name, c in counters.items():
         print(f"{name}: {c.hits} hit(s), {c.misses} miss(es)")
@@ -739,17 +760,22 @@ def judge_memo_census(counters: dict[str, CountingDict]) -> int:
     if len(counters) > MAX_MEMOS:
         problems.append(f"{len(counters)} dict memos registered; at most "
                         f"{MAX_MEMOS} allowed")
+    print(f"linarith._fm_int: {fm_runs} run(s)")
+    if fm_runs > MAX_FM_RUNS:
+        problems.append(f"{fm_runs} Fourier-Motzkin runs in one cold "
+                        f"serial Figure-7 pass; at most {MAX_FM_RUNS} "
+                        "allowed")
     for p in problems:
         print(f"memo-census: {p}", file=sys.stderr)
     if problems:
         return 1
     print(f"memo-census ok: {len(counters)} memo(s) <= {MAX_MEMOS}, "
-          "each hit")
+          f"each hit; {fm_runs} Fourier-Motzkin run(s) <= {MAX_FM_RUNS}")
     return 0
 
 
 def memo_census(args) -> int:
-    return judge_memo_census(measure_memos())
+    return judge_memo_census(*measure_memos())
 
 
 def _diff_files(a: dict, b: dict, la: str, lb: str) -> None:
@@ -854,7 +880,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("memo-census",
                        help="hits and misses of each pure-solver dict "
-                            "memo over one cold serial Figure-7 pass")
+                            "memo, and the Fourier-Motzkin runs, over one "
+                            "cold serial Figure-7 pass")
     p.set_defaults(func=memo_census)
 
     args = ap.parse_args(argv)

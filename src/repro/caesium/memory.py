@@ -176,9 +176,6 @@ class Memory:
                 "free of non-start-of-allocation pointer", UBClass.PTR_ARITH)
         alloc.live = False
 
-    def allocation_size(self, ptr: Pointer) -> int:
-        return self._allocation(ptr).size
-
     def is_live(self, ptr: Pointer) -> bool:
         alloc = self._allocations.get(ptr.alloc_id)
         return alloc is not None and alloc.live

@@ -238,9 +238,6 @@ class AttrSet:
     def has(self, name: str) -> bool:
         return any(n == name for n, _ in self.items)
 
-    def count_lines(self) -> int:
-        return len(self.items)
-
 
 @dataclass
 class StructDecl:

@@ -11,6 +11,13 @@ hypotheses and the negated goal into linear atoms and test unsatisfiability.
 Non-linear subterms (``min``/``max``/``mod``/``msize``/``len``/uninterpreted
 functions/...) are treated as opaque atoms, with sound bounding axioms added
 lazily (e.g. ``0 <= len l``, ``min(a,b) <= a``).
+
+Only the hypotheses that can change a verdict reach the procedure: those
+with linear constraints, integer disequalities (which split) and
+``False``, in first-seen order and without repeats.  Entailment is
+memoized on that tuple, so contexts that differ only in facts this
+solver ignores -- list or multiset facts, ``True``, repeats -- share one
+elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ LinMap = dict[Term, int]
 # node, pure up to their ``atoms`` out-parameter: each stamps its result,
 # with the frozenset of atoms it adds, on the node (``_lrow``, ``_lcon``),
 # and a read replays the set union.  Entailment results are plain bools
-# in the one dict memo, keyed on (hyps tuple, goal).
+# in the one dict memo, keyed on (linear facts of hyps, goal); see
+# _linear_facts.
 _IMPLIES_CACHE: dict = register_cache({})
 _MISS = object()
 _OPAQUE = object()   # the ``_lrow`` of an opaque atom; see linearise
@@ -357,21 +365,36 @@ def _fm_int(rows: list[IntRow]) -> bool:
     check."""
     work = [_norm_int_row(r) for r in rows]
     for _round in range(_FM_VAR_LIMIT):
-        if any(const > 0 for coeffs, const in work if not coeffs):
-            return True
-        work = [r for r in work if r[0]]
-        if not work:
+        # Constant rows are decided here: a refuting one ends the run,
+        # the rest drop out.
+        live = []
+        for r in work:
+            if r[0]:
+                live.append(r)
+            elif r[1] > 0:
+                return True
+        if not live:
             return False
-        occurrence: dict[Term, tuple[int, int]] = {}
-        for coeffs, _const in work:
+        # Per atom, [rows with a positive, rows with a negative
+        # coefficient], in first-occurrence order.
+        occurrence: dict[Term, list[int]] = {}
+        for coeffs, _const in live:
             for k, v in coeffs.items():
-                p, n = occurrence.get(k, (0, 0))
-                occurrence[k] = (p + (v > 0), n + (v < 0))
+                counts = occurrence.get(k)
+                if counts is None:
+                    counts = occurrence[k] = [0, 0]
+                counts[v < 0] += 1
         # Choose the variable minimising the pos*neg product (Bland-ish).
         pivot = min(occurrence, key=lambda k: occurrence[k][0] * occurrence[k][1])
-        with_pos = [r for r in work if r[0].get(pivot, 0) > 0]
-        with_neg = [r for r in work if r[0].get(pivot, 0) < 0]
-        new = [r for r in work if pivot not in r[0]]
+        with_pos, with_neg, new = [], [], []
+        for r in live:
+            v = r[0].get(pivot)
+            if v is None:
+                new.append(r)
+            elif v > 0:
+                with_pos.append(r)
+            else:
+                with_neg.append(r)
         for pc, pconst in with_pos:
             a = pc[pivot]
             for nc, nconst in with_neg:
@@ -455,9 +478,37 @@ def _entailed_by(hyp_constraints: list[Constraint]
     return entailed
 
 
+def _is_int_diseq(h: Term) -> bool:
+    """``¬(a = b)`` over integers: a hypothesis linarith splits on."""
+    if h.op != "not":
+        return False
+    inner = h.args[0]
+    return isinstance(inner, App) and inner.op == "eq" \
+        and inner.args[0].sort is Sort.INT
+
+
+def _linear_facts(hyps: Iterable[Term]) -> tuple[Term, ...]:
+    """The hypotheses that can change a verdict, in first-seen order
+    and without repeats: those with linear constraints, the integer
+    disequalities (they split) and ``False``.  Every other fact adds no
+    row and no atom, so the verdict depends on this tuple alone."""
+    out: dict[Term, None] = {}   # a repeat keeps its first position
+    for h in hyps:
+        if isinstance(h, App):
+            hit = getattr(h, "_lcon", None)
+            if hit is None:
+                _to_constraints(h, set())
+                hit = h._lcon
+            if hit[0] or _is_int_diseq(h):
+                out[h] = None
+        elif isinstance(h, Lit) and h.value is not True:
+            out[h] = None
+    return tuple(out)
+
+
 def implies_linear(hyps: Iterable[Term], goal: Term) -> bool:
     """Decide whether the linear fragment of ``hyps`` entails ``goal``."""
-    hyps = tuple(hyps)
+    hyps = _linear_facts(hyps)
     key = (hyps, goal)
     hit = _IMPLIES_CACHE.get(key, _MISS)
     if hit is _MISS:
@@ -468,25 +519,22 @@ def implies_linear(hyps: Iterable[Term], goal: Term) -> bool:
 
 
 def _implies_linear(hyps: tuple[Term, ...], goal: Term) -> bool:
+    """``implies_linear`` on hypotheses already cut to their linear
+    facts."""
     if isinstance(goal, App) and goal.op == "and":
-        hyps = list(hyps)
         return all(implies_linear(hyps, g) for g in goal.args)
     if isinstance(goal, App) and goal.op == "implies":
-        return implies_linear(list(hyps) + [goal.args[0]], goal.args[1])
+        return implies_linear(hyps + (goal.args[0],), goal.args[1])
     # Integer disequality hypotheses require a case split (a ≠ b is a < b
-    # or b < a); split on the first few.
-    hyps = list(hyps)
+    # or b < a).
     for i, h in enumerate(hyps):
-        if isinstance(h, App) and h.op == "not":
-            inner = h.args[0]
-            if isinstance(inner, App) and inner.op == "eq" \
-                    and inner.args[0].sort is Sort.INT:
-                a, b = inner.args
-                rest = hyps[:i] + hyps[i + 1:]
-                return (implies_linear(rest + [App("lt", (a, b), Sort.BOOL)],
-                                       goal)
-                        and implies_linear(rest + [App("lt", (b, a),
-                                                       Sort.BOOL)], goal))
+        if isinstance(h, App) and _is_int_diseq(h):
+            a, b = h.args[0].args
+            rest = hyps[:i] + hyps[i + 1:]
+            return (implies_linear(rest + (App("lt", (a, b), Sort.BOOL),),
+                                   goal)
+                    and implies_linear(rest + (App("lt", (b, a), Sort.BOOL),),
+                                       goal))
     atoms: set[Term] = set()
     constraints: list[Constraint] = []
     for h in hyps:

@@ -11,8 +11,10 @@ Each derived form is memoized in exactly one place.  A form of a single
 term node — its normal form, hypothesis decomposition, linear row or
 linear constraints — lives in a slot on the interned node; a result keyed
 on more than one term lives in a dict registered here.  There are three:
-linear entailments (``linarith._IMPLIES_CACHE``), default-solver
-subproblems (``solver._DEFAULT_CACHE``) and full ``prove`` results
+linear entailments (``linarith._IMPLIES_CACHE``, keyed on the facts
+linarith uses, so contexts that differ only in ignored or repeated
+facts share an entry), default-solver subproblems
+(``solver._DEFAULT_CACHE``) and full ``prove`` results
 (``solver._PROVE_CACHE``).  A dict stays only while it hits: ``python
 scripts/ci_checks.py memo-census`` counts each one's hits over a cold
 Figure-7 pass and fails on a memo that never hits, or on more than four.

@@ -757,9 +757,6 @@ class Subst:
     def lookup(self, ev: EVar) -> Optional[Term]:
         return self._evar.get(ev.eid)
 
-    def is_bound(self, ev: EVar) -> bool:
-        return ev.eid in self._evar
-
     def resolve(self, t: Term) -> Term:
         """Fully apply the substitution to ``t`` (with re-canonicalisation)."""
         if not t.has_evars():

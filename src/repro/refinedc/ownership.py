@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING, Optional
 from ..lithium.goals import GForall, Goal, GWand, HAtom, HPure
 from ..lithium.search import SearchState
 from ..pure.solver import Outcome
-from ..pure.terms import (App, Lit, Sort, Term, add, and_, eq, ge, intlit, le,
+from ..pure.terms import (App, Sort, Term, add, and_, eq, intlit, le,
                           loc_offset, sub)
-from .judgments import LocType, ValType
+from .judgments import LocType
 from .spec import ShrPtr
 from .types import (ArrayT, ConstrainedT, ExistsT, IntT, NamedT, OwnPtr,
                     PaddedT, RType, StructT, UninitT)
@@ -139,15 +139,6 @@ def struct_pieces(ty: StructT) -> list[tuple[int, RType]]:
     if layout.size > pos:
         pieces.append((pos, UninitT(intlit(layout.size - pos))))
     return pieces
-
-
-def intro_val_goal(sigma: "FnCtx", state: SearchState, v: Term, ty: RType,
-                   cont: Goal) -> Goal:
-    """Introduce ``v ◁ᵥ τ`` (with scalar range facts)."""
-    goal: Goal = GWand(HAtom(ValType(v, ty)), cont)
-    for phi in reversed(range_facts(ty)):
-        goal = GWand(HPure(phi), goal)
-    return goal
 
 
 # ---------------------------------------------------------------------

@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
-from ..caesium.layout import INT_TYPES_BY_NAME, IntType, Layout, StructLayout
+from ..caesium.layout import INT_TYPES_BY_NAME, IntType, StructLayout
 from ..pure.parser import SpecParseError, parse_sort, parse_term
 from ..pure.solver import Lemma
-from ..pure.terms import (Sort, Term, Var, and_, ge, intlit, le, subst_vars,
+from ..pure.terms import (Sort, Term, Var, and_, intlit, le, subst_vars,
                           var)
 from .judgments import LocType, TokenAtom
 from .types import (ArrayT, AtomicBoolT, BoolT, ConstrainedT, ExistsT, FnT,
@@ -550,41 +550,56 @@ class StructBody:
     ctx: SpecContext
 
     def __call__(self, *args: Term) -> RType:
-        layout, raw, ctx = self.layout, self.raw, self.ctx
-        binders, ex_binders = self.binders, self.ex_binders
+        binders = self.binders
         env: dict[str, Term] = {n: a for (n, _, _), a in zip(binders, args)}
         nat_facts = [le(intlit(0), a)
                      for (n, _, is_nat), a in zip(binders, args) if is_nat]
-
-        def wrap_exists(pending: list, env2: dict[str, Term]) -> RType:
-            if pending:
-                nm, srt, is_nat = pending[0]
-                return ExistsT(srt, nm, lambda x: wrap_exists(
-                    pending[1:], {**env2, nm: x}))
-            fields = []
-            for fname, _flayout in layout.fields:
-                ftext = raw.fields.get(fname)
-                if ftext is None:
-                    raise SpecError(
-                        f"struct {layout.name}: field {fname!r} lacks an "
-                        f"rc::field annotation")
-                fields.append((fname, parse_type(ftext, env2, ctx)))
-            t: RType = StructT(layout, tuple(fields))
-            constraints = [
-                _parse_refinement(c, env2, ctx) for c in raw.constraints]
-            for nm, _srt, nat in ex_binders:
-                if nat:
-                    constraints.append(le(intlit(0), env2[nm]))
-            if constraints:
-                t = ConstrainedT(t, and_(*constraints))
-            if raw.size is not None:
-                t = PaddedT(t, _parse_refinement(raw.size, env2, ctx))
-            return t
-
-        t = wrap_exists(ex_binders, env)
+        t = self.wrap_exists(self.ex_binders, env)
         if nat_facts:
             t = ConstrainedT(t, and_(*nat_facts))
         return t
+
+    def wrap_exists(self, pending: list, env: dict[str, Term]) -> RType:
+        """The struct under its ``pending`` ``rc::exists`` binders, each
+        an :class:`ExistsT` whose body binds the witness in ``env``."""
+        if pending:
+            nm, srt, _is_nat = pending[0]
+            return ExistsT(srt, nm, _StructExistsBody(self, pending, env))
+        layout, raw, ctx = self.layout, self.raw, self.ctx
+        fields = []
+        for fname, _flayout in layout.fields:
+            ftext = raw.fields.get(fname)
+            if ftext is None:
+                raise SpecError(
+                    f"struct {layout.name}: field {fname!r} lacks an "
+                    f"rc::field annotation")
+            fields.append((fname, parse_type(ftext, env, ctx)))
+        t: RType = StructT(layout, tuple(fields))
+        constraints = [
+            _parse_refinement(c, env, ctx) for c in raw.constraints]
+        for nm, _srt, nat in self.ex_binders:
+            if nat:
+                constraints.append(le(intlit(0), env[nm]))
+        if constraints:
+            t = ConstrainedT(t, and_(*constraints))
+        if raw.size is not None:
+            t = PaddedT(t, _parse_refinement(raw.size, env, ctx))
+        return t
+
+
+@dataclass(eq=False, repr=False)
+class _StructExistsBody:
+    """The body of a struct's first pending ``rc::exists`` binder: binds
+    the witness and wraps the rest.  A class rather than a closure that
+    calls itself, so an unfolded struct forms no reference cycle."""
+
+    struct_body: StructBody
+    pending: list
+    env: dict[str, Term]
+
+    def __call__(self, x: Term) -> RType:
+        return self.struct_body.wrap_exists(
+            self.pending[1:], {**self.env, self.pending[0][0]: x})
 
 
 @dataclass(eq=False, repr=False)

@@ -18,13 +18,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.pure import simplify, simplify_hyp  # noqa: E402
+from repro.pure import linarith, simplify, simplify_hyp  # noqa: E402
 from repro.pure import terms as T  # noqa: E402
 from repro.pure.linarith import implies_linear  # noqa: E402
 from repro.pure.memo import clear_pure_caches  # noqa: E402
 from repro.pure.solver import PureSolver  # noqa: E402
 from repro.pure.terms import Subst, fresh_evar  # noqa: E402
 
+from .linarith_oracle import oracle_implies_linear  # noqa: E402
 from .test_properties import bool_terms, int_terms  # noqa: E402
 
 
@@ -78,6 +79,48 @@ def test_implies_linear_agrees_with_cache_free(hyps, goal, other):
         lambda: implies_linear(hyps, goal),
         lambda: [implies_linear(other[1:] + hyps, g) for g in other])
     assert warm is cold
+
+
+def _ignored_facts():
+    """Hypotheses linarith ignores: no linear row, no atom, no split."""
+    xs, ys = T.var("ig_xs", T.Sort.LIST), T.var("ig_ys", T.Sort.LIST)
+    return [T.TRUE, T.mmember(T.var("a"), T.var("ig_s", T.Sort.MSET)),
+            T.eq(xs, ys)]
+
+
+def test_ignored_and_repeated_facts_share_one_entailment(monkeypatch):
+    """Linear entailment is keyed on the facts linarith uses: contexts
+    that differ only in ignored or repeated facts leave one memo entry
+    and run one Fourier--Motzkin elimination."""
+    runs = []
+    fm_int = linarith._fm_int
+    monkeypatch.setattr(linarith, "_fm_int",
+                        lambda rows: runs.append(rows) or fm_int(rows))
+    a, b, c = T.var("a"), T.var("b"), T.var("c")
+    ab, bc, goal = T.le(a, b), T.le(b, c), T.le(a, c)
+    true, member, lists_eq = _ignored_facts()
+    contexts = [[ab, bc], [ab, true, bc], [member, ab, bc, ab],
+                [ab, lists_eq, bc, bc, true], [ab, ab, member, bc]]
+    assert all(implies_linear(hyps, goal) for hyps in contexts)
+    assert len(linarith._IMPLIES_CACHE) == 1
+    assert len(runs) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyps=st.lists(bool_terms, max_size=3), goal=bool_terms,
+       noise=st.lists(st.integers(0, 2), max_size=3),
+       where=st.integers(0, 3),
+       repeat=st.lists(st.booleans(), max_size=3))
+def test_ignored_and_repeated_facts_keep_the_oracle_verdict(
+        hyps, goal, noise, where, repeat):
+    """Mixing ignored facts and repeats into ``hyps`` leaves the
+    verdict of the rational oracle on the distinct facts."""
+    clear_pure_caches()
+    facts = list(dict.fromkeys(hyps))
+    ignored = _ignored_facts()
+    mixed = (facts[:where] + [ignored[i] for i in noise] + facts[where:]
+             + [h for h, again in zip(facts, repeat) if again])
+    assert implies_linear(mixed, goal) == oracle_implies_linear(facts, goal)
 
 
 @settings(max_examples=40, deadline=None)

@@ -193,6 +193,11 @@ class TestRefcountFreed:
                   T.not_(T.le(b, n)), T.lt(a, T.add(b, c))]
         for goal in goals[:4]:
             implies_linear(linear, goal)
+        # Repeated and ignored facts (no linear row), cut from the key.
+        noisy = [T.TRUE, linear[0], T.mmember(a, s), linear[0],
+                 T.eq(xs, T.cons(a, xs)), *linear, T.TRUE]
+        for goal in goals[:4]:
+            implies_linear(noisy, goal)
         assert all(getattr(h, "_lcon", None) is not None for h in linear)
 
     def test_dropped_terms_leave_no_cyclic_garbage(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.caesium.layout import SIZE_T, IntLayout, PtrLayout, StructLayout
 from repro.pure import Sort, terms as T
-from repro.refinedc import (ArrayT, AtomicBoolT, BoolT, ConstrainedT, ExistsT,
+from repro.refinedc import (ArrayT, AtomicBoolT, ConstrainedT, ExistsT,
                             IntT, NamedT, NullT, OptionalT, OwnPtr,
                             RawFunctionAnnotations, RawStructAnnotations,
                             ShrPtr, SpecContext, SpecError, StructT, UninitT,
@@ -191,3 +191,29 @@ class TestFunctionSpec:
         assert isinstance(t.then_type, OwnPtr)
         inner = t.then_type.inner
         assert isinstance(inner, ExistsT)  # ∃n. ∃tail. padded(...)
+
+
+class TestStructUnfoldingFreesItself:
+    def test_checking_a_struct_study_leaves_no_wrap_exists_closure(self):
+        """Unfolding a struct's ``rc::exists`` binders builds no
+        self-referencing closure: none waits for the cyclic collector
+        after a check."""
+        import gc
+        import types
+
+        from repro.frontend import verify_file
+        from repro.report import casestudies_dir
+        gc.collect()
+        saved = gc.get_debug()
+        gc.set_debug(saved | gc.DEBUG_SAVEALL)
+        try:
+            out = verify_file(casestudies_dir() / "linked_list.c")
+            gc.collect()
+            closures = [o.__qualname__ for o in gc.garbage
+                        if isinstance(o, types.FunctionType)
+                        and "wrap_exists" in o.__qualname__]
+        finally:
+            gc.set_debug(saved)
+            gc.garbage.clear()
+        assert out.ok, out.report()
+        assert closures == []

@@ -537,7 +537,8 @@ class TestMemoCensus:
     def test_hit_memos_within_the_cap_pass(self, ci_checks, capsys):
         counters = {f"m.M{i}": counting(ci_checks, hits=i + 1)
                     for i in range(ci_checks.MAX_MEMOS)}
-        assert ci_checks.judge_memo_census(counters) == 0
+        assert ci_checks.judge_memo_census(
+            counters, ci_checks.MAX_FM_RUNS) == 0
         out = capsys.readouterr().out
         assert "m.M0: 1 hit(s), 1 miss(es)" in out
         assert "memo-census ok: 4 memo(s)" in out
@@ -545,14 +546,24 @@ class TestMemoCensus:
     def test_a_memo_that_never_hits_fails(self, ci_checks, capsys):
         counters = {"m.A": counting(ci_checks, hits=3),
                     "m.B": counting(ci_checks, hits=0, misses=9)}
-        assert ci_checks.judge_memo_census(counters) == 1
+        assert ci_checks.judge_memo_census(counters, 0) == 1
         assert "m.B: 0 hits" in capsys.readouterr().err
 
     def test_too_many_memos_fail(self, ci_checks, capsys):
         counters = {f"m.M{i}": counting(ci_checks, hits=1)
                     for i in range(ci_checks.MAX_MEMOS + 1)}
-        assert ci_checks.judge_memo_census(counters) == 1
+        assert ci_checks.judge_memo_census(counters, 0) == 1
         assert "5 dict memos registered" in capsys.readouterr().err
+
+    def test_fourier_motzkin_runs_past_the_bound_fail(self, ci_checks,
+                                                      capsys):
+        counters = {"m.A": counting(ci_checks, hits=3)}
+        assert ci_checks.MAX_FM_RUNS == 550
+        assert ci_checks.judge_memo_census(
+            counters, ci_checks.MAX_FM_RUNS + 1) == 1
+        captured = capsys.readouterr()
+        assert "linarith._fm_int: 551 run(s)" in captured.out
+        assert "551 Fourier-Motzkin runs" in captured.err
 
     def test_subcommand_passes_and_restores_the_memos(self, ci_checks,
                                                       capsys):
@@ -572,3 +583,8 @@ class TestMemoCensus:
                      "solver._PROVE_CACHE"):
             assert f"{name}: " in out
         assert "memo-census ok: 3 memo(s)" in out
+        # The pass stays within the Fourier-Motzkin bound, and the
+        # counting wrapper is gone afterwards.
+        assert "linarith._fm_int: " in out
+        assert f"run(s) <= {ci_checks.MAX_FM_RUNS}" in out
+        assert linarith._fm_int.__name__ == "_fm_int"
